@@ -15,6 +15,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import json
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -126,6 +127,13 @@ def _run_sweep_task(args) -> Tuple[int, ChainOutput]:
     return n, run_chain(data, config, n)
 
 
+def _describe_failure(exc: Exception) -> str:
+    # the package's own errors explain themselves; others get their type
+    if isinstance(exc, (NumericalError, InvalidParameterError)):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
 def run_sweep(data: DatasetView, config: SamplerConfig, plan: SweepPlan,
               *, use_cpu_time: bool = False,
               clock_factory: Optional[Callable[[int], Clock]] = None) -> CalibrationReport:
@@ -133,8 +141,10 @@ def run_sweep(data: DatasetView, config: SamplerConfig, plan: SweepPlan,
 
     The chain for grid index i uses seed ``spawn_seed(config.seed, i)``,
     so the predictions and diagnostics are bit-identical at any worker
-    count.  Chains run in separate processes when ``plan.max_parallel >
-    1``; failures are recorded per grid point and the sweep continues.
+    count.  Chains run in separate processes when ``plan.max_parallel``
+    and the machine's core count both exceed 1 (the worker count is
+    clamped to ``os.cpu_count()``).  Any exception from a chain, a dead
+    worker included, is recorded per grid point and the sweep continues.
 
     Selection uses wall time unless ``use_cpu_time`` is set.
     ``clock_factory(n)`` injects a fake time source per grid point (used
@@ -152,15 +162,15 @@ def run_sweep(data: DatasetView, config: SamplerConfig, plan: SweepPlan,
     results: Dict[int, ChainOutput] = {}
     failures: List[Tuple[int, str]] = []
 
-    if clock_factory is not None or plan.max_parallel == 1 or len(plan.n_grid) == 1:
+    workers = min(plan.max_parallel, len(plan.n_grid), os.cpu_count() or 1)
+    if clock_factory is not None or workers == 1:
         for n in plan.n_grid:
             try:
                 clock = clock_factory(n) if clock_factory is not None else None
                 results[n] = run_chain(data, configs[n], n, clock=clock)
-            except (NumericalError, InvalidParameterError) as exc:
-                failures.append((n, str(exc)))
+            except Exception as exc:  # one grid point's failure must not lose the rest
+                failures.append((n, _describe_failure(exc)))
     else:
-        workers = min(plan.max_parallel, len(plan.n_grid))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(_run_sweep_task, (data, configs[n], n)): n
@@ -171,8 +181,8 @@ def run_sweep(data: DatasetView, config: SamplerConfig, plan: SweepPlan,
                 try:
                     _, output = future.result()
                     results[n] = output
-                except (NumericalError, InvalidParameterError) as exc:
-                    failures.append((n, str(exc)))
+                except Exception as exc:  # BrokenProcessPool and MemoryError included
+                    failures.append((n, _describe_failure(exc)))
     failures.sort(key=lambda pair: pair[0])
 
     per_n = [(n, results[n]) for n in plan.n_grid if n in results]

@@ -94,11 +94,11 @@ def draw_inverse_gamma(shape: float, rate: float, rng: np.random.Generator) -> f
 def sample_active_indices(n: int, N: int, rng: np.random.Generator) -> np.ndarray:
     """Sorted indices of a uniform size-n subset of range(N).
 
-    Partial Fisher-Yates shuffle over an index array: O(N) memory and n
-    swap steps, with the swap offsets taken from a single vectorized
-    integer draw so the stream consumption per call is one block.  This
-    is the core of :func:`draw_srswor`; the sampler uses it directly in
-    hot loops where constructing the full bit vector would dominate.
+    ``Generator.choice`` without replacement and without shuffling: NumPy
+    draws with Floyd's algorithm over a hash set unless n exceeds N/50 of
+    a population above 10,000, so the cost follows n, not N.  This is the core of
+    :func:`draw_srswor`; the sampler uses it directly in hot loops where
+    constructing the full bit vector would dominate.
     """
     n = int(n)
     N = int(N)
@@ -106,13 +106,7 @@ def sample_active_indices(n: int, N: int, rng: np.random.Generator) -> np.ndarra
         raise InvalidParameterError(f"population size must be >= 1, got N={N}")
     if not (1 <= n <= N):
         raise InvalidParameterError(f"subset size must satisfy 1 <= n <= N, got n={n}, N={N}")
-    indices = np.arange(N)
-    # offsets[i] is uniform on [0, N-i), so position i swaps with i+offsets[i]
-    offsets = rng.integers(0, N - np.arange(n))
-    for i in range(n):
-        j = i + offsets[i]
-        indices[i], indices[j] = indices[j], indices[i]
-    return np.sort(indices[:n])
+    return np.sort(rng.choice(N, n, replace=False, shuffle=False))
 
 
 def draw_srswor(n: int, N: int, rng: np.random.Generator):

@@ -4,15 +4,24 @@ Each sweep draws a new without-replacement subset of size n, then updates
 every block from its conjugate full conditional given that subset:
 
     1. delta  ~ SRSWOR(n, N)                       (uses no data values)
-    2. eta restricted to the subset: multivariate normal, sampled through
-       a Cholesky factor of the precision matrix
+    2. eta restricted to the subset: multivariate normal.  For the
+       absolute-difference metric on scalar coordinates the kernel Psi has
+       a tridiagonal inverse T (see ``model.BandedKernel``), and the draw
+       is O(n): v = Psi eta ~ N(M^-1 r / sigma2, M^-1) with the
+       pentadiagonal M = I / sigma2 + T^2 / sigma2_eta, sampled through
+       one banded Cholesky factor and one banded solve, then eta = T v.
+       Because Psi eta = v, steps 3-5 need no kernel matrix.  The
+       great-circle metric and coordinates closer than
+       ``model._BANDED_MIN_RHO_GAP`` (in rho * gap) use the dense path: a
+       Cholesky factor of Psi'Psi / sigma2 + I / sigma2_eta.
     3. xi restricted to the subset: independent normals
     4. beta: p-dimensional normal
     5. the four variances: inverse gamma
     6. prediction-set components outside the subset: prior refresh or
        carry-over, per SamplerConfig.prediction_refresh
     7. per-index predictions over the prediction set, accumulated after
-       burn-in
+       burn-in; the kernel product there is a tridiagonal solve whenever
+       the prediction set qualifies for the banded path
 
 Variance lags follow the update order exactly: steps 2-4 condition on the
 previous sweep's variances, and step 6's prior refresh also uses the
@@ -28,18 +37,20 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .distributions import make_rng, sample_active_indices
 from .errors import InvalidParameterError, NumericalError
 from .model import (
     REFRESH_PRIOR,
+    BandedKernel,
     ChainState,
     DatasetView,
     FixedVariances,
     SamplerConfig,
     SubsetMask,
     _predict_from_design,
+    banded_kernel,
     kernel_matrix,
 )
 
@@ -123,69 +134,141 @@ def _sample_mvn_precision(precision: Optional[np.ndarray], linear: np.ndarray,
     jitter_events = 0
     if chol is None:
         chol, jitter_events = _cholesky_with_jitter(precision, n=n, iteration=iteration)
-    mean = scipy.linalg.cho_solve((chol, True), linear, check_finite=False)
+    # LAPACK directly: the scipy.linalg wrappers cost more than the
+    # solves themselves at the small sizes most sweeps use
+    mean, _ = lapack.dpotrs(chol, linear, lower=1)
     z = rng.standard_normal(chol.shape[0])
-    draw = mean + scipy.linalg.solve_triangular(chol, z, lower=True, trans="T",
-                                                check_finite=False)
-    return draw, mean, jitter_events
+    noise, _ = lapack.dtrtrs(chol, z, lower=1, trans=1)
+    return mean + noise, mean, jitter_events
+
+
+def _kernel_operator(coords: np.ndarray, basis):
+    """The kernel on ``coords``: a BandedKernel where exact, else dense."""
+    banded = banded_kernel(coords, basis)
+    return banded if banded is not None else kernel_matrix(coords, coords, basis)
+
+
+def _banded_eta_factor(kernel: BandedKernel, sigma2: float, sigma2_eta: float):
+    """Upper band Cholesky factor of M = I/sigma2 + T^2/sigma2_eta.
+
+    M is pentadiagonal; it is stored and factored in LAPACK's upper band
+    layout (row 2 the diagonal, rows 1 and 0 the first and second
+    superdiagonals).  Returns None when the factorization fails.
+    """
+    d, e = kernel.diag, kernel.off
+    band = np.zeros((3, d.shape[0]))
+    band[2] = d * d
+    band[2, :-1] += e * e
+    band[2, 1:] += e * e
+    band[1, 1:] = e * (d[:-1] + d[1:])
+    band[0, 2:] = e[:-1] * e[1:]
+    band /= sigma2_eta
+    band[2] += 1.0 / sigma2
+    factor, info = lapack.dpbtrf(band)
+    return factor if info == 0 else None
+
+
+def _factor_eta_precision(psi_delta, sigma2: float, sigma2_eta: float,
+                          *, n: int, iteration: Optional[int]):
+    """Factor the eta block's precision for the kernel at hand.
+
+    Returns (psi_delta, factor, jitter_events).  A BandedKernel yields the
+    banded factor of M (see :func:`_banded_eta_factor`); when that fails
+    the kernel is replaced by its dense matrix, the failure counts as one
+    jitter event, and the dense path below takes over.  A dense kernel
+    yields the lower Cholesky factor of Psi'Psi/sigma2 + I/sigma2_eta,
+    jittered if needed.
+    """
+    jitter_events = 0
+    if isinstance(psi_delta, BandedKernel):
+        factor = _banded_eta_factor(psi_delta, sigma2, sigma2_eta)
+        if factor is not None:
+            return psi_delta, factor, 0
+        psi_delta = kernel_matrix(psi_delta.coords, psi_delta.coords, psi_delta.basis)
+        jitter_events = 1
+    precision = psi_delta.T @ psi_delta / sigma2 + np.eye(n) / sigma2_eta
+    lower, jitter = _cholesky_with_jitter(precision, n=n, iteration=iteration)
+    return psi_delta, lower, jitter_events + jitter
 
 
 def update_eta_active(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray,
-                      psi_delta: np.ndarray, xi_delta: np.ndarray,
+                      psi_delta, xi_delta: np.ndarray,
                       rng: np.random.Generator, *, iteration: Optional[int] = None,
                       jitter_counter: Optional[list] = None,
-                      gram: Optional[np.ndarray] = None,
-                      chol: Optional[np.ndarray] = None) -> np.ndarray:
+                      chol: Optional[np.ndarray] = None,
+                      with_product: bool = False):
     """Draw the subset's basis coefficients from their full conditional.
 
     The conditional is normal with covariance
     ``((1/sigma2) Psi'Psi + (1/sigma2_eta) I)^-1`` and mean
     ``(Psi'Psi + (sigma2/sigma2_eta) I)^-1 Psi'(y - X beta - xi)``.
-    ``gram`` (Psi'Psi) and ``chol`` (lower factor of the precision) may be
-    supplied when the caller has them cached.
+
+    ``psi_delta`` is the dense kernel matrix or a ``BandedKernel``.  The
+    banded draw takes v = Psi eta ~ N(M^-1 r / sigma2, M^-1) with
+    M = I/sigma2 + T^2/sigma2_eta = U'U, as v = M^-1 (r / sigma2 + U'z),
+    and returns eta = T v.  ``chol`` is a precomputed factor of the
+    matching kind (lower dense factor of the precision, or U in band
+    storage).  With ``with_product`` the return value is (eta, Psi eta).
     """
     n = y_delta.shape[0]
+    jitter = 0
     if chol is None:
-        if gram is None:
-            gram = psi_delta.T @ psi_delta
-        precision = gram / state.sigma2 + np.eye(n) / state.sigma2_eta
-    else:
-        precision = None
+        psi_delta, chol, jitter = _factor_eta_precision(
+            psi_delta, state.sigma2, state.sigma2_eta, n=n, iteration=iteration)
     residual = y_delta - x_delta @ state.beta - xi_delta
-    linear = psi_delta.T @ residual / state.sigma2
-    draw, _, jitter = _sample_mvn_precision(precision, linear, rng, n=n,
-                                            iteration=iteration, chol=chol)
+    if isinstance(psi_delta, BandedKernel):
+        z = rng.standard_normal(n)
+        rhs = psi_delta.to_sorted(residual) / state.sigma2
+        rhs += chol[2] * z
+        rhs[1:] += chol[1, 1:] * z[:-1]
+        rhs[2:] += chol[0, 2:] * z[:-2]
+        product, _ = lapack.dpbtrs(chol, rhs)
+        draw = psi_delta.from_sorted(psi_delta.sorted_inverse_matvec(product))
+        product = psi_delta.from_sorted(product)
+    else:
+        linear = psi_delta.T @ residual / state.sigma2
+        draw, _, _ = _sample_mvn_precision(None, linear, rng, n=n, iteration=iteration,
+                                           chol=chol)
+        product = psi_delta @ draw if with_product else None
     if jitter_counter is not None:
         jitter_counter.append(jitter)
-    return draw
+    return (draw, product) if with_product else draw
 
 
 def update_xi_active(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray,
-                     psi_delta: np.ndarray, eta_delta: np.ndarray,
-                     rng: np.random.Generator) -> np.ndarray:
+                     psi_delta, eta_delta: np.ndarray,
+                     rng: np.random.Generator, *,
+                     psi_eta: Optional[np.ndarray] = None) -> np.ndarray:
     """Draw the subset's fine-scale effects: independent normals.
 
     Mean ``(s_xi / (s + s_xi)) * (y - X beta - Psi eta)`` and common
     variance ``s * s_xi / (s + s_xi)`` with s = sigma2, s_xi = sigma2_xi.
+    ``psi_eta`` (Psi eta) may be supplied when the caller has it.
     """
+    if psi_eta is None:
+        psi_eta = psi_delta @ eta_delta
     shrink = state.sigma2_xi / (state.sigma2 + state.sigma2_xi)
-    mean = shrink * (y_delta - x_delta @ state.beta - psi_delta @ eta_delta)
+    mean = shrink * (y_delta - x_delta @ state.beta - psi_eta)
     variance = state.sigma2 * state.sigma2_xi / (state.sigma2 + state.sigma2_xi)
     return mean + np.sqrt(variance) * rng.standard_normal(mean.shape[0])
 
 
 def update_beta(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray,
-                psi_delta: np.ndarray, eta_delta: np.ndarray, xi_delta: np.ndarray,
+                psi_delta, eta_delta: np.ndarray, xi_delta: np.ndarray,
                 rng: np.random.Generator, *, iteration: Optional[int] = None,
                 jitter_counter: Optional[list] = None,
                 xtx: Optional[np.ndarray] = None,
-                chol: Optional[np.ndarray] = None) -> np.ndarray:
+                chol: Optional[np.ndarray] = None,
+                psi_eta: Optional[np.ndarray] = None) -> np.ndarray:
     """Draw the regression coefficients from their full conditional.
 
     Normal with covariance ``((1/sigma2) X'X + (1/sigma2_beta) I_p)^-1``
     and mean ``(X'X + (sigma2/sigma2_beta) I_p)^-1 X'(y - Psi eta - xi)``.
-    ``xtx`` (X'X) and ``chol`` may be supplied when cached.
+    ``xtx`` (X'X), ``chol`` and ``psi_eta`` (Psi eta) may be supplied when
+    cached.
     """
+    if psi_eta is None:
+        psi_eta = psi_delta @ eta_delta
     p = x_delta.shape[1]
     if chol is None:
         if xtx is None:
@@ -193,7 +276,7 @@ def update_beta(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray,
         precision = xtx / state.sigma2 + np.eye(p) / state.sigma2_beta
     else:
         precision = None
-    residual = y_delta - psi_delta @ eta_delta - xi_delta
+    residual = y_delta - psi_eta - xi_delta
     linear = x_delta.T @ residual / state.sigma2
     draw, _, jitter = _sample_mvn_precision(precision, linear, rng,
                                             n=y_delta.shape[0], iteration=iteration,
@@ -309,8 +392,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     refresh_prior = config.prediction_refresh == REFRESH_PRIOR
 
     # prediction design is fixed across sweeps
-    pred_coords = data.index_coords[pred]
-    psi_pred = kernel_matrix(pred_coords, pred_coords, config.basis)
+    psi_pred = _kernel_operator(data.index_coords[pred], config.basis)
     x_pred = data.x[pred]
 
     m = pred.size
@@ -322,13 +404,15 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
 
     # With an enumerable mask space the per-subset designs are reused
     # across sweeps; when the conditioning variances are pinned the
-    # precision factors are constant per subset too, so they join the
-    # cache.  Cache hits are arithmetically identical to recomputation.
+    # precision factors (banded or dense) are constant per subset too, so
+    # they join the cache.  Cache hits are arithmetically identical to
+    # recomputation.
     cache_designs = math.comb(N, n) <= _DESIGN_CACHE_LIMIT
     fully_fixed = fixed is not None and None not in (
         fixed.sigma2, fixed.sigma2_eta, fixed.sigma2_xi, fixed.sigma2_beta)
     sigma2_free = fixed is None or fixed.sigma2 is None
     design_cache: dict = {}
+    in_subset = np.zeros(N, dtype=bool) if refresh_prior else None
 
     for g in range(1, config.iterations + 1):
         try:
@@ -336,44 +420,42 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
             key = active.tobytes() if cache_designs else None
             cached = design_cache.get(key) if cache_designs else None
             if cached is None:
-                coords = data.index_coords[active]
                 x_delta = data.x[active]
-                psi_delta = kernel_matrix(coords, coords, config.basis)
-                gram = psi_delta.T @ psi_delta
+                psi_delta = _kernel_operator(data.index_coords[active], config.basis)
                 xtx = x_delta.T @ x_delta
                 chol_eta = chol_beta = None
                 if fully_fixed:
-                    prec_eta = gram / state.sigma2 + np.eye(n) / state.sigma2_eta
-                    chol_eta, jit_e = _cholesky_with_jitter(prec_eta, n=n, iteration=g)
+                    psi_delta, chol_eta, jit_e = _factor_eta_precision(
+                        psi_delta, state.sigma2, state.sigma2_eta, n=n, iteration=g)
                     prec_beta = xtx / state.sigma2 + np.eye(x_delta.shape[1]) / state.sigma2_beta
                     chol_beta, jit_b = _cholesky_with_jitter(prec_beta, n=n, iteration=g)
                     jitter_log.append(jit_e + jit_b)
-                cached = (x_delta, psi_delta, gram, xtx, chol_eta, chol_beta)
+                cached = (x_delta, psi_delta, xtx, chol_eta, chol_beta)
                 if cache_designs:
                     design_cache[key] = cached
-            x_delta, psi_delta, gram, xtx, chol_eta, chol_beta = cached
+            x_delta, psi_delta, xtx, chol_eta, chol_beta = cached
             y_delta = data.y[active]
 
             prev_sigma2_eta = state.sigma2_eta
             prev_sigma2_xi = state.sigma2_xi
 
-            eta_delta = update_eta_active(state, y_delta, x_delta, psi_delta,
-                                          state.xi[active], rng, iteration=g,
-                                          jitter_counter=jitter_log,
-                                          gram=gram, chol=chol_eta)
+            eta_delta, psi_eta = update_eta_active(
+                state, y_delta, x_delta, psi_delta, state.xi[active], rng, iteration=g,
+                jitter_counter=jitter_log, chol=chol_eta, with_product=True)
             state.eta[active] = eta_delta
 
-            xi_delta = update_xi_active(state, y_delta, x_delta, psi_delta, eta_delta, rng)
+            xi_delta = update_xi_active(state, y_delta, x_delta, psi_delta, eta_delta, rng,
+                                        psi_eta=psi_eta)
             state.xi[active] = xi_delta
 
             beta = update_beta(state, y_delta, x_delta, psi_delta, eta_delta, xi_delta,
                                rng, iteration=g, jitter_counter=jitter_log,
-                               xtx=xtx, chol=chol_beta)
+                               xtx=xtx, chol=chol_beta, psi_eta=psi_eta)
             state.beta = beta
 
             residual = None
             if sigma2_free:
-                residual = y_delta - x_delta @ beta - psi_delta @ eta_delta - xi_delta
+                residual = y_delta - x_delta @ beta - psi_eta - xi_delta
             (state.sigma2, state.sigma2_eta,
              state.sigma2_xi, state.sigma2_beta) = update_variances(
                 state, residual, eta_delta, xi_delta, beta, rng,
@@ -381,7 +463,9 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
             )
 
             if refresh_prior:
-                outside = pred[~np.isin(pred, active, assume_unique=True)]
+                in_subset[active] = True
+                outside = pred[~in_subset[pred]]
+                in_subset[active] = False
                 if outside.size:
                     state.eta[outside] = np.sqrt(prev_sigma2_eta) * rng.standard_normal(outside.size)
                     state.xi[outside] = np.sqrt(prev_sigma2_xi) * rng.standard_normal(outside.size)

@@ -7,8 +7,9 @@ The observation model for an active index i is
 where K is an exponential kernel over the row coordinates and the sum
 ranges over whichever index set is in play (the current subset for the
 likelihood, the prediction set for prediction).  This module owns the
-value types, the kernel, and construction of the per-subset design
-matrices; the sampler itself lives in ``gibbs``.
+value types, the kernel (dense, or banded through its tridiagonal inverse
+for the absolute-difference metric), and construction of the per-subset
+design matrices; the sampler itself lives in ``gibbs``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericalError
 
 __all__ = [
     "DatasetView",
@@ -28,6 +30,8 @@ __all__ = [
     "FixedVariances",
     "SamplerConfig",
     "kernel_matrix",
+    "BandedKernel",
+    "banded_kernel",
     "build_subset_design",
     "predict_mu",
     "METRIC_ABS",
@@ -41,6 +45,14 @@ METRIC_GREAT_CIRCLE = "greatcircle"
 # prior each iteration, or hold the last value (see SamplerConfig).
 REFRESH_PRIOR = "prior"
 REFRESH_CARRY = "carry"
+
+# Smallest rho * gap between neighbouring sorted coordinates at which the
+# kernel is held as its tridiagonal inverse; closer coordinates (duplicates
+# included) use the dense kernel.  Measured at n = 200, the banded and
+# dense conditional means and covariances of eta and of Psi eta agree to
+# 2e-11 relative when the smallest rho * gap is 1e-3, 3e-9 at 1e-4 and
+# 1e-5 at 1e-6; the tests hold the banded path to 1e-9.
+_BANDED_MIN_RHO_GAP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -303,6 +315,96 @@ def kernel_matrix(coords_a: np.ndarray, coords_b: np.ndarray, basis: BasisConfig
     return np.exp(-basis.rho * _pairwise_distance(coords_a, coords_b, basis.metric))
 
 
+class BandedKernel:
+    """The 1-D exponential kernel matrix Psi, held as its tridiagonal inverse.
+
+    On sorted scalar coordinates exp(-rho |c_i - c_j|) is an
+    Ornstein-Uhlenbeck correlation matrix whose inverse T is tridiagonal:
+    with a_i = exp(-rho * gap_i), T has off-diagonal -a_i / (1 - a_i^2) and
+    diagonal 1 + a_{i-1}^2 / (1 - a_{i-1}^2) + a_i^2 / (1 - a_i^2).
+    ``diag`` and ``off`` hold T in sorted order and ``order`` sorts the
+    caller's coordinates (None when they already are); the methods without
+    ``sorted`` in their name take and return vectors in the caller's order.
+    ``coords`` and ``basis`` are kept for a dense fallback.  ``kernel @ v``
+    is Psi v, computed as a tridiagonal solve, so the object stands in for
+    the dense matrix wherever only products with it are taken.
+    """
+
+    def __init__(self, coords: np.ndarray, basis: BasisConfig, diag: np.ndarray,
+                 off: np.ndarray, order: Optional[np.ndarray]):
+        self.coords = coords
+        self.basis = basis
+        self.diag = diag
+        self.off = off
+        self.order = order
+        self._factor = None
+
+    def to_sorted(self, v: np.ndarray) -> np.ndarray:
+        return v if self.order is None else v[self.order]
+
+    def from_sorted(self, v: np.ndarray) -> np.ndarray:
+        if self.order is None:
+            return v
+        out = np.empty_like(v)
+        out[self.order] = v
+        return out
+
+    def sorted_inverse_matvec(self, v: np.ndarray) -> np.ndarray:
+        """T v for v (1-d, or 2-d by rows) already in sorted order."""
+        diag, off = self.diag, self.off
+        if v.ndim == 2:
+            diag, off = diag[:, None], off[:, None]
+        out = diag * v
+        out[:-1] += off * v[1:]
+        out[1:] += off * v[:-1]
+        return out
+
+    def inverse_matvec(self, v) -> np.ndarray:
+        """T v = Psi^-1 v."""
+        v = np.asarray(v, dtype=float)
+        return self.from_sorted(self.sorted_inverse_matvec(self.to_sorted(v)))
+
+    def __matmul__(self, v) -> np.ndarray:
+        # Psi v solves T x = v; T is factored once (LDL') on first use
+        if self._factor is None:
+            # the LAPACK wrapper insists on a length-1 off-diagonal at n = 1
+            off = self.off if self.off.size else np.zeros(1)
+            d, e, info = lapack.dpttrf(self.diag, off)
+            if info != 0:
+                raise NumericalError("tridiagonal kernel inverse is not positive definite")
+            self._factor = (d, e)
+        v = np.asarray(v, dtype=float)
+        x, _ = lapack.dpttrs(*self._factor, self.to_sorted(v))
+        return self.from_sorted(x)
+
+
+def banded_kernel(coords: np.ndarray, basis: BasisConfig) -> Optional[BandedKernel]:
+    """The kernel on ``coords`` as a :class:`BandedKernel`, or None.
+
+    None means the dense kernel must be used: for the great-circle metric
+    (both the 2-d and the circular case), and for coordinates whose
+    smallest rho * gap lies below ``_BANDED_MIN_RHO_GAP``, where the
+    tridiagonal inverse loses accuracy (duplicates are the limit).
+    """
+    coords = np.asarray(coords, dtype=float)
+    if basis.metric != METRIC_ABS or coords.ndim != 1:
+        return None
+    order = None
+    if np.any(coords[1:] < coords[:-1]):
+        order = np.argsort(coords, kind="stable")
+    scaled_gap = basis.rho * np.diff(coords if order is None else coords[order])
+    if scaled_gap.size and scaled_gap.min() < _BANDED_MIN_RHO_GAP:
+        return None
+    a = np.exp(-scaled_gap)
+    # 1 - a^2 through expm1: exact for small gaps, exactly 1 for large ones
+    one_minus_a2 = -np.expm1(-2.0 * scaled_gap)
+    ratio = a * a / one_minus_a2
+    diag = np.ones(coords.size)
+    diag[:-1] += ratio
+    diag[1:] += ratio
+    return BandedKernel(coords, basis, diag, -a / one_minus_a2, order)
+
+
 def build_subset_design(data: DatasetView, basis: BasisConfig, mask: SubsetMask):
     """Design matrices restricted to the active indices.
 
@@ -325,10 +427,10 @@ def build_subset_design(data: DatasetView, basis: BasisConfig, mask: SubsetMask)
     return x_delta, psi_delta
 
 
-def _predict_from_design(x_pred: np.ndarray, psi_pred: np.ndarray,
-                         pred_indices: np.ndarray, state: ChainState) -> np.ndarray:
-    # shared by predict_mu and the chain's precomputed fast path so both
-    # produce bit-identical arithmetic
+def _predict_from_design(x_pred: np.ndarray, psi_pred, pred_indices: np.ndarray,
+                         state: ChainState) -> np.ndarray:
+    # shared by predict_mu and the chain so both produce bit-identical
+    # arithmetic; psi_pred is a dense matrix or a BandedKernel
     return x_pred @ state.beta + psi_pred @ state.eta[pred_indices] + state.xi[pred_indices]
 
 
@@ -346,5 +448,7 @@ def predict_mu(state: ChainState, data: DatasetView, basis: BasisConfig,
     if pred[0] < 0 or pred[-1] >= data.n_obs or np.any(np.diff(pred) <= 0):
         raise InvalidParameterError("prediction_set must be sorted, unique and in range")
     coords = data.index_coords[pred]
-    psi_pred = kernel_matrix(coords, coords, basis)
+    psi_pred = banded_kernel(coords, basis)
+    if psi_pred is None:
+        psi_pred = kernel_matrix(coords, coords, basis)
     return _predict_from_design(data.x[pred], psi_pred, pred, state)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -171,6 +172,45 @@ class TestRunSweep:
         assert [n for n, _ in report.failures] == [10]
         assert [n for n, _ in report.per_n] == [5, 15]
         assert all(np.isnan(d) for _, d in report.pairwise_diffs)
+
+    @pytest.mark.parametrize("max_parallel", [1, 2])
+    def test_non_numerical_failure_keeps_other_points(self, monkeypatch, max_parallel):
+        # any exception from one chain, in the serial loop or in a pool
+        # worker, is recorded for its grid point; the other chains survive
+        if max_parallel > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers see the patched chain only when forked")
+        data, config = sweep_inputs()
+        real_run_chain = calibrate.run_chain
+
+        def failing(data_, config_, n, **kwargs):
+            if n == 10:
+                raise ValueError("synthetic non-numerical failure")
+            return real_run_chain(data_, config_, n, **kwargs)
+
+        monkeypatch.setattr(calibrate, "run_chain", failing)
+        plan = SweepPlan(n_grid=(5, 10, 15), budget_seconds=60.0, max_parallel=max_parallel)
+        report = run_sweep(data, config, plan)
+        assert report.failures == [(10, "ValueError: synthetic non-numerical failure")]
+        assert [n for n, _ in report.per_n] == [5, 15]
+        assert report.selected_n in (5, 15)
+        clean = run_sweep(data, config, SweepPlan(n_grid=(5, 10, 15), budget_seconds=60.0))
+        for n, out in report.per_n:
+            np.testing.assert_array_equal(out.mu_hat, clean.output_for(n).mu_hat)
+
+    def test_worker_count_clamped_to_cores(self, monkeypatch):
+        seen = []
+
+        class RecordingPool(calibrate.concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(calibrate.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(calibrate.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        data, config = sweep_inputs()
+        run_sweep(data, config, SweepPlan(n_grid=(5, 10, 15), budget_seconds=60.0,
+                                          max_parallel=8))
+        assert seen == [2]
 
     def test_fake_clock_controls_selection(self):
         data, config = sweep_inputs()

@@ -28,7 +28,7 @@ from subsetgibbs.gibbs import (
     update_variances,
     update_xi_active,
 )
-from subsetgibbs.model import SubsetMask
+from subsetgibbs.model import _BANDED_MIN_RHO_GAP, BandedKernel, SubsetMask, banded_kernel
 
 
 def fixed_state(N, p=1, sigma2=1.0, sigma2_eta=1.0, sigma2_xi=1.0, sigma2_beta=1.0,
@@ -93,6 +93,122 @@ class TestUpdateEtaActive:
             lambda rng: update_eta_active(state, y, x, psi, state.xi, rng), count)
         assert np.all(np.abs(mean - expected_mean) < 3.0 * np.sqrt(np.diag(cov) / count))
         np.testing.assert_allclose(var, np.diag(cov), rtol=0.03)
+
+
+class FixedNormals:
+    """Stands in for a generator: every standard-normal draw returns ``z``."""
+
+    def __init__(self, z):
+        self.z = np.asarray(z, dtype=float)
+
+    def standard_normal(self, size):
+        assert size == self.z.shape[0]
+        return self.z.copy()
+
+
+def eta_law(state, y, x, psi, xi):
+    """Exact mean and covariance of update_eta_active's draw and of Psi eta.
+
+    The draw is affine in the standard normals z: the draw at z = 0 is the
+    mean, and the draws at the unit vectors give the columns of a factor A
+    with covariance A A'.
+    """
+    n = y.shape[0]
+    mean, product_mean = update_eta_active(state, y, x, psi, xi, FixedNormals(np.zeros(n)),
+                                           with_product=True)
+    columns, product_columns = [], []
+    for k in range(n):
+        draw, product = update_eta_active(state, y, x, psi, xi, FixedNormals(np.eye(n)[k]),
+                                          with_product=True)
+        columns.append(draw - mean)
+        product_columns.append(product - product_mean)
+    a, b = np.array(columns).T, np.array(product_columns).T
+    return mean, a @ a.T, product_mean, b @ b.T
+
+
+def max_relative_error(actual, expected):
+    return np.abs(actual - expected).max() / np.abs(expected).max()
+
+
+def coords_down_to_threshold(n, rho, seed, shuffle=False):
+    """Scalar coordinates whose smallest rho * gap sits just above the
+    banded threshold, with the rest spread over [1, 3] times it."""
+    rng = np.random.default_rng(seed)
+    scaled = _BANDED_MIN_RHO_GAP * rng.uniform(1.0, 3.0, size=n - 1)
+    if n > 1:
+        scaled[rng.integers(n - 1)] = _BANDED_MIN_RHO_GAP * (1.0 + 1e-9)
+    coords = np.concatenate([[0.0], np.cumsum(scaled / rho)])
+    return coords[rng.permutation(n)] if shuffle else coords
+
+
+def assert_moments_within_3se(draws, expected_mean, expected_var):
+    # criterion 2's rule: sample mean and variance within 3 standard errors
+    sample_mean = draws.mean(axis=0)
+    sample_var = draws.var(axis=0, ddof=1)
+    se_mean = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
+    fourth = ((draws - sample_mean) ** 4).mean(axis=0)
+    se_var = np.sqrt(np.maximum(fourth - sample_var**2, 1e-30) / draws.shape[0])
+    assert np.all(np.abs(sample_mean - expected_mean) <= 3.0 * se_mean)
+    assert np.all(np.abs(sample_var - expected_var) <= 3.0 * se_var)
+
+
+class TestBandedEtaDraw:
+    @pytest.mark.parametrize("n", [1, 2, 3, 200])
+    @pytest.mark.parametrize("spacing", ["threshold", "threshold-shuffled", "moderate"])
+    def test_exact_law_matches_dense(self, n, spacing):
+        rho = 0.4
+        rng = np.random.default_rng(n)
+        if spacing == "moderate":
+            coords = np.cumsum(rng.uniform(0.5, 5.0, size=n))
+        else:
+            coords = coords_down_to_threshold(n, rho, seed=n,
+                                              shuffle=spacing.endswith("shuffled"))
+        basis = BasisConfig(rho=rho)
+        banded = banded_kernel(coords, basis)
+        assert isinstance(banded, BandedKernel)
+        dense = kernel_matrix(coords, coords, basis)
+        state = fixed_state(n, sigma2=0.7, sigma2_eta=2.3, beta=[0.4])
+        y = rng.normal(size=n)
+        x = np.ones((n, 1))
+        xi = 0.3 * rng.normal(size=n)
+        for got, want in zip(eta_law(state, y, x, banded, xi),
+                             eta_law(state, y, x, dense, xi)):
+            assert max_relative_error(got, want) < 1e-9
+
+    def test_dense_law_is_the_closed_form(self):
+        # anchors eta_law's dense side to the stated conditional
+        coords = np.array([0.0, 1.0, 2.5, 4.0])
+        psi = kernel_matrix(coords, coords, BasisConfig(rho=0.4))
+        state = fixed_state(4, sigma2=0.7, sigma2_eta=2.3, beta=[0.4])
+        y = np.array([1.0, -0.5, 0.8, 0.2])
+        xi = np.array([0.1, -0.2, 0.3, 0.0])
+        x = np.ones((4, 1))
+        cov = np.linalg.inv(psi.T @ psi / 0.7 + np.eye(4) / 2.3)
+        mean = cov @ psi.T @ (y - 0.4 - xi) / 0.7
+        got_mean, got_cov, product_mean, product_cov = eta_law(state, y, x, psi, xi)
+        np.testing.assert_allclose(got_mean, mean, rtol=1e-12)
+        np.testing.assert_allclose(got_cov, cov, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(product_mean, psi @ mean, rtol=1e-12)
+        np.testing.assert_allclose(product_cov, psi @ cov @ psi, rtol=1e-12, atol=1e-15)
+
+    def test_monte_carlo_moments(self):
+        # criterion 2's eta setting, drawn through the banded kernel
+        coords = np.array([0.0, 1.0, 2.5, 4.0])
+        basis = BasisConfig(rho=0.4)
+        banded = banded_kernel(coords, basis)
+        assert isinstance(banded, BandedKernel)
+        psi = kernel_matrix(coords, coords, basis)
+        rng_fix = np.random.default_rng(5)
+        y = rng_fix.normal(size=4)
+        x = np.ones((4, 1))
+        state = fixed_state(4, sigma2=0.7, sigma2_eta=2.3, sigma2_xi=1.1, sigma2_beta=3.0,
+                            beta=[0.4], xi=rng_fix.normal(size=4) * 0.3)
+        cov = np.linalg.inv(psi.T @ psi / state.sigma2 + np.eye(4) / state.sigma2_eta)
+        mean = cov @ psi.T @ (y - x @ state.beta - state.xi) / state.sigma2
+        rng = make_rng(101)
+        draws = np.array([update_eta_active(state, y, x, banded, state.xi, rng)
+                          for _ in range(100_000)])
+        assert_moments_within_3se(draws, mean, np.diag(cov))
 
 
 class TestUpdateXiActive:
@@ -319,6 +435,60 @@ def small_config(N, **overrides):
     return SamplerConfig(**defaults)
 
 
+def _chain_and_direct_sampler(basis, eta_step, N=6, p=1, iterations=30):
+    """Traces of run_chain at n = N and of a from-scratch full-data sampler.
+
+    ``eta_step(psi, residual, s2, s2_eta, rng)`` draws eta; every other
+    step is written out here with dense numpy.
+    """
+    data = small_dataset(N=N, seed=2)
+    config = SamplerConfig(iterations=iterations, burn_in=0,
+                           prediction_set=np.array([0, 4]), basis=basis, seed=33,
+                           prediction_refresh="prior")
+    ours = run_chain(data, config, N, collect_trace=True)
+
+    rng = make_rng(33)
+    psi = kernel_matrix(data.index_coords, data.index_coords, basis)
+    x = data.x
+    y = data.y
+    beta = np.zeros(p)
+    eta = np.zeros(N)
+    xi = np.zeros(N)
+    s2 = s2_eta = s2_xi = s2_beta = 1.0
+    trace = np.empty((iterations, p + 4))
+    for g in range(iterations):
+        rng.choice(N, N, replace=False, shuffle=False)  # the subset draw's consumption
+        eta = eta_step(psi, y - x @ beta - xi, s2, s2_eta, rng)
+        shrink = s2_xi / (s2 + s2_xi)
+        xi = shrink * (y - x @ beta - psi @ eta) + np.sqrt(
+            s2 * s2_xi / (s2 + s2_xi)) * rng.standard_normal(N)
+        prec_beta = x.T @ x / s2 + np.eye(p) / s2_beta
+        lower_b = np.linalg.cholesky(prec_beta)
+        mean_beta = np.linalg.solve(prec_beta, x.T @ (y - psi @ eta - xi) / s2)
+        beta = mean_beta + np.linalg.solve(lower_b.T, rng.standard_normal(p))
+        residual = y - x @ beta - psi @ eta - xi
+        s2 = 1.0 / rng.gamma(1.0 + N / 2.0, 1.0 / (1.0 + residual @ residual / 2.0))
+        s2_eta = 1.0 / rng.gamma(1.0 + N / 2.0, 1.0 / (1.0 + eta @ eta / 2.0))
+        s2_xi = 1.0 / rng.gamma(1.0 + N / 2.0, 1.0 / (1.0 + xi @ xi / 2.0))
+        s2_beta = 1.0 / rng.gamma(1.0 + p / 2.0, 1.0 / (1.0 + beta @ beta / 2.0))
+        trace[g] = (*beta, s2, s2_eta, s2_xi, s2_beta)
+    return ours.trace, trace
+
+
+def record_kernel_kinds(monkeypatch):
+    """Types of every kernel the chain builds, subsets and prediction set."""
+    kinds = []
+    original = gibbs._kernel_operator
+
+    def recording(coords, basis):
+        kernel = original(coords, basis)
+        kinds.append(type(kernel))
+        return kernel
+
+    monkeypatch.setattr(gibbs, "_kernel_operator", recording)
+    return kinds
+
+
 class TestRunChain:
     def test_single_kept_iteration_average(self):
         data = small_dataset()
@@ -354,6 +524,61 @@ class TestRunChain:
         uncached = run_chain(data, config, 2, collect_trace=True)
         np.testing.assert_array_equal(cached.mu_hat, uncached.mu_hat)
         np.testing.assert_array_equal(cached.trace, uncached.trace)
+
+    def test_abs_metric_takes_the_banded_path(self, monkeypatch):
+        kinds = record_kernel_kinds(monkeypatch)
+        run_chain(small_dataset(N=12), small_config(12, iterations=10, burn_in=0), 4)
+        assert kinds and all(kind is BandedKernel for kind in kinds)
+
+    @pytest.mark.parametrize("case", ["duplicates", "near-duplicates", "latlon", "circular"])
+    def test_fallback_cases_take_the_dense_path(self, monkeypatch, case):
+        # each case must run dense for every subset and for the prediction
+        # set, and give exactly what the dense path gives
+        rng = np.random.default_rng(7)
+        N, n, basis = 12, 3, BasisConfig(rho=0.3)
+        if case == "duplicates":
+            N = n = 6
+            coords = np.array([0.0, 1.0, 1.0, 2.0, 3.0, 3.0])
+        elif case == "near-duplicates":
+            # every pair, not only neighbours, sits below the threshold
+            coords = np.arange(N) * 0.5 * _BANDED_MIN_RHO_GAP / (basis.rho * N)
+        elif case == "latlon":
+            coords = np.column_stack([rng.uniform(-80, 80, N), rng.uniform(0, 360, N)])
+            basis = BasisConfig(rho=0.3, metric="greatcircle")
+        else:
+            coords = 0.7 * np.arange(N)
+            basis = BasisConfig(rho=0.3, metric="greatcircle")
+        data = DatasetView(y=rng.normal(size=N), x=np.ones((N, 1)), index_coords=coords)
+        config = small_config(N, iterations=20, burn_in=5, basis=basis,
+                              prediction_set=np.array([1, 2, N - 1]))
+        kinds = record_kernel_kinds(monkeypatch)
+        ours = run_chain(data, config, n, collect_trace=True)
+        assert kinds and all(kind is np.ndarray for kind in kinds)
+        monkeypatch.setattr(gibbs, "banded_kernel", lambda coords_, basis_: None)
+        dense = run_chain(data, config, n, collect_trace=True)
+        np.testing.assert_array_equal(ours.trace, dense.trace)
+        np.testing.assert_array_equal(ours.mu_hat, dense.mu_hat)
+
+    @pytest.mark.parametrize("N, n, fixed", [(12, 5, None), (4, 2, (1.0, 0.5, 0.5, 1.0))])
+    def test_banded_factor_failure_falls_back_to_dense(self, monkeypatch, N, n, fixed):
+        # a failed banded factor hands the sweep to the dense path, with its
+        # jitter, and counts one jitter event per failed factorization
+        data = small_dataset(N=N)
+        config = small_config(N, iterations=25, burn_in=5,
+                              fixed_variances=fixed and FixedVariances.all_of(*fixed))
+        with monkeypatch.context() as patch:
+            patch.setattr(gibbs, "banded_kernel", lambda coords_, basis_: None)
+            dense = run_chain(data, config, n, collect_trace=True)
+        factorizations = []
+        monkeypatch.setattr(gibbs, "_banded_eta_factor",
+                            lambda *args: factorizations.append(args) or None)
+        fallback = run_chain(data, config, n, collect_trace=True)
+        assert dense.jitter_events == 0
+        assert fallback.jitter_events == len(factorizations) > 0
+        if fixed is None:
+            assert len(factorizations) == config.iterations
+        np.testing.assert_array_equal(fallback.trace, dense.trace)
+        np.testing.assert_allclose(fallback.mu_hat, dense.mu_hat, rtol=1e-12)
 
     def test_rejects_bad_subset_size(self):
         data = small_dataset(N=6)
@@ -431,44 +656,34 @@ class TestRunChain:
     def test_full_mask_matches_direct_full_data_sampler(self):
         # at n = N the chain must reproduce an independently written
         # full-data Gibbs sampler step for step (same seed, same square
-        # root convention, formulas written from scratch here)
-        N, p = 6, 1
-        data = small_dataset(N=N, seed=2)
-        basis = BasisConfig(rho=0.3)
-        config = SamplerConfig(iterations=30, burn_in=0,
-                               prediction_set=np.array([0, 4]), basis=basis, seed=33,
-                               prediction_refresh="prior")
-        ours = run_chain(data, config, N, collect_trace=True)
+        # root convention, formulas written from scratch here).  The
+        # absolute-difference kernel takes the banded path: v = Psi eta is
+        # drawn from N(M^-1 r / s2, M^-1) with M = I/s2 + T^2/s2_eta and
+        # T = Psi^-1, as v = M^-1 (r / s2 + L z) with M = L L', and eta = T v
+        def banded_eta_step(psi, residual, s2, s2_eta, rng):
+            n = psi.shape[0]
+            t = np.linalg.inv(psi)
+            m = np.eye(n) / s2 + t @ t / s2_eta
+            lower = np.linalg.cholesky(m)
+            v = np.linalg.solve(m, residual / s2 + lower @ rng.standard_normal(n))
+            return t @ v
 
-        rng = make_rng(33)
-        psi = kernel_matrix(data.index_coords, data.index_coords, basis)
-        x = data.x
-        y = data.y
-        beta = np.zeros(p)
-        eta = np.zeros(N)
-        xi = np.zeros(N)
-        s2 = s2_eta = s2_xi = s2_beta = 1.0
-        trace = np.empty((30, p + 4))
-        for g in range(30):
-            rng.integers(0, N - np.arange(N))  # subset draw consumes one block
-            prec_eta = psi.T @ psi / s2 + np.eye(N) / s2_eta
+        ours, direct = _chain_and_direct_sampler(BasisConfig(rho=0.3), banded_eta_step)
+        np.testing.assert_allclose(ours, direct, rtol=1e-9, atol=1e-12)
+
+    def test_full_mask_matches_direct_dense_sampler_great_circle(self):
+        # the great-circle metric keeps the dense eta step: a Cholesky
+        # factor of the precision Psi'Psi / s2 + I / s2_eta
+        def dense_eta_step(psi, residual, s2, s2_eta, rng):
+            n = psi.shape[0]
+            prec_eta = psi.T @ psi / s2 + np.eye(n) / s2_eta
             lower = np.linalg.cholesky(prec_eta)
-            mean_eta = np.linalg.solve(prec_eta, psi.T @ (y - x @ beta - xi) / s2)
-            eta = mean_eta + np.linalg.solve(lower.T, rng.standard_normal(N))
-            shrink = s2_xi / (s2 + s2_xi)
-            xi = shrink * (y - x @ beta - psi @ eta) + np.sqrt(
-                s2 * s2_xi / (s2 + s2_xi)) * rng.standard_normal(N)
-            prec_beta = x.T @ x / s2 + np.eye(p) / s2_beta
-            lower_b = np.linalg.cholesky(prec_beta)
-            mean_beta = np.linalg.solve(prec_beta, x.T @ (y - psi @ eta - xi) / s2)
-            beta = mean_beta + np.linalg.solve(lower_b.T, rng.standard_normal(p))
-            residual = y - x @ beta - psi @ eta - xi
-            s2 = 1.0 / rng.gamma(1.0 + N / 2.0, 1.0 / (1.0 + residual @ residual / 2.0))
-            s2_eta = 1.0 / rng.gamma(1.0 + N / 2.0, 1.0 / (1.0 + eta @ eta / 2.0))
-            s2_xi = 1.0 / rng.gamma(1.0 + N / 2.0, 1.0 / (1.0 + xi @ xi / 2.0))
-            s2_beta = 1.0 / rng.gamma(1.0 + p / 2.0, 1.0 / (1.0 + beta @ beta / 2.0))
-            trace[g] = (*beta, s2, s2_eta, s2_xi, s2_beta)
-        np.testing.assert_allclose(ours.trace, trace, rtol=1e-9, atol=1e-12)
+            mean_eta = np.linalg.solve(prec_eta, psi.T @ residual / s2)
+            return mean_eta + np.linalg.solve(lower.T, rng.standard_normal(n))
+
+        ours, direct = _chain_and_direct_sampler(
+            BasisConfig(rho=0.3, metric="greatcircle"), dense_eta_step)
+        np.testing.assert_allclose(ours, direct, rtol=1e-9, atol=1e-12)
 
     def test_tiny_conjugate_posterior_mean(self):
         # known-variance model: the chain's beta mean must match the

@@ -17,6 +17,7 @@ from subsetgibbs import (
     make_rng,
     predict_mu,
 )
+from subsetgibbs.model import _BANDED_MIN_RHO_GAP, BandedKernel, banded_kernel
 
 
 def make_data(N=10, p=1, seed=0):
@@ -151,6 +152,77 @@ class TestBuildSubsetDesign:
         np.testing.assert_allclose(kernel[0, 1], np.exp(-np.pi / 2.0), rtol=1e-12)
 
 
+def sorted_and_shuffled_coords(n, rho, seed, min_rho_gap=0.01):
+    """Two copies of random scalar coordinates, increasing and permuted."""
+    rng = np.random.default_rng(seed)
+    gaps = (min_rho_gap + rng.exponential(0.5, size=n - 1)) / rho
+    coords = np.concatenate([[rng.normal()], rng.normal() + np.cumsum(gaps)])
+    coords.sort()
+    return coords, coords[rng.permutation(n)]
+
+
+class TestBandedKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    @pytest.mark.parametrize("rho", [0.05, 0.7, 4.0])
+    def test_inverse_times_kernel_is_identity(self, n, rho):
+        basis = BasisConfig(rho=rho)
+        for coords in sorted_and_shuffled_coords(n, rho, seed=n):
+            kernel = banded_kernel(coords, basis)
+            assert isinstance(kernel, BandedKernel)
+            psi = kernel_matrix(coords, coords, basis)
+            np.testing.assert_allclose(kernel.inverse_matvec(psi), np.eye(n), atol=1e-10)
+            np.testing.assert_allclose(psi @ kernel.inverse_matvec(np.eye(n)), np.eye(n),
+                                       atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    def test_product_is_dense_kernel_product(self, n):
+        basis = BasisConfig(rho=0.4)
+        rng = np.random.default_rng(n)
+        v = rng.normal(size=n)
+        block = rng.normal(size=(n, 3))
+        for coords in sorted_and_shuffled_coords(n, 0.4, seed=10 + n):
+            kernel = banded_kernel(coords, basis)
+            psi = kernel_matrix(coords, coords, basis)
+            np.testing.assert_allclose(kernel @ v, psi @ v, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(kernel @ block, psi @ block, rtol=1e-10, atol=1e-12)
+
+    def test_tridiagonal_entries(self):
+        # a_i = exp(-rho gap_i): off-diagonal -a/(1-a^2), diagonal
+        # 1 + a_{i-1}^2/(1-a_{i-1}^2) + a_i^2/(1-a_i^2)
+        coords = np.array([0.0, 1.0, 3.0])
+        kernel = banded_kernel(coords, BasisConfig(rho=0.5))
+        a = np.exp(-0.5 * np.array([1.0, 2.0]))
+        np.testing.assert_allclose(kernel.off, -a / (1.0 - a**2), rtol=1e-14)
+        ratio = a**2 / (1.0 - a**2)
+        np.testing.assert_allclose(kernel.diag, [1.0 + ratio[0], 1.0 + ratio.sum(),
+                                                 1.0 + ratio[1]], rtol=1e-14)
+
+    def test_far_apart_coordinates_give_the_identity(self):
+        # gaps of rho * gap = 1e4 underflow a to 0 without overflow or NaN
+        coords = np.array([0.0, 1e4, 2e4, 3e4])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            kernel = banded_kernel(coords, BasisConfig(rho=1.0))
+            np.testing.assert_array_equal(kernel.diag, np.ones(4))
+            np.testing.assert_array_equal(kernel.off, np.zeros(3))
+            np.testing.assert_array_equal(kernel @ np.arange(4.0), np.arange(4.0))
+
+    def test_threshold_is_inclusive(self):
+        rho = 0.25
+        at = np.array([0.0, _BANDED_MIN_RHO_GAP / rho, 1.0])
+        below = np.array([0.0, 0.5 * _BANDED_MIN_RHO_GAP / rho, 1.0])
+        assert banded_kernel(at, BasisConfig(rho=rho)) is not None
+        assert banded_kernel(below, BasisConfig(rho=rho)) is None
+
+    def test_dense_cases_get_no_banded_kernel(self):
+        duplicates = np.array([0.0, 1.0, 1.0, 2.0])
+        assert banded_kernel(duplicates, BasisConfig(rho=0.3)) is None
+        assert banded_kernel(duplicates[::-1], BasisConfig(rho=0.3)) is None
+        angles = np.array([0.0, 1.0, 2.0])
+        assert banded_kernel(angles, BasisConfig(rho=0.3, metric="greatcircle")) is None
+        latlon = np.array([[0.0, 0.0], [0.0, 90.0], [90.0, 0.0]])
+        assert banded_kernel(latlon, BasisConfig(rho=0.3, metric="greatcircle")) is None
+
+
 class TestPredictMu:
     def state(self, N, p=1, **overrides):
         state = ChainState.initial(N, p)
@@ -204,6 +276,23 @@ class TestPredictMu:
             predict_mu(s1, data, basis, pred) + predict_mu(s2, data, basis, pred),
             rtol=1e-12,
         )
+
+    def test_banded_prediction_matches_dense_kernel(self):
+        # unsorted coordinates take the banded path through a permutation
+        rng = np.random.default_rng(4)
+        _, coords = sorted_and_shuffled_coords(12, 0.6, seed=4)
+        data = DatasetView(y=rng.normal(size=12), x=rng.normal(size=(12, 2)),
+                           index_coords=coords)
+        basis = BasisConfig(rho=0.6)
+        pred = np.array([0, 2, 3, 7, 11])
+        state = self.state(12, beta=rng.normal(size=2))
+        state.eta = rng.normal(size=12)
+        state.xi = rng.normal(size=12)
+        assert banded_kernel(coords[pred], basis) is not None
+        psi = kernel_matrix(coords[pred], coords[pred], basis)
+        expected = data.x[pred] @ state.beta + psi @ state.eta[pred] + state.xi[pred]
+        np.testing.assert_allclose(predict_mu(state, data, basis, pred), expected,
+                                   rtol=1e-10, atol=1e-12)
 
     def test_rejects_out_of_range_indices(self):
         data = make_data(4)
