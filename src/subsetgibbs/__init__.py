@@ -19,16 +19,13 @@ from .calibrate import (
 )
 from .distributions import (
     MlbParams,
-    draw_inverse_gamma,
-    draw_normal,
     draw_srswor,
     make_rng,
     mlb_log_density,
-    spawn_rng,
     spawn_seed,
 )
 from .errors import InvalidParameterError, NumericalError
-from .gibbs import ChainOutput, Clock, run_chain
+from .gibbs import ChainOutput, Clock, predict_mu, run_chain
 from .model import (
     BasisConfig,
     ChainState,
@@ -36,9 +33,7 @@ from .model import (
     FixedVariances,
     SamplerConfig,
     SubsetMask,
-    build_subset_design,
     kernel_matrix,
-    predict_mu,
 )
 from .simdata import (
     Ar1Config,
@@ -68,9 +63,6 @@ __all__ = [
     "SplitDataset",
     "SubsetMask",
     "SweepPlan",
-    "build_subset_design",
-    "draw_inverse_gamma",
-    "draw_normal",
     "draw_srswor",
     "equally_spaced_indices",
     "generate_ar1",
@@ -84,7 +76,6 @@ __all__ = [
     "run_chain",
     "run_sweep",
     "select_budget_n",
-    "spawn_rng",
     "spawn_seed",
     "split_holdout",
     "write_report_csv",

@@ -216,6 +216,7 @@ def run_sweep(data: DatasetView, config: SamplerConfig, plan: SweepPlan,
 
 
 def _format_float(value: float) -> str:
+    # shortest round-trip decimal form keeps files byte-stable across runs
     return repr(float(value))
 
 

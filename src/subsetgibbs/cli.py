@@ -25,13 +25,14 @@ import datetime
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .calibrate import SweepPlan, run_sweep, write_report_csv, write_summary_json
+from .calibrate import SweepPlan, _format_float, run_sweep, write_report_csv, write_summary_json
 from .errors import InvalidParameterError, NumericalError
 from .gibbs import run_chain
 from .model import (
@@ -43,17 +44,12 @@ from .model import (
     DatasetView,
     SamplerConfig,
 )
-from .simdata import Ar1Config, equally_spaced_indices, generate_ar1
+from .simdata import Ar1Config, equally_spaced_indices, generate_ar1, rmspe, rste
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-
-def _fmt(value: float) -> str:
-    # shortest round-trip decimal form keeps files byte-stable across runs
-    return repr(float(value))
 
 
 def _version_string() -> str:
@@ -101,54 +97,49 @@ def replay_manifest(manifest_path, output_dir: Optional[str] = None) -> int:
     return main(argv)
 
 
+def read_csv(path, required: Sequence[str]) -> dict:
+    """Columns of a headed numeric CSV file, by name, as float vectors.
+
+    Every field must parse as a float and every row must have one field
+    per header name; anything else is an InvalidParameterError naming
+    the file.
+    """
+    with open(path) as handle:
+        header = handle.readline().rstrip("\r\n").split(",")
+        if not set(required) <= set(header):
+            raise InvalidParameterError(f"{path}: header must contain {required}, got {header}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns on an empty body
+                values = np.loadtxt(handle, delimiter=",", ndmin=2)
+        except (ValueError, UserWarning) as exc:
+            raise InvalidParameterError(f"{path}: {exc}") from None
+    if values.shape[1] != len(header):
+        raise InvalidParameterError(
+            f"{path}: rows have {values.shape[1]} fields, the header names {len(header)}")
+    return dict(zip(header, np.ascontiguousarray(values.T)))
+
+
 def read_data_csv(path) -> DatasetView:
     """Load a dataset file, applying the intercept and coord defaults."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise InvalidParameterError(f"{path}: empty file")
-        rows = list(reader)
-    if len(rows) == 0:
-        raise InvalidParameterError(f"{path}: no data rows")
-    columns = {name: i for i, name in enumerate(header)}
-    if "index" not in columns or "y" not in columns:
-        raise InvalidParameterError(f"{path}: header must contain 'index' and 'y', got {header}")
-    x_names = [name for name in header if name.startswith("x")]
-    raw = np.array(rows, dtype=object)
-    index = raw[:, columns["index"]].astype(np.int64)
-    if not np.array_equal(index, np.arange(1, len(rows) + 1)):
+    columns = read_csv(path, ("index", "y"))
+    index = columns["index"]
+    if not np.array_equal(index, np.arange(1, index.size + 1)):
         raise InvalidParameterError(f"{path}: index column must be 1-based and contiguous")
-    y = raw[:, columns["y"]].astype(float)
-    if x_names:
-        x = np.column_stack([raw[:, columns[name]].astype(float) for name in x_names])
-    else:
-        x = np.ones((len(rows), 1))
-    if "coord" in columns:
-        coords = raw[:, columns["coord"]].astype(float)
-    else:
-        coords = index.astype(float)
-    return DatasetView(y=y, x=x, index_coords=coords)
+    x_columns = [columns[name] for name in columns if name.startswith("x")]
+    x = np.column_stack(x_columns or [np.ones(index.size)])  # a lone intercept by default
+    return DatasetView(y=columns["y"], x=x, index_coords=columns.get("coord", index))
 
 
 def read_indexed_csv(path, value_column: str) -> dict:
-    """Map 1-based index to a float value column (truth or holdout files)."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise InvalidParameterError(f"{path}: empty file")
-        columns = {name: i for i, name in enumerate(header)}
-        if "index" not in columns or value_column not in columns:
-            raise InvalidParameterError(
-                f"{path}: header must contain 'index' and '{value_column}', got {header}"
-            )
-        out = {}
-        for row in reader:
-            out[int(row[columns["index"]])] = float(row[columns[value_column]])
-    if not out:
-        raise InvalidParameterError(f"{path}: no data rows")
-    return out
+    """Map 1-based index to a float value column (predictions, truth or holdout)."""
+    columns = read_csv(path, ("index", value_column))
+    index = columns["index"].astype(np.int64)
+    if np.any(index != columns["index"]):
+        raise InvalidParameterError(f"{path}: index column must hold integers")
+    if np.unique(index).size != index.size:
+        raise InvalidParameterError(f"{path}: index column lists an index more than once")
+    return dict(zip(index.tolist(), columns[value_column].tolist()))
 
 
 def _parse_n_grid(text: str) -> List[int]:
@@ -168,12 +159,11 @@ def _sampler_config(args, N: int) -> SamplerConfig:
     pred_count = args.pred_count
     if pred_count > N:
         raise InvalidParameterError(f"--pred-count {pred_count} exceeds dataset size {N}")
-    metric = METRIC_ABS if args.metric == "abs" else METRIC_GREAT_CIRCLE
     return SamplerConfig(
         iterations=args.iterations,
         burn_in=args.burn_in,
         prediction_set=equally_spaced_indices(pred_count, N),
-        basis=BasisConfig(rho=args.rho, metric=metric),
+        basis=BasisConfig(rho=args.rho, metric=args.metric),
         seed=args.seed,
         prediction_refresh=args.prediction_refresh,
     )
@@ -186,6 +176,12 @@ def _write_rows(path, header: List[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _write_predictions(path, out) -> None:
+    _write_rows(path, ["index", "mu_hat", "var_hat"],
+                ((i, _format_float(mu), _format_float(var))
+                 for i, mu, var in zip(out.prediction_indices + 1, out.mu_hat, out.mu_var)))
+
+
 def cmd_simulate(args) -> int:
     config = Ar1Config(N=args.N, phi=args.phi, noise_var=args.noise_var,
                        seed=args.seed, prediction_count=args.pred_count)
@@ -194,9 +190,9 @@ def cmd_simulate(args) -> int:
     data, truth, _ = generate_ar1(config)
     index = np.arange(1, config.N + 1)
     _write_rows(output_dir / "data.csv", ["index", "y"],
-                ((i, _fmt(v)) for i, v in zip(index, data.y)))
+                ((i, _format_float(v)) for i, v in zip(index, data.y)))
     _write_rows(output_dir / "truth.csv", ["index", "mu"],
-                ((i, _fmt(v)) for i, v in zip(index, truth)))
+                ((i, _format_float(v)) for i, v in zip(index, truth)))
     write_manifest(output_dir, "simulate", args.raw_argv, args.seed, str(output_dir / "data.csv"))
     print(f"wrote {output_dir / 'data.csv'} and {output_dir / 'truth.csv'} (N={config.N})")
     return EXIT_OK
@@ -210,15 +206,12 @@ def cmd_fit(args) -> int:
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     out = run_chain(data, config, args.n, collect_trace=True)
-    pred_index = out.prediction_indices + 1
-    _write_rows(output_dir / "predictions.csv", ["index", "mu_hat", "var_hat"],
-                ((i, _fmt(mu), _fmt(var))
-                 for i, mu, var in zip(pred_index, out.mu_hat, out.mu_var)))
+    _write_predictions(output_dir / "predictions.csv", out)
     p = data.n_covariates
     beta_names = [f"beta_{j + 1}" for j in range(p)]
     header = ["iteration"] + beta_names + ["sigma2", "sigma2_eta", "sigma2_xi", "sigma2_beta"]
     _write_rows(output_dir / "trace.csv", header,
-                ((g + 1, *(_fmt(v) for v in row)) for g, row in enumerate(out.trace)))
+                ((g + 1, *(_format_float(v) for v in row)) for g, row in enumerate(out.trace)))
     timing = {
         "wall_seconds": out.elapsed_wall_seconds,
         "cpu_seconds": out.elapsed_cpu_seconds,
@@ -251,9 +244,7 @@ def cmd_calibrate(args) -> int:
     write_report_csv(report, output_dir / "report.csv")
     write_summary_json(report, output_dir / "summary.json")
     for n, out in report.per_n:
-        _write_rows(output_dir / f"predictions_n{n}.csv", ["index", "mu_hat", "var_hat"],
-                    ((i, _fmt(mu), _fmt(var))
-                     for i, mu, var in zip(out.prediction_indices + 1, out.mu_hat, out.mu_var)))
+        _write_predictions(output_dir / f"predictions_n{n}.csv", out)
     write_manifest(output_dir, "calibrate", args.raw_argv, args.seed, args.data)
     met = "within budget" if report.budget_met else "over budget (flagged)"
     print(f"selected n={report.selected_n} ({met}); report at {output_dir / 'report.csv'}")
@@ -278,16 +269,15 @@ def cmd_score(args) -> int:
     indices = sorted(predictions)
     pred = np.array([predictions[i] for i in indices])
     ref = np.array([reference[i] for i in indices])
-    diff = ref - pred
-    value = float(np.sqrt(diff @ diff / diff.size))
+    value = (rmspe if args.truth else rste)(ref, pred)
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    metrics = {metric_name: value, "count": int(diff.size)}
+    metrics = {metric_name: value, "count": len(indices)}
     with open(output_dir / "metrics.json", "w") as handle:
         json.dump(metrics, handle, indent=2, sort_keys=True)
         handle.write("\n")
     write_manifest(output_dir, "score", args.raw_argv, args.seed, args.predictions)
-    print(f"{metric_name} = {value:.6f} over {diff.size} indices")
+    print(f"{metric_name} = {value:.6f} over {len(indices)} indices")
     return EXIT_OK
 
 
@@ -306,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--iterations", type=int, default=2000, help="total sweeps G")
         p.add_argument("--burn-in", type=int, default=200, help="discarded sweeps")
         p.add_argument("--rho", type=float, default=0.3, help="kernel range parameter")
-        p.add_argument("--metric", choices=["abs", "greatcircle"], default="abs",
+        p.add_argument("--metric", choices=[METRIC_ABS, METRIC_GREAT_CIRCLE], default=METRIC_ABS,
                        help="kernel distance metric")
         p.add_argument("--pred-count", type=int, default=1000,
                        help="number of equally spaced prediction indices")

@@ -3,8 +3,8 @@
 Every random quantity in the sampler flows through the functions here so
 that a run is a pure function of its 64-bit seed: same seed and same call
 sequence means a bit-identical variate stream.  Streams are
-``numpy.random.Generator`` instances (PCG64); worker streams are derived
-from a master seed with ``spawn_rng`` so concurrency cannot perturb
+``numpy.random.Generator`` instances (PCG64); worker seeds are derived
+from a master seed with ``spawn_seed`` so concurrency cannot perturb
 results.
 """
 
@@ -20,9 +20,6 @@ from .errors import InvalidParameterError
 __all__ = [
     "make_rng",
     "spawn_seed",
-    "spawn_rng",
-    "draw_normal",
-    "draw_inverse_gamma",
     "sample_active_indices",
     "draw_srswor",
     "MlbParams",
@@ -50,47 +47,6 @@ def spawn_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def spawn_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Generator seeded with ``spawn_seed(master_seed, index)``."""
-    return make_rng(spawn_seed(master_seed, index))
-
-
-def draw_normal(mean: float, variance: float, rng: np.random.Generator) -> float:
-    """One draw from Normal(mean, variance).
-
-    Parameters
-    ----------
-    mean : float
-    variance : float
-        Must be strictly positive (a zero-variance "draw" is a constant,
-        which callers should not route through the RNG).
-    rng : numpy.random.Generator
-
-    Returns
-    -------
-    float
-    """
-    if not np.isfinite(mean):
-        raise InvalidParameterError(f"mean must be finite, got {mean}")
-    if not (variance > 0.0) or not np.isfinite(variance):
-        raise InvalidParameterError(f"variance must be > 0, got {variance}")
-    return float(rng.normal(mean, np.sqrt(variance)))
-
-
-def draw_inverse_gamma(shape: float, rate: float, rng: np.random.Generator) -> float:
-    """One draw from the inverse gamma with the given shape and rate.
-
-    The density is proportional to ``x**(-shape-1) * exp(-rate / x)``;
-    drawn as the reciprocal of a Gamma(shape, scale=1/rate) variate, so
-    the mean is ``rate / (shape - 1)`` for shape > 1.
-    """
-    if not (shape > 0.0) or not np.isfinite(shape):
-        raise InvalidParameterError(f"shape must be > 0, got {shape}")
-    if not (rate > 0.0) or not np.isfinite(rate):
-        raise InvalidParameterError(f"rate must be > 0, got {rate}")
-    return float(1.0 / rng.gamma(shape, 1.0 / rate))
-
-
 def sample_active_indices(n: int, N: int, rng: np.random.Generator) -> np.ndarray:
     """Sorted indices of a uniform size-n subset of range(N).
 
@@ -102,8 +58,6 @@ def sample_active_indices(n: int, N: int, rng: np.random.Generator) -> np.ndarra
     """
     n = int(n)
     N = int(N)
-    if N < 1:
-        raise InvalidParameterError(f"population size must be >= 1, got N={N}")
     if not (1 <= n <= N):
         raise InvalidParameterError(f"subset size must satisfy 1 <= n <= N, got n={n}, N={N}")
     return np.sort(rng.choice(N, n, replace=False, shuffle=False))

@@ -17,8 +17,9 @@ every block from its conjugate full conditional given that subset:
     3. xi restricted to the subset: independent normals
     4. beta: p-dimensional normal
     5. the four variances: inverse gamma
-    6. prediction-set components outside the subset: prior refresh or
-       carry-over, per SamplerConfig.prediction_refresh
+    6. prediction-set components outside the subset: prior refresh
+       (``draw_inactive_prediction_components``) or carry-over, per
+       SamplerConfig.prediction_refresh
     7. per-index predictions over the prediction set, accumulated after
        burn-in; the kernel product there is a tridiagonal solve whenever
        the prediction set qualifies for the banded path
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import lapack
@@ -44,12 +45,12 @@ from .errors import InvalidParameterError, NumericalError
 from .model import (
     REFRESH_PRIOR,
     BandedKernel,
+    BasisConfig,
     ChainState,
     DatasetView,
     FixedVariances,
     SamplerConfig,
     SubsetMask,
-    _predict_from_design,
     banded_kernel,
     kernel_matrix,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "update_beta",
     "update_variances",
     "draw_inactive_prediction_components",
+    "predict_mu",
     "run_chain",
 ]
 
@@ -148,6 +150,11 @@ def _kernel_operator(coords: np.ndarray, basis):
     return banded if banded is not None else kernel_matrix(coords, coords, basis)
 
 
+def _beta_precision(state: ChainState, xtx: np.ndarray) -> np.ndarray:
+    """Precision of the beta block, X'X / sigma2 + I / sigma2_beta."""
+    return xtx / state.sigma2 + np.eye(xtx.shape[0]) / state.sigma2_beta
+
+
 def _banded_eta_factor(kernel: BandedKernel, sigma2: float, sigma2_eta: float):
     """Upper band Cholesky factor of M = I/sigma2 + T^2/sigma2_eta.
 
@@ -194,7 +201,6 @@ def _factor_eta_precision(psi_delta, sigma2: float, sigma2_eta: float,
 def update_eta_active(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray,
                       psi_delta, xi_delta: np.ndarray,
                       rng: np.random.Generator, *, iteration: Optional[int] = None,
-                      jitter_counter: Optional[list] = None,
                       chol: Optional[np.ndarray] = None,
                       with_product: bool = False):
     """Draw the subset's basis coefficients from their full conditional.
@@ -211,9 +217,8 @@ def update_eta_active(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarra
     storage).  With ``with_product`` the return value is (eta, Psi eta).
     """
     n = y_delta.shape[0]
-    jitter = 0
     if chol is None:
-        psi_delta, chol, jitter = _factor_eta_precision(
+        psi_delta, chol, _ = _factor_eta_precision(
             psi_delta, state.sigma2, state.sigma2_eta, n=n, iteration=iteration)
     residual = y_delta - x_delta @ state.beta - xi_delta
     if isinstance(psi_delta, BandedKernel):
@@ -230,8 +235,6 @@ def update_eta_active(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarra
         draw, _, _ = _sample_mvn_precision(None, linear, rng, n=n, iteration=iteration,
                                            chol=chol)
         product = psi_delta @ draw if with_product else None
-    if jitter_counter is not None:
-        jitter_counter.append(jitter)
     return (draw, product) if with_product else draw
 
 
@@ -256,33 +259,24 @@ def update_xi_active(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray
 def update_beta(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray,
                 psi_delta, eta_delta: np.ndarray, xi_delta: np.ndarray,
                 rng: np.random.Generator, *, iteration: Optional[int] = None,
-                jitter_counter: Optional[list] = None,
-                xtx: Optional[np.ndarray] = None,
                 chol: Optional[np.ndarray] = None,
                 psi_eta: Optional[np.ndarray] = None) -> np.ndarray:
     """Draw the regression coefficients from their full conditional.
 
     Normal with covariance ``((1/sigma2) X'X + (1/sigma2_beta) I_p)^-1``
     and mean ``(X'X + (sigma2/sigma2_beta) I_p)^-1 X'(y - Psi eta - xi)``.
-    ``xtx`` (X'X), ``chol`` and ``psi_eta`` (Psi eta) may be supplied when
-    cached.
+    ``chol``, the lower Cholesky factor of that precision, and ``psi_eta``
+    (Psi eta) may be supplied when the caller has them.
     """
     if psi_eta is None:
         psi_eta = psi_delta @ eta_delta
-    p = x_delta.shape[1]
     if chol is None:
-        if xtx is None:
-            xtx = x_delta.T @ x_delta
-        precision = xtx / state.sigma2 + np.eye(p) / state.sigma2_beta
-    else:
-        precision = None
+        chol, _ = _cholesky_with_jitter(_beta_precision(state, x_delta.T @ x_delta),
+                                        n=y_delta.shape[0], iteration=iteration)
     residual = y_delta - psi_eta - xi_delta
     linear = x_delta.T @ residual / state.sigma2
-    draw, _, jitter = _sample_mvn_precision(precision, linear, rng,
-                                            n=y_delta.shape[0], iteration=iteration,
-                                            chol=chol)
-    if jitter_counter is not None:
-        jitter_counter.append(jitter)
+    draw, _, _ = _sample_mvn_precision(None, linear, rng, n=y_delta.shape[0],
+                                       iteration=iteration, chol=chol)
     return draw
 
 
@@ -323,27 +317,56 @@ def update_variances(state: ChainState, residual: Optional[np.ndarray], eta_delt
 
 
 def draw_inactive_prediction_components(state: ChainState, prediction_set: np.ndarray,
-                                        mask: SubsetMask, rng: np.random.Generator,
+                                        subset, rng: np.random.Generator,
                                         *, sigma2_eta: Optional[float] = None,
                                         sigma2_xi: Optional[float] = None):
     """Prior draws of (eta_i, xi_i) for prediction indices outside the subset.
 
-    Both vectors are independent normals with mean zero; the variances
-    default to the ones in ``state`` but the chain passes the previous
-    sweep's values explicitly, honoring the update-order lag.  Indices
-    already in the subset are untouched.  Returns the refreshed index set
-    with the two draws (empty arrays when the subset covers the set).
+    ``subset`` is the sorted array of active indices or a ``SubsetMask``;
+    the lookup costs O(m log n) for m prediction indices, whatever N is.
+    Both vectors are independent normals with mean zero, eta drawn first;
+    the variances default to the ones in ``state`` but the chain passes the
+    previous sweep's values explicitly, honoring the update-order lag.
+    Indices already in the subset are untouched.  Returns the refreshed
+    index set with the two draws (empty arrays when the subset covers the
+    set).
     """
     s_eta = state.sigma2_eta if sigma2_eta is None else sigma2_eta
     s_xi = state.sigma2_xi if sigma2_xi is None else sigma2_xi
     if s_eta <= 0.0 or s_xi <= 0.0:
         raise InvalidParameterError("variances must be strictly positive")
-    outside = prediction_set[~mask.delta[prediction_set]]
+    active = subset.active if isinstance(subset, SubsetMask) else subset
+    position = np.minimum(np.searchsorted(active, prediction_set), active.size - 1)
+    outside = prediction_set[active[position] != prediction_set]
     if outside.size == 0:
         return outside, np.empty(0), np.empty(0)
     eta_draw = np.sqrt(s_eta) * rng.standard_normal(outside.size)
     xi_draw = np.sqrt(s_xi) * rng.standard_normal(outside.size)
     return outside, eta_draw, xi_draw
+
+
+def _predict_from_design(x_pred: np.ndarray, psi_pred, pred_indices: np.ndarray,
+                         state: ChainState) -> np.ndarray:
+    # shared by predict_mu and the chain; psi_pred is a dense matrix or a
+    # BandedKernel
+    return x_pred @ state.beta + psi_pred @ state.eta[pred_indices] + state.xi[pred_indices]
+
+
+def predict_mu(state: ChainState, data: DatasetView, basis: BasisConfig,
+               prediction_set: Sequence[int]) -> np.ndarray:
+    """Per-index prediction over the prediction set.
+
+    For each i in the set: ``x_i' beta + sum_{j in set} K(c_i, c_j) eta_j
+    + xi_i``; components of eta outside the set are masked out, matching
+    the sampler's prediction rule.
+    """
+    pred = np.asarray(prediction_set, dtype=np.int64)
+    if pred.ndim != 1 or pred.size < 1:
+        raise InvalidParameterError("prediction_set must be a nonempty 1-d index list")
+    if pred[0] < 0 or pred[-1] >= data.n_obs or np.any(np.diff(pred) <= 0):
+        raise InvalidParameterError("prediction_set must be sorted, unique and in range")
+    psi_pred = _kernel_operator(data.index_coords[pred], basis)
+    return _predict_from_design(data.x[pred], psi_pred, pred, state)
 
 
 def run_chain(data: DatasetView, config: SamplerConfig, n: int,
@@ -388,7 +411,6 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     rng = make_rng(config.seed)
     fixed = config.fixed_variances
     state = ChainState.initial(N, data.n_covariates, fixed)
-    state.validate()
     refresh_prior = config.prediction_refresh == REFRESH_PRIOR
 
     # prediction design is fixed across sweeps
@@ -399,7 +421,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     kept = 0
     mu_mean = np.zeros(m)
     mu_m2 = np.zeros(m)
-    jitter_log: list = []
+    jitter_events = 0
     trace = np.empty((config.iterations, data.n_covariates + 4)) if collect_trace else None
 
     # With an enumerable mask space the per-subset designs are reused
@@ -412,69 +434,61 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
         fixed.sigma2, fixed.sigma2_eta, fixed.sigma2_xi, fixed.sigma2_beta)
     sigma2_free = fixed is None or fixed.sigma2 is None
     design_cache: dict = {}
-    in_subset = np.zeros(N, dtype=bool) if refresh_prior else None
 
     for g in range(1, config.iterations + 1):
-        try:
-            active = sample_active_indices(n, N, rng)
-            key = active.tobytes() if cache_designs else None
-            cached = design_cache.get(key) if cache_designs else None
-            if cached is None:
-                x_delta = data.x[active]
-                psi_delta = _kernel_operator(data.index_coords[active], config.basis)
-                xtx = x_delta.T @ x_delta
-                chol_eta = chol_beta = None
-                if fully_fixed:
-                    psi_delta, chol_eta, jit_e = _factor_eta_precision(
-                        psi_delta, state.sigma2, state.sigma2_eta, n=n, iteration=g)
-                    prec_beta = xtx / state.sigma2 + np.eye(x_delta.shape[1]) / state.sigma2_beta
-                    chol_beta, jit_b = _cholesky_with_jitter(prec_beta, n=n, iteration=g)
-                    jitter_log.append(jit_e + jit_b)
-                cached = (x_delta, psi_delta, xtx, chol_eta, chol_beta)
-                if cache_designs:
-                    design_cache[key] = cached
-            x_delta, psi_delta, xtx, chol_eta, chol_beta = cached
-            y_delta = data.y[active]
+        active = sample_active_indices(n, N, rng)
+        key = active.tobytes() if cache_designs else None
+        design = design_cache.get(key) if cache_designs else None
+        if design is None:
+            x_delta = data.x[active]
+            psi_delta = _kernel_operator(data.index_coords[active], config.basis)
+            design = (x_delta, psi_delta, x_delta.T @ x_delta, None, None)
+        x_delta, psi_delta, xtx, chol_eta, chol_beta = design
+        if chol_eta is None:
+            psi_delta, chol_eta, jitter = _factor_eta_precision(
+                psi_delta, state.sigma2, state.sigma2_eta, n=n, iteration=g)
+            chol_beta, jitter_beta = _cholesky_with_jitter(
+                _beta_precision(state, xtx), n=n, iteration=g)
+            jitter_events += jitter + jitter_beta
+            if fully_fixed:
+                design = (x_delta, psi_delta, xtx, chol_eta, chol_beta)
+        if cache_designs:
+            design_cache[key] = design
+        y_delta = data.y[active]
 
-            prev_sigma2_eta = state.sigma2_eta
-            prev_sigma2_xi = state.sigma2_xi
+        prev_sigma2_eta = state.sigma2_eta
+        prev_sigma2_xi = state.sigma2_xi
 
-            eta_delta, psi_eta = update_eta_active(
-                state, y_delta, x_delta, psi_delta, state.xi[active], rng, iteration=g,
-                jitter_counter=jitter_log, chol=chol_eta, with_product=True)
-            state.eta[active] = eta_delta
+        eta_delta, psi_eta = update_eta_active(
+            state, y_delta, x_delta, psi_delta, state.xi[active], rng, iteration=g,
+            chol=chol_eta, with_product=True)
+        state.eta[active] = eta_delta
 
-            xi_delta = update_xi_active(state, y_delta, x_delta, psi_delta, eta_delta, rng,
-                                        psi_eta=psi_eta)
-            state.xi[active] = xi_delta
+        xi_delta = update_xi_active(state, y_delta, x_delta, psi_delta, eta_delta, rng,
+                                    psi_eta=psi_eta)
+        state.xi[active] = xi_delta
 
-            beta = update_beta(state, y_delta, x_delta, psi_delta, eta_delta, xi_delta,
-                               rng, iteration=g, jitter_counter=jitter_log,
-                               xtx=xtx, chol=chol_beta, psi_eta=psi_eta)
-            state.beta = beta
+        beta = update_beta(state, y_delta, x_delta, psi_delta, eta_delta, xi_delta,
+                           rng, iteration=g, chol=chol_beta, psi_eta=psi_eta)
+        state.beta = beta
 
-            residual = None
-            if sigma2_free:
-                residual = y_delta - x_delta @ beta - psi_eta - xi_delta
-            (state.sigma2, state.sigma2_eta,
-             state.sigma2_xi, state.sigma2_beta) = update_variances(
-                state, residual, eta_delta, xi_delta, beta, rng,
-                ig_shape=config.ig_shape, ig_rate=config.ig_rate, fixed=fixed,
-            )
+        residual = None
+        if sigma2_free:
+            residual = y_delta - x_delta @ beta - psi_eta - xi_delta
+        (state.sigma2, state.sigma2_eta,
+         state.sigma2_xi, state.sigma2_beta) = update_variances(
+            state, residual, eta_delta, xi_delta, beta, rng,
+            ig_shape=config.ig_shape, ig_rate=config.ig_rate, fixed=fixed,
+        )
 
-            if refresh_prior:
-                in_subset[active] = True
-                outside = pred[~in_subset[pred]]
-                in_subset[active] = False
-                if outside.size:
-                    state.eta[outside] = np.sqrt(prev_sigma2_eta) * rng.standard_normal(outside.size)
-                    state.xi[outside] = np.sqrt(prev_sigma2_xi) * rng.standard_normal(outside.size)
+        if refresh_prior:
+            outside, eta_outside, xi_outside = draw_inactive_prediction_components(
+                state, pred, active, rng,
+                sigma2_eta=prev_sigma2_eta, sigma2_xi=prev_sigma2_xi)
+            state.eta[outside] = eta_outside
+            state.xi[outside] = xi_outside
 
-            mu_g = _predict_from_design(x_pred, psi_pred, pred, state)
-        except NumericalError:
-            raise
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - safety net
-            raise NumericalError(str(exc), n=n, iteration=g) from exc
+        mu_g = _predict_from_design(x_pred, psi_pred, pred, state)
 
         if collect_trace:
             trace[g - 1, :-4] = state.beta
@@ -496,6 +510,6 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
         elapsed_wall_seconds=clock.wall() - wall_start,
         n_used=n,
         iterations_kept=kept,
-        jitter_events=int(sum(jitter_log)),
+        jitter_events=jitter_events,
         trace=trace,
     )

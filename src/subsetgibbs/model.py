@@ -7,15 +7,15 @@ The observation model for an active index i is
 where K is an exponential kernel over the row coordinates and the sum
 ranges over whichever index set is in play (the current subset for the
 likelihood, the prediction set for prediction).  This module owns the
-value types, the kernel (dense, or banded through its tridiagonal inverse
-for the absolute-difference metric), and construction of the per-subset
-design matrices; the sampler itself lives in ``gibbs``.
+value types and the kernel (dense, or banded through its tridiagonal
+inverse for the absolute-difference metric); the sampler and the
+prediction rule live in ``gibbs``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import lapack
@@ -32,8 +32,6 @@ __all__ = [
     "kernel_matrix",
     "BandedKernel",
     "banded_kernel",
-    "build_subset_design",
-    "predict_mu",
     "METRIC_ABS",
     "METRIC_GREAT_CIRCLE",
 ]
@@ -124,9 +122,9 @@ class BasisConfig:
 class SubsetMask:
     """Inclusion indicators with the active index list kept alongside.
 
-    ``active`` is redundant with ``delta`` but the sampler touches it in
-    every step, so both representations are maintained and checked
-    against each other.
+    ``active`` is redundant with ``delta``; both representations are
+    maintained and checked against each other.  The chain itself works
+    from the sorted active indices alone.
     """
 
     delta: np.ndarray
@@ -172,15 +170,6 @@ class ChainState:
     sigma2_eta: float
     sigma2_xi: float
     sigma2_beta: float
-
-    def validate(self):
-        for name in ("sigma2", "sigma2_eta", "sigma2_xi", "sigma2_beta"):
-            value = getattr(self, name)
-            if not (value > 0.0) or not np.isfinite(value):
-                raise InvalidParameterError(f"{name} must be strictly positive, got {value}")
-        for name in ("beta", "eta", "xi"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise InvalidParameterError(f"{name} contains non-finite entries")
 
     @staticmethod
     def initial(n_obs: int, n_covariates: int, fixed: Optional["FixedVariances"] = None) -> "ChainState":
@@ -283,10 +272,6 @@ class SamplerConfig:
             value = getattr(self, name)
             if not (value > 0.0) or not np.isfinite(value):
                 raise InvalidParameterError(f"{name} must be > 0, got {value}")
-
-    @property
-    def kept_iterations(self) -> int:
-        return self.iterations - self.burn_in
 
 
 def _pairwise_distance(coords_a: np.ndarray, coords_b: np.ndarray, metric: str) -> np.ndarray:
@@ -404,51 +389,3 @@ def banded_kernel(coords: np.ndarray, basis: BasisConfig) -> Optional[BandedKern
     diag[1:] += ratio
     return BandedKernel(coords, basis, diag, -a / one_minus_a2, order)
 
-
-def build_subset_design(data: DatasetView, basis: BasisConfig, mask: SubsetMask):
-    """Design matrices restricted to the active indices.
-
-    Returns
-    -------
-    (X_delta, Psi_delta)
-        ``X_delta`` is n x p (covariate rows of the active indices) and
-        ``Psi_delta`` is the n x n kernel matrix over active coordinates:
-        the full-rank expansion of the sampled sub-vector.  ``Psi_delta``
-        is symmetric with unit diagonal.
-    """
-    if mask.size != data.n_obs:
-        raise InvalidParameterError(
-            f"mask length {mask.size} does not match data length {data.n_obs}"
-        )
-    active = mask.active
-    x_delta = data.x[active]
-    coords = data.index_coords[active]
-    psi_delta = kernel_matrix(coords, coords, basis)
-    return x_delta, psi_delta
-
-
-def _predict_from_design(x_pred: np.ndarray, psi_pred, pred_indices: np.ndarray,
-                         state: ChainState) -> np.ndarray:
-    # shared by predict_mu and the chain so both produce bit-identical
-    # arithmetic; psi_pred is a dense matrix or a BandedKernel
-    return x_pred @ state.beta + psi_pred @ state.eta[pred_indices] + state.xi[pred_indices]
-
-
-def predict_mu(state: ChainState, data: DatasetView, basis: BasisConfig,
-               prediction_set: Sequence[int]) -> np.ndarray:
-    """Per-index prediction over the prediction set.
-
-    For each i in the set: ``x_i' beta + sum_{j in set} K(c_i, c_j) eta_j
-    + xi_i``; components of eta outside the set are masked out, matching
-    the sampler's prediction rule.
-    """
-    pred = np.asarray(prediction_set, dtype=np.int64)
-    if pred.ndim != 1 or pred.size < 1:
-        raise InvalidParameterError("prediction_set must be a nonempty 1-d index list")
-    if pred[0] < 0 or pred[-1] >= data.n_obs or np.any(np.diff(pred) <= 0):
-        raise InvalidParameterError("prediction_set must be sorted, unique and in range")
-    coords = data.index_coords[pred]
-    psi_pred = banded_kernel(coords, basis)
-    if psi_pred is None:
-        psi_pred = kernel_matrix(coords, coords, basis)
-    return _predict_from_design(data.x[pred], psi_pred, pred, state)

@@ -80,6 +80,15 @@ class TestReadDataCsv:
 
 
 class TestFit:
+    @pytest.mark.parametrize("bad_row", ["2,abc", "2", "2,1.0,3.0"])
+    def test_malformed_data_row_is_usage_error(self, tmp_path, capsys, bad_row):
+        data = tmp_path / "data.csv"
+        data.write_text(f"index,y\n1,0.5\n{bad_row}\n3,0.25\n")
+        code = run(["fit", "--data", str(data), "--n", "2", "--pred-count", "2",
+                    "--output-dir", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert str(data) in capsys.readouterr().err
+
     def test_outputs_and_determinism(self, tmp_path):
         sim = simulate(tmp_path)
         fits = []
@@ -171,6 +180,33 @@ class TestScore:
                     "--output-dir", str(tmp_path / "s")])
         assert code == EXIT_USAGE
         assert "7" in capsys.readouterr().err
+
+    def test_non_numeric_prediction_is_usage_error(self, tmp_path, capsys):
+        pred = tmp_path / "p.csv"
+        truth = tmp_path / "t.csv"
+        pred.write_text("index,mu_hat,var_hat\n1,oops,0.0\n")
+        truth.write_text("index,mu\n1,0.5\n")
+        code = run(["score", "--predictions", str(pred), "--truth", str(truth),
+                    "--output-dir", str(tmp_path / "s")])
+        assert code == EXIT_USAGE
+        assert str(pred) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("duplicated", ["predictions", "truth", "holdout"])
+    def test_duplicate_index_is_usage_error(self, tmp_path, capsys, duplicated):
+        files = {"predictions": "index,mu_hat,var_hat\n1,0.5,0.0\n2,0.1,0.0\n",
+                 "truth": "index,mu\n1,0.5\n2,0.1\n",
+                 "holdout": "index,y\n1,0.5\n2,0.1\n"}
+        files[duplicated] += files[duplicated].splitlines()[1] + "\n"
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text(text)
+        reference = "holdout" if duplicated == "holdout" else "truth"
+        code = run(["score", "--predictions", str(paths["predictions"]),
+                    f"--{reference}", str(paths[reference]),
+                    "--output-dir", str(tmp_path / "s")])
+        assert code == EXIT_USAGE
+        assert str(paths[duplicated]) in capsys.readouterr().err
 
     def test_requires_exactly_one_reference(self, tmp_path):
         pred = tmp_path / "p.csv"

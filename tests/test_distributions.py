@@ -9,74 +9,11 @@ from scipy.integrate import quad
 from subsetgibbs import (
     InvalidParameterError,
     MlbParams,
-    draw_inverse_gamma,
-    draw_normal,
     draw_srswor,
     make_rng,
     mlb_log_density,
     spawn_seed,
 )
-
-
-class TestDrawNormal:
-    def test_rejects_nonpositive_variance(self):
-        rng = make_rng(0)
-        with pytest.raises(InvalidParameterError):
-            draw_normal(3.0, 0.0, rng)
-        with pytest.raises(InvalidParameterError):
-            draw_normal(3.0, -1.0, rng)
-
-    def test_law_of_large_numbers(self):
-        rng = make_rng(123)
-        draws = np.array([draw_normal(0.0, 1.0, rng) for _ in range(10**5)])
-        # batch the remaining draws through the generator directly: the
-        # scalar wrapper and the vector call share the same stream math
-        draws = np.concatenate([draws, rng.normal(0.0, 1.0, 9 * 10**5)])
-        assert abs(draws.mean()) < 0.01
-        assert abs(draws.var() - 1.0) < 3.0 * np.sqrt(2.0 / draws.size)
-
-    def test_same_seed_same_stream(self):
-        a = make_rng(42)
-        b = make_rng(42)
-        first = [draw_normal(1.0, 2.0, a) for _ in range(100)]
-        second = [draw_normal(1.0, 2.0, b) for _ in range(100)]
-        assert first == second
-
-
-class TestDrawInverseGamma:
-    def test_rejects_bad_parameters(self):
-        rng = make_rng(0)
-        for shape, rate in [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)]:
-            with pytest.raises(InvalidParameterError):
-                draw_inverse_gamma(shape, rate, rng)
-
-    def test_mean_identity(self):
-        # mean of IG(shape, rate) is rate / (shape - 1): 4 / 2 = 2
-        rng = make_rng(7)
-        draws = 1.0 / rng.gamma(3.0, 1.0 / 4.0, 10**6)
-        assert abs(draws.mean() - 2.0) < 0.02
-        # the scalar wrapper agrees with the vectorized identity above
-        rng_a, rng_b = make_rng(99), make_rng(99)
-        scalar = [draw_inverse_gamma(3.0, 4.0, rng_a) for _ in range(50)]
-        vector = 1.0 / rng_b.gamma(3.0, 1.0 / 4.0, 50)
-        np.testing.assert_array_equal(scalar, vector)
-
-    def test_strictly_positive_support(self):
-        rng = make_rng(3)
-        draws = [draw_inverse_gamma(0.5, 0.5, rng) for _ in range(2000)]
-        assert min(draws) > 0.0
-
-    def test_unit_parameters_density_shape(self):
-        # IG(1, 1) has density exp(-1/x) / x^2; check via a histogram of
-        # draws against the exact cell probabilities
-        rng = make_rng(11)
-        draws = np.array([draw_inverse_gamma(1.0, 1.0, rng) for _ in range(10**5)])
-        edges = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
-        counts, _ = np.histogram(draws, bins=edges)
-        # CDF of IG(1,1) is exp(-1/x)
-        cdf = np.exp(-1.0 / edges)
-        expected = draws.size * np.diff(cdf)
-        np.testing.assert_allclose(counts, expected, rtol=0.05)
 
 
 class TestDrawSrswor:

@@ -406,6 +406,21 @@ class TestDrawInactivePredictionComponents:
         z = rng_b.standard_normal(1)
         np.testing.assert_allclose(eta_a, 3.0 * z)
 
+    def test_sorted_indices_match_mask(self):
+        # the chain passes the sorted active indices; prediction indices
+        # before, between and after them must be classified as with a mask
+        state = fixed_state(10)
+        active = np.array([2, 5, 6])
+        delta = np.zeros(10, dtype=bool)
+        delta[active] = True
+        mask = SubsetMask(delta=delta, active=active)
+        pred = np.array([0, 2, 3, 6, 9])
+        from_mask = draw_inactive_prediction_components(state, pred, mask, make_rng(8))
+        from_indices = draw_inactive_prediction_components(state, pred, active, make_rng(8))
+        np.testing.assert_array_equal(from_mask[0], [0, 3, 9])
+        for a, b in zip(from_mask, from_indices):
+            np.testing.assert_array_equal(a, b)
+
 
 class TestSampleMvnPrecision:
     def test_indefinite_matrix_raises_with_context(self):
@@ -489,7 +504,43 @@ def record_kernel_kinds(monkeypatch):
     return kinds
 
 
+def count_calls(monkeypatch, names):
+    """Replace the named gibbs attributes with call-counting wrappers."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(gibbs, name, counting(name, getattr(gibbs, name)))
+    return calls
+
+
 class TestRunChain:
+    @pytest.mark.parametrize("policy, per_sweep", [("prior", 1), ("carry", 0)])
+    def test_prior_refresh_runs_the_tested_helper(self, monkeypatch, policy, per_sweep):
+        calls = count_calls(monkeypatch, ["draw_inactive_prediction_components"])
+        config = small_config(12, iterations=15, burn_in=0, prediction_refresh=policy)
+        run_chain(small_dataset(), config, 4)
+        assert calls["draw_inactive_prediction_components"] == per_sweep * config.iterations
+
+    @pytest.mark.parametrize("metric", ["abs", "greatcircle"])
+    def test_stage_hooks_are_resolved_every_sweep(self, monkeypatch, metric):
+        # the per-stage benchmark timings wrap these module attributes, so
+        # the chain must look each one up at call time, once per sweep
+        stages = ["sample_active_indices", "update_eta_active", "update_xi_active",
+                  "update_beta", "update_variances"]
+        calls = count_calls(monkeypatch, stages + ["kernel_matrix"])
+        config = small_config(12, iterations=15, burn_in=0,
+                              basis=BasisConfig(rho=0.3, metric=metric))
+        run_chain(small_dataset(), config, 4)
+        assert {name: calls[name] for name in stages} == dict.fromkeys(stages, 15)
+        if metric == "greatcircle":
+            assert calls["kernel_matrix"] >= config.iterations
+
     def test_single_kept_iteration_average(self):
         data = small_dataset()
         base = dict(prediction_set=np.array([0, 3, 7]), basis=BasisConfig(rho=0.3),

@@ -11,7 +11,6 @@ from subsetgibbs import (
     InvalidParameterError,
     SamplerConfig,
     SubsetMask,
-    build_subset_design,
     draw_srswor,
     kernel_matrix,
     make_rng,
@@ -89,18 +88,20 @@ class TestFixedVariances:
             FixedVariances(sigma2=0.0)
 
 
+def subset_kernel(data, basis, active):
+    coords = data.index_coords[active]
+    return kernel_matrix(coords, coords, basis)
+
+
 class TestBuildSubsetDesign:
+    """The kernel matrix over a subset's coordinates."""
+
     def test_single_point_kernel_is_one(self):
-        data = make_data(5)
-        mask = SubsetMask(delta=np.eye(5, dtype=bool)[2], active=np.array([2]))
-        _, psi = build_subset_design(data, BasisConfig(rho=7.0), mask)
+        psi = subset_kernel(make_data(5), BasisConfig(rho=7.0), np.array([2]))
         np.testing.assert_array_equal(psi, [[1.0]])
 
     def test_adjacent_pair_off_diagonal(self):
-        data = make_data(5)
-        mask = SubsetMask(delta=np.array([True, True, False, False, False]),
-                          active=np.array([0, 1]))
-        _, psi = build_subset_design(data, BasisConfig(rho=0.3), mask)
+        psi = subset_kernel(make_data(5), BasisConfig(rho=0.3), np.array([0, 1]))
         assert psi[0, 1] == pytest.approx(np.exp(-0.3))
         assert psi[0, 1] == pytest.approx(0.740818, abs=1e-6)
 
@@ -109,32 +110,23 @@ class TestBuildSubsetDesign:
         rng = make_rng(4)
         for _ in range(10):
             mask = draw_srswor(7, 30, rng)
-            _, psi = build_subset_design(data, BasisConfig(rho=0.55), mask)
+            psi = subset_kernel(data, BasisConfig(rho=0.55), mask.active)
             np.testing.assert_array_equal(psi, psi.T)
             np.testing.assert_array_equal(np.diag(psi), np.ones(7))
 
     def test_principal_submatrix_consistency(self):
         data = make_data(12)
         basis = BasisConfig(rho=0.4)
-        full_mask = SubsetMask(delta=np.ones(12, dtype=bool), active=np.arange(12))
-        _, full = build_subset_design(data, basis, full_mask)
+        full = subset_kernel(data, basis, np.arange(12))
         rng = make_rng(9)
         for _ in range(10):
             mask = draw_srswor(5, 12, rng)
-            _, sub = build_subset_design(data, basis, mask)
+            sub = subset_kernel(data, basis, mask.active)
             np.testing.assert_array_equal(sub, full[np.ix_(mask.active, mask.active)])
 
     def test_kernel_positive_semidefinite(self):
-        data = make_data(9)
-        mask = SubsetMask(delta=np.ones(9, dtype=bool), active=np.arange(9))
-        _, psi = build_subset_design(data, BasisConfig(rho=0.2), mask)
+        psi = subset_kernel(make_data(9), BasisConfig(rho=0.2), np.arange(9))
         np.linalg.cholesky(psi)
-
-    def test_rejects_mismatched_mask(self):
-        data = make_data(5)
-        mask = SubsetMask(delta=np.array([True, False]), active=np.array([0]))
-        with pytest.raises(InvalidParameterError):
-            build_subset_design(data, BasisConfig(rho=0.3), mask)
 
     def test_great_circle_metric_on_latlon(self):
         coords = np.array([[0.0, 0.0], [0.0, 90.0], [90.0, 0.0]])
