@@ -37,6 +37,12 @@ __all__ = [
 ]
 
 
+def _write_json(path, document: dict) -> None:
+    with open(path, "w") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 @dataclass(frozen=True)
 class SweepPlan:
     """Grid of subset sizes, the time budget and the worker bound."""
@@ -242,16 +248,14 @@ def write_report_csv(report: CalibrationReport, path) -> None:
 
 
 def write_summary_json(report: CalibrationReport, path) -> None:
-    """Flat machine-readable summary of the sweep outcome."""
-    summary = {
+    """Flat machine-readable summary of the sweep outcome and of the clock that chose n."""
+    _write_json(path, {
         "selected_n": report.selected_n,
         "budget_met": report.budget_met,
         "budget_seconds": report.budget_seconds,
+        "used_cpu_time": report.used_cpu_time,
         "grid": ",".join(str(n) for n, _ in report.per_n),
         "failed_grid": ",".join(str(n) for n, _ in report.failures),
         "selected_wall_seconds": report.output_for(report.selected_n).elapsed_wall_seconds,
         "selected_cpu_seconds": report.output_for(report.selected_n).elapsed_cpu_seconds,
-    }
-    with open(path, "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    })

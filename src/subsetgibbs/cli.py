@@ -23,7 +23,6 @@ import argparse
 import csv
 import datetime
 import json
-import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -32,7 +31,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .calibrate import SweepPlan, _format_float, run_sweep, write_report_csv, write_summary_json
+from .calibrate import (SweepPlan, _format_float, _write_json, run_sweep, write_report_csv,
+                        write_summary_json)
 from .errors import InvalidParameterError, NumericalError
 from .gibbs import run_chain
 from .model import (
@@ -52,34 +52,17 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _version_string() -> str:
-    try:
-        described = subprocess.run(
-            ["git", "describe", "--tags", "--always", "--dirty"],
-            cwd=Path(__file__).parent, capture_output=True, text=True, timeout=5,
-        )
-        if described.returncode == 0 and described.stdout.strip():
-            return f"subsetgibbs-{__version__}+{described.stdout.strip()}"
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return f"subsetgibbs-{__version__}"
-
-
 def write_manifest(output_dir: Path, command: str, argv: Sequence[str],
-                   seed: int, dataset_path: Optional[str], config_path: Optional[str] = None) -> None:
-    manifest = {
+                   seed: int, dataset_path: Optional[str]) -> None:
+    _write_json(output_dir / "manifest.json", {
         "command": command,
         "argv": list(argv),
         "master_seed": seed,
         "dataset_path": dataset_path,
-        "config_path": config_path,
         "output_dir": str(output_dir),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "version": _version_string(),
-    }
-    with open(output_dir / "manifest.json", "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        "version": f"subsetgibbs-{__version__}",
+    })
 
 
 def replay_manifest(manifest_path, output_dir: Optional[str] = None) -> int:
@@ -132,14 +115,24 @@ def read_data_csv(path) -> DatasetView:
 
 
 def read_indexed_csv(path, value_column: str) -> dict:
-    """Map 1-based index to a float value column (predictions, truth or holdout)."""
+    """Map 1-based index to a finite float value column (predictions, truth or holdout)."""
     columns = read_csv(path, ("index", value_column))
     index = columns["index"].astype(np.int64)
     if np.any(index != columns["index"]):
         raise InvalidParameterError(f"{path}: index column must hold integers")
     if np.unique(index).size != index.size:
         raise InvalidParameterError(f"{path}: index column lists an index more than once")
+    bad = index[~np.isfinite(columns[value_column])]
+    if bad.size:
+        raise InvalidParameterError(f"{path}: {value_column} is not finite at index {bad[0]}")
     return dict(zip(index.tolist(), columns[value_column].tolist()))
+
+
+def _grid_int(entry: str) -> int:
+    try:
+        return int(entry)
+    except ValueError:
+        raise InvalidParameterError(f"grid entry {entry!r} is not an integer") from None
 
 
 def _parse_n_grid(text: str) -> List[int]:
@@ -148,11 +141,11 @@ def _parse_n_grid(text: str) -> List[int]:
         parts = text.split(":")
         if len(parts) != 3:
             raise InvalidParameterError(f"grid range must be start:stop:step, got {text!r}")
-        start, stop, step = (int(p) for p in parts)
+        start, stop, step = (_grid_int(p) for p in parts)
         if step < 1 or stop < start:
             raise InvalidParameterError(f"bad grid range {text!r}")
         return list(range(start, stop + 1, step))
-    return [int(p) for p in text.split(",") if p.strip()]
+    return [_grid_int(p) for p in text.split(",") if p.strip()]
 
 
 def _sampler_config(args, N: int) -> SamplerConfig:
@@ -212,7 +205,7 @@ def cmd_fit(args) -> int:
     header = ["iteration"] + beta_names + ["sigma2", "sigma2_eta", "sigma2_xi", "sigma2_beta"]
     _write_rows(output_dir / "trace.csv", header,
                 ((g + 1, *(_format_float(v) for v in row)) for g, row in enumerate(out.trace)))
-    timing = {
+    _write_json(output_dir / "timing.json", {
         "wall_seconds": out.elapsed_wall_seconds,
         "cpu_seconds": out.elapsed_cpu_seconds,
         "n": out.n_used,
@@ -220,10 +213,7 @@ def cmd_fit(args) -> int:
         "burn_in": config.burn_in,
         "iterations_kept": out.iterations_kept,
         "jitter_events": out.jitter_events,
-    }
-    with open(output_dir / "timing.json", "w") as handle:
-        json.dump(timing, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    })
     write_manifest(output_dir, "fit", args.raw_argv, args.seed, args.data)
     print(f"fit n={args.n}: wall {out.elapsed_wall_seconds:.2f}s, "
           f"cpu {out.elapsed_cpu_seconds:.2f}s, kept {out.iterations_kept} iterations")
@@ -272,10 +262,7 @@ def cmd_score(args) -> int:
     value = (rmspe if args.truth else rste)(ref, pred)
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    metrics = {metric_name: value, "count": len(indices)}
-    with open(output_dir / "metrics.json", "w") as handle:
-        json.dump(metrics, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(output_dir / "metrics.json", {metric_name: value, "count": len(indices)})
     write_manifest(output_dir, "score", args.raw_argv, args.seed, args.predictions)
     print(f"{metric_name} = {value:.6f} over {len(indices)} indices")
     return EXIT_OK

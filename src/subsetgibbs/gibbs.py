@@ -16,7 +16,8 @@ every block from its conjugate full conditional given that subset:
        Cholesky factor of Psi'Psi / sigma2 + I / sigma2_eta.
     3. xi restricted to the subset: independent normals
     4. beta: p-dimensional normal
-    5. the four variances: inverse gamma
+    5. the four variances: inverse gamma under an IG(1, 1) prior each,
+       unless SamplerConfig.fixed_variances pins all four
     6. prediction-set components outside the subset: prior refresh
        (``draw_inactive_prediction_components``) or carry-over, per
        SamplerConfig.prediction_refresh
@@ -123,25 +124,15 @@ def _cholesky_with_jitter(precision: np.ndarray, *, n: int, iteration: Optional[
     )
 
 
-def _sample_mvn_precision(precision: Optional[np.ndarray], linear: np.ndarray,
-                          rng: np.random.Generator, *, n: int, iteration: Optional[int],
-                          chol: Optional[np.ndarray] = None):
-    """Draw from N(P^-1 h, P^-1) given precision P and linear term h.
-
-    A precomputed lower Cholesky factor of P short-circuits the
-    factorization (the sampler caches factors when the conditioning
-    variances are pinned, which leaves P constant per subset).
-    Returns (draw, mean, jitter_events).
-    """
-    jitter_events = 0
-    if chol is None:
-        chol, jitter_events = _cholesky_with_jitter(precision, n=n, iteration=iteration)
+def _sample_mvn_precision(chol: np.ndarray, linear: np.ndarray,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Draw from N(P^-1 h, P^-1) given the lower Cholesky factor of P and h."""
     # LAPACK directly: the scipy.linalg wrappers cost more than the
     # solves themselves at the small sizes most sweeps use
     mean, _ = lapack.dpotrs(chol, linear, lower=1)
     z = rng.standard_normal(chol.shape[0])
     noise, _ = lapack.dtrtrs(chol, z, lower=1, trans=1)
-    return mean + noise, mean, jitter_events
+    return mean + noise
 
 
 def _kernel_operator(coords: np.ndarray, basis):
@@ -232,8 +223,7 @@ def update_eta_active(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarra
         product = psi_delta.from_sorted(product)
     else:
         linear = psi_delta.T @ residual / state.sigma2
-        draw, _, _ = _sample_mvn_precision(None, linear, rng, n=n, iteration=iteration,
-                                           chol=chol)
+        draw = _sample_mvn_precision(chol, linear, rng)
         product = psi_delta @ draw if with_product else None
     return (draw, product) if with_product else draw
 
@@ -275,45 +265,34 @@ def update_beta(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray,
                                         n=y_delta.shape[0], iteration=iteration)
     residual = y_delta - psi_eta - xi_delta
     linear = x_delta.T @ residual / state.sigma2
-    draw, _, _ = _sample_mvn_precision(None, linear, rng, n=y_delta.shape[0],
-                                       iteration=iteration, chol=chol)
-    return draw
+    return _sample_mvn_precision(chol, linear, rng)
 
 
 def update_variances(state: ChainState, residual: Optional[np.ndarray], eta_delta: np.ndarray,
                      xi_delta: np.ndarray, beta: np.ndarray, rng: np.random.Generator,
-                     *, ig_shape: float = 1.0, ig_rate: float = 1.0,
-                     fixed: Optional[FixedVariances] = None):
+                     *, fixed: Optional[FixedVariances] = None):
     """Draw the four variance components from their inverse-gamma conditionals.
 
-    With prior IG(a, b) on each component the conditionals are
+    With the IG(1, 1) prior on each component the conditionals are
 
-        sigma2      ~ IG(a + n/2, b + ||residual||^2 / 2)
-        sigma2_eta  ~ IG(a + n/2, b + eta'eta / 2)
-        sigma2_xi   ~ IG(a + n/2, b + xi'xi / 2)
-        sigma2_beta ~ IG(a + p/2, b + beta'beta / 2)
+        sigma2      ~ IG(1 + n/2, 1 + ||residual||^2 / 2)
+        sigma2_eta  ~ IG(1 + n/2, 1 + eta'eta / 2)
+        sigma2_xi   ~ IG(1 + n/2, 1 + xi'xi / 2)
+        sigma2_beta ~ IG(1 + p/2, 1 + beta'beta / 2)
 
-    where ``residual = y - X beta - Psi eta - xi`` on the subset.  A
-    component pinned in ``fixed`` is returned unchanged and consumes no
-    randomness; ``residual`` may be None when sigma2 is pinned.
+    where ``residual = y - X beta - Psi eta - xi`` on the subset.  With
+    ``fixed`` the pinned values are returned and no randomness is
+    consumed; ``residual`` may then be None.
     """
-    fixed = fixed or FixedVariances()
+    if fixed is not None:
+        return fixed.sigma2, fixed.sigma2_eta, fixed.sigma2_xi, fixed.sigma2_beta
     n = eta_delta.shape[0]
-    p = beta.shape[0]
 
-    def _draw(fixed_value: Optional[float], half_df: float, vector: Optional[np.ndarray]) -> float:
-        if fixed_value is not None:
-            return fixed_value
-        if vector is None:
-            raise InvalidParameterError("residual is required when sigma2 is not fixed")
-        half_ss = 0.5 * float(vector @ vector)
-        return 1.0 / rng.gamma(ig_shape + half_df, 1.0 / (ig_rate + half_ss))
+    def _draw(half_df: float, vector: np.ndarray) -> float:
+        return 1.0 / rng.gamma(1.0 + half_df, 1.0 / (1.0 + 0.5 * float(vector @ vector)))
 
-    sigma2 = _draw(fixed.sigma2, n / 2.0, residual)
-    sigma2_eta = _draw(fixed.sigma2_eta, n / 2.0, eta_delta)
-    sigma2_xi = _draw(fixed.sigma2_xi, n / 2.0, xi_delta)
-    sigma2_beta = _draw(fixed.sigma2_beta, p / 2.0, beta)
-    return sigma2, sigma2_eta, sigma2_xi, sigma2_beta
+    return (_draw(n / 2.0, residual), _draw(n / 2.0, eta_delta), _draw(n / 2.0, xi_delta),
+            _draw(beta.shape[0] / 2.0, beta))
 
 
 def draw_inactive_prediction_components(state: ChainState, prediction_set: np.ndarray,
@@ -424,36 +403,27 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     jitter_events = 0
     trace = np.empty((config.iterations, data.n_covariates + 4)) if collect_trace else None
 
-    # With an enumerable mask space the per-subset designs are reused
-    # across sweeps; when the conditioning variances are pinned the
-    # precision factors (banded or dense) are constant per subset too, so
-    # they join the cache.  Cache hits are arithmetically identical to
+    # Pinned variances leave each subset's design and precision factors
+    # (banded or dense) constant, so with an enumerable mask space they are
+    # reused across sweeps.  Cache hits are arithmetically identical to
     # recomputation.
-    cache_designs = math.comb(N, n) <= _DESIGN_CACHE_LIMIT
-    fully_fixed = fixed is not None and None not in (
-        fixed.sigma2, fixed.sigma2_eta, fixed.sigma2_xi, fixed.sigma2_beta)
-    sigma2_free = fixed is None or fixed.sigma2 is None
-    design_cache: dict = {}
+    design_cache = {} if fixed is not None and math.comb(N, n) <= _DESIGN_CACHE_LIMIT else None
 
     for g in range(1, config.iterations + 1):
         active = sample_active_indices(n, N, rng)
-        key = active.tobytes() if cache_designs else None
-        design = design_cache.get(key) if cache_designs else None
+        design = None if design_cache is None else design_cache.get(active.tobytes())
         if design is None:
             x_delta = data.x[active]
-            psi_delta = _kernel_operator(data.index_coords[active], config.basis)
-            design = (x_delta, psi_delta, x_delta.T @ x_delta, None, None)
-        x_delta, psi_delta, xtx, chol_eta, chol_beta = design
-        if chol_eta is None:
             psi_delta, chol_eta, jitter = _factor_eta_precision(
-                psi_delta, state.sigma2, state.sigma2_eta, n=n, iteration=g)
+                _kernel_operator(data.index_coords[active], config.basis),
+                state.sigma2, state.sigma2_eta, n=n, iteration=g)
             chol_beta, jitter_beta = _cholesky_with_jitter(
-                _beta_precision(state, xtx), n=n, iteration=g)
+                _beta_precision(state, x_delta.T @ x_delta), n=n, iteration=g)
             jitter_events += jitter + jitter_beta
-            if fully_fixed:
-                design = (x_delta, psi_delta, xtx, chol_eta, chol_beta)
-        if cache_designs:
-            design_cache[key] = design
+            design = (x_delta, psi_delta, chol_eta, chol_beta)
+            if design_cache is not None:
+                design_cache[active.tobytes()] = design
+        x_delta, psi_delta, chol_eta, chol_beta = design
         y_delta = data.y[active]
 
         prev_sigma2_eta = state.sigma2_eta
@@ -472,14 +442,10 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
                            rng, iteration=g, chol=chol_beta, psi_eta=psi_eta)
         state.beta = beta
 
-        residual = None
-        if sigma2_free:
-            residual = y_delta - x_delta @ beta - psi_eta - xi_delta
+        residual = y_delta - x_delta @ beta - psi_eta - xi_delta if fixed is None else None
         (state.sigma2, state.sigma2_eta,
          state.sigma2_xi, state.sigma2_beta) = update_variances(
-            state, residual, eta_delta, xi_delta, beta, rng,
-            ig_shape=config.ig_shape, ig_rate=config.ig_rate, fixed=fixed,
-        )
+            state, residual, eta_delta, xi_delta, beta, rng, fixed=fixed)
 
         if refresh_prior:
             outside, eta_outside, xi_outside = draw_inactive_prediction_components(

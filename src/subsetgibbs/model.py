@@ -175,38 +175,39 @@ class ChainState:
     def initial(n_obs: int, n_covariates: int, fixed: Optional["FixedVariances"] = None) -> "ChainState":
         """Neutral starting point: zero effects, unit variances.
 
-        Fixed variance overrides, when present, take effect immediately
-        so the first iteration already conditions on them.
+        Pinned variances, when given, replace the unit ones so the first
+        iteration already conditions on them.
         """
-        fixed = fixed or FixedVariances()
+        fixed = fixed or FixedVariances(1.0, 1.0, 1.0, 1.0)
         return ChainState(
             beta=np.zeros(n_covariates),
             eta=np.zeros(n_obs),
             xi=np.zeros(n_obs),
-            sigma2=fixed.sigma2 if fixed.sigma2 is not None else 1.0,
-            sigma2_eta=fixed.sigma2_eta if fixed.sigma2_eta is not None else 1.0,
-            sigma2_xi=fixed.sigma2_xi if fixed.sigma2_xi is not None else 1.0,
-            sigma2_beta=fixed.sigma2_beta if fixed.sigma2_beta is not None else 1.0,
+            sigma2=fixed.sigma2,
+            sigma2_eta=fixed.sigma2_eta,
+            sigma2_xi=fixed.sigma2_xi,
+            sigma2_beta=fixed.sigma2_beta,
         )
 
 
 @dataclass(frozen=True)
 class FixedVariances:
-    """Optional per-component variance pins (None means sample normally).
+    """Values for all four variance components, pinned together.
 
-    Used by the verification oracles, which need the conditionally
-    Gaussian sub-model with known variances.
+    A chain given these never samples its variances.  Used by the
+    verification oracles, which need the conditionally Gaussian sub-model
+    with known variances.
     """
 
-    sigma2: Optional[float] = None
-    sigma2_eta: Optional[float] = None
-    sigma2_xi: Optional[float] = None
-    sigma2_beta: Optional[float] = None
+    sigma2: float
+    sigma2_eta: float
+    sigma2_xi: float
+    sigma2_beta: float
 
     def __post_init__(self):
         for name in ("sigma2", "sigma2_eta", "sigma2_xi", "sigma2_beta"):
             value = getattr(self, name)
-            if value is not None and (not np.isfinite(value) or value <= 0.0):
+            if not np.isfinite(value) or value <= 0.0:
                 raise InvalidParameterError(f"fixed {name} must be strictly positive, got {value}")
 
     @staticmethod
@@ -216,7 +217,7 @@ class FixedVariances:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Priors, iteration counts, prediction set and seed for one fit.
+    """Iteration counts, prediction set, variance pins and seed for one fit.
 
     Attributes
     ----------
@@ -226,10 +227,9 @@ class SamplerConfig:
         Discarded sweeps g0; must satisfy 0 <= g0 < G.
     prediction_set : ndarray
         Sorted 0-based indices where predictions are accumulated.
-    ig_shape, ig_rate : float
-        Inverse-gamma prior (shape, rate) shared by all variance
-        components; the full conditionals add n/2 (or p/2) to the shape
-        and the relevant half sum of squares to the rate.
+    fixed_variances : FixedVariances, optional
+        Pins all four variances; by default each is sampled under an
+        IG(1, 1) prior.
     prediction_refresh : str
         Policy for prediction-set components outside the current subset:
         ``"prior"`` redraws them from their prior every iteration;
@@ -242,8 +242,6 @@ class SamplerConfig:
     prediction_set: np.ndarray
     basis: BasisConfig
     seed: int
-    ig_shape: float = 1.0
-    ig_rate: float = 1.0
     fixed_variances: Optional[FixedVariances] = None
     prediction_refresh: str = REFRESH_CARRY
 
@@ -268,10 +266,6 @@ class SamplerConfig:
             )
         if not (0 <= int(self.seed) < 2**64):
             raise InvalidParameterError("seed must be a 64-bit unsigned integer")
-        for name in ("ig_shape", "ig_rate"):
-            value = getattr(self, name)
-            if not (value > 0.0) or not np.isfinite(value):
-                raise InvalidParameterError(f"{name} must be > 0, got {value}")
 
 
 def _pairwise_distance(coords_a: np.ndarray, coords_b: np.ndarray, metric: str) -> np.ndarray:

@@ -226,7 +226,7 @@ class TestRunSweep:
         assert report.budget_met
         assert report.output_for(10).elapsed_wall_seconds == 300.0
 
-    def test_cpu_time_selection_flag(self):
+    def test_cpu_time_selection_flag(self, tmp_path):
         data, config = sweep_inputs()
 
         def clock_factory(n):
@@ -239,6 +239,8 @@ class TestRunSweep:
                            clock_factory=clock_factory)
         assert report.selected_n == 10
         assert report.used_cpu_time
+        write_summary_json(report, tmp_path / "summary.json")
+        assert json.loads((tmp_path / "summary.json").read_text())["used_cpu_time"] is True
 
 
 class TestReportSerialization:
@@ -271,3 +273,4 @@ class TestReportSerialization:
         assert summary["selected_n"] == 10
         assert summary["budget_met"] is True
         assert summary["grid"] == "5,10,15"
+        assert summary["used_cpu_time"] is False

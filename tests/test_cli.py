@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from subsetgibbs import __version__
 from subsetgibbs.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -55,6 +56,7 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["master_seed"] == 7
         assert "--N" in manifest["argv"]
+        assert manifest["version"] == f"subsetgibbs-{__version__}"
 
 
 class TestReadDataCsv:
@@ -208,6 +210,26 @@ class TestScore:
         assert code == EXIT_USAGE
         assert str(paths[duplicated]) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("broken", ["predictions", "truth", "holdout"])
+    def test_non_finite_scored_value_is_usage_error(self, tmp_path, capsys, broken):
+        # var_hat may be NaN (one kept sweep), so a NaN there must pass and the
+        # error must name the file whose scored column is broken
+        files = {"predictions": "index,mu_hat,var_hat\n1,0.5,nan\n2,0.1,nan\n",
+                 "truth": "index,mu\n1,0.5\n2,0.1\n",
+                 "holdout": "index,y\n1,0.5\n2,0.1\n"}
+        files[broken] = files[broken].replace("2,0.1", "2,nan" if broken != "truth" else "2,inf")
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text(text)
+        reference = "holdout" if broken == "holdout" else "truth"
+        code = run(["score", "--predictions", str(paths["predictions"]),
+                    f"--{reference}", str(paths[reference]),
+                    "--output-dir", str(tmp_path / "s")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(paths[broken]) in err and "index 2" in err
+
     def test_requires_exactly_one_reference(self, tmp_path):
         pred = tmp_path / "p.csv"
         pred.write_text("index,mu_hat,var_hat\n1,0.5,0.0\n")
@@ -247,6 +269,16 @@ class TestCalibrate:
                     "--n-grid", "5:1:2", "--budget-seconds", "10",
                     "--pred-count", "10", "--output-dir", str(tmp_path / "c")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("grid", ["a,b", "10,x", "1:x:1", "1:5:1.5"])
+    def test_non_integer_grid_is_usage_error(self, tmp_path, capsys, grid):
+        sim = simulate(tmp_path, N=100, pred_count=10)
+        code = run(["calibrate", "--data", str(sim / "data.csv"),
+                    "--n-grid", grid, "--budget-seconds", "10",
+                    "--pred-count", "10", "--output-dir", str(tmp_path / "c")])
+        assert code == EXIT_USAGE
+        assert "is not an integer" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_unknown_flag_is_usage_error(self):
         assert run(["calibrate", "--bogus"]) == EXIT_USAGE

@@ -21,6 +21,7 @@ from subsetgibbs import (
     run_chain,
 )
 from subsetgibbs.gibbs import (
+    _cholesky_with_jitter,
     _sample_mvn_precision,
     draw_inactive_prediction_components,
     update_beta,
@@ -320,15 +321,6 @@ class TestUpdateVariances:
         assert draws.mean() == pytest.approx(
             expected_mean, abs=3.0 * np.sqrt(expected_var / count))
 
-    def test_prior_shape_rate_offsets(self):
-        # a generalized IG(a, b) prior shifts every conditional by (a, b)
-        state = fixed_state(2)
-        rng_a, rng_b = make_rng(6), make_rng(6)
-        drawn = update_variances(state, np.zeros(2), np.zeros(2), np.zeros(2),
-                                 np.zeros(2), rng_a, ig_shape=2.5, ig_rate=0.5)
-        direct = tuple(1.0 / rng_b.gamma(2.5 + 1.0, 1.0 / 0.5) for _ in range(4))
-        assert drawn == direct
-
     def test_fixed_components_pass_through_without_randomness(self):
         state = fixed_state(2)
         fixed = FixedVariances.all_of(0.3, 0.4, 0.5, 0.6)
@@ -338,12 +330,6 @@ class TestUpdateVariances:
                                rng, fixed=fixed)
         assert out == (0.3, 0.4, 0.5, 0.6)
         assert rng.bit_generator.state["state"]["state"] == before
-
-    def test_missing_residual_without_fixed_sigma2_raises(self):
-        state = fixed_state(2)
-        with pytest.raises(Exception):
-            update_variances(state, None, np.zeros(2), np.zeros(2), np.zeros(2),
-                             make_rng(0))
 
     def test_beta_prior_recovery(self):
         # beta = 0 with p=2 gives sigma2_beta ~ IG(2, 1)
@@ -426,15 +412,15 @@ class TestSampleMvnPrecision:
     def test_indefinite_matrix_raises_with_context(self):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NumericalError) as err:
-            _sample_mvn_precision(indefinite, np.zeros(2), make_rng(0), n=7, iteration=3)
+            _cholesky_with_jitter(indefinite, n=7, iteration=3)
         assert "n=7" in str(err.value) and "iteration=3" in str(err.value)
 
     def test_singular_matrix_recovers_with_jitter(self):
         singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-        draw, mean, jitter = _sample_mvn_precision(singular, np.ones(2), make_rng(0),
-                                                   n=2, iteration=1)
+        chol, jitter = _cholesky_with_jitter(singular, n=2, iteration=1)
+        draw = _sample_mvn_precision(chol, np.ones(2), make_rng(0))
         assert jitter >= 1
-        assert np.all(np.isfinite(draw)) and np.all(np.isfinite(mean))
+        assert np.all(np.isfinite(chol)) and np.all(np.isfinite(draw))
 
 
 def small_dataset(N=12, seed=0):

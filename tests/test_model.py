@@ -85,7 +85,7 @@ class TestSamplerConfig:
 class TestFixedVariances:
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidParameterError):
-            FixedVariances(sigma2=0.0)
+            FixedVariances(0.0, 1.0, 1.0, 1.0)
 
 
 def subset_kernel(data, basis, active):
