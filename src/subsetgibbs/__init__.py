@@ -19,7 +19,6 @@ from .calibrate import (
 )
 from .distributions import (
     MlbParams,
-    draw_srswor,
     make_rng,
     mlb_log_density,
     spawn_seed,
@@ -32,7 +31,6 @@ from .model import (
     DatasetView,
     FixedVariances,
     SamplerConfig,
-    SubsetMask,
     kernel_matrix,
 )
 from .simdata import (
@@ -61,9 +59,7 @@ __all__ = [
     "NumericalError",
     "SamplerConfig",
     "SplitDataset",
-    "SubsetMask",
     "SweepPlan",
-    "draw_srswor",
     "equally_spaced_indices",
     "generate_ar1",
     "kernel_matrix",

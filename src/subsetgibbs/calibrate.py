@@ -226,6 +226,13 @@ def _format_float(value: float) -> str:
     return repr(float(value))
 
 
+def _write_rows(path, header: List[str], rows) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_report_csv(report: CalibrationReport, path) -> None:
     """One row per completed grid point: n, wall s, CPU s, diff to next.
 
@@ -233,18 +240,15 @@ def write_report_csv(report: CalibrationReport, path) -> None:
     failed).
     """
     diff_by_n = dict(report.pairwise_diffs)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["n", "wall_seconds", "cpu_seconds", "diff_to_next"])
-        for n, out in report.per_n:
-            diff = diff_by_n.get(n)
-            diff_text = "" if diff is None or np.isnan(diff) else _format_float(diff)
-            writer.writerow([
-                n,
-                _format_float(out.elapsed_wall_seconds),
-                _format_float(out.elapsed_cpu_seconds),
-                diff_text,
-            ])
+
+    def diff_text(n: int) -> str:
+        diff = diff_by_n.get(n)
+        return "" if diff is None or np.isnan(diff) else _format_float(diff)
+
+    _write_rows(path, ["n", "wall_seconds", "cpu_seconds", "diff_to_next"],
+                ((n, _format_float(out.elapsed_wall_seconds),
+                  _format_float(out.elapsed_cpu_seconds), diff_text(n))
+                 for n, out in report.per_n))
 
 
 def write_summary_json(report: CalibrationReport, path) -> None:

@@ -20,7 +20,6 @@ summary.json / metrics.json / timing.json: flat key-value documents.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import sys
@@ -31,8 +30,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .calibrate import (SweepPlan, _format_float, _write_json, run_sweep, write_report_csv,
-                        write_summary_json)
+from .calibrate import (SweepPlan, _format_float, _write_json, _write_rows, run_sweep,
+                        write_report_csv, write_summary_json)
 from .errors import InvalidParameterError, NumericalError
 from .gibbs import run_chain
 from .model import (
@@ -75,20 +74,21 @@ def replay_manifest(manifest_path, output_dir: Optional[str] = None) -> int:
         manifest = json.load(handle)
     argv = list(manifest["argv"])
     if output_dir is not None:
-        position = argv.index("--output-dir")
-        argv[position + 1] = str(output_dir)
+        argv += ["--output-dir", str(output_dir)]  # argparse keeps the last occurrence
     return main(argv)
 
 
 def read_csv(path, required: Sequence[str]) -> dict:
     """Columns of a headed numeric CSV file, by name, as float vectors.
 
-    Every field must parse as a float and every row must have one field
-    per header name; anything else is an InvalidParameterError naming
-    the file.
+    Every field must parse as a float, every row must have one field per
+    header name and no name may repeat; anything else is an
+    InvalidParameterError naming the file.
     """
     with open(path) as handle:
         header = handle.readline().rstrip("\r\n").split(",")
+        if len(set(header)) != len(header):
+            raise InvalidParameterError(f"{path}: header names a column more than once: {header}")
         if not set(required) <= set(header):
             raise InvalidParameterError(f"{path}: header must contain {required}, got {header}")
         try:
@@ -160,13 +160,6 @@ def _sampler_config(args, N: int) -> SamplerConfig:
         seed=args.seed,
         prediction_refresh=args.prediction_refresh,
     )
-
-
-def _write_rows(path, header: List[str], rows) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _write_predictions(path, out) -> None:

@@ -5,7 +5,8 @@ that a run is a pure function of its 64-bit seed: same seed and same call
 sequence means a bit-identical variate stream.  Streams are
 ``numpy.random.Generator`` instances (PCG64); worker seeds are derived
 from a master seed with ``spawn_seed`` so concurrency cannot perturb
-results.
+results.  A data subset is the sorted ``int64`` array of its indices, as
+``sample_active_indices`` draws it; no other representation exists.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "make_rng",
     "spawn_seed",
     "sample_active_indices",
-    "draw_srswor",
     "MlbParams",
     "mlb_log_density",
 ]
@@ -52,35 +52,13 @@ def sample_active_indices(n: int, N: int, rng: np.random.Generator) -> np.ndarra
 
     ``Generator.choice`` without replacement and without shuffling: NumPy
     draws with Floyd's algorithm over a hash set unless n exceeds N/50 of
-    a population above 10,000, so the cost follows n, not N.  This is the core of
-    :func:`draw_srswor`; the sampler uses it directly in hot loops where
-    constructing the full bit vector would dominate.
+    a population above 10,000, so the cost follows n, not N.
     """
     n = int(n)
     N = int(N)
     if not (1 <= n <= N):
         raise InvalidParameterError(f"subset size must satisfy 1 <= n <= N, got n={n}, N={N}")
     return np.sort(rng.choice(N, n, replace=False, shuffle=False))
-
-
-def draw_srswor(n: int, N: int, rng: np.random.Generator):
-    """Simple random sample without replacement: n active out of N.
-
-    Every size-n subset is equally likely, hence each index has inclusion
-    probability n/N.
-
-    Returns
-    -------
-    SubsetMask
-        Mask with ``delta`` of length N and ``active`` the n sampled
-        indices in increasing order.
-    """
-    from .model import SubsetMask
-
-    active = sample_active_indices(n, N, rng)
-    delta = np.zeros(int(N), dtype=bool)
-    delta[active] = True
-    return SubsetMask(delta=delta, active=active)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,6 @@ from .model import (
     DatasetView,
     FixedVariances,
     SamplerConfig,
-    SubsetMask,
     banded_kernel,
     kernel_matrix,
 )
@@ -268,7 +267,7 @@ def update_beta(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray,
     return _sample_mvn_precision(chol, linear, rng)
 
 
-def update_variances(state: ChainState, residual: Optional[np.ndarray], eta_delta: np.ndarray,
+def update_variances(residual: Optional[np.ndarray], eta_delta: np.ndarray,
                      xi_delta: np.ndarray, beta: np.ndarray, rng: np.random.Generator,
                      *, fixed: Optional[FixedVariances] = None):
     """Draw the four variance components from their inverse-gamma conditionals.
@@ -296,13 +295,14 @@ def update_variances(state: ChainState, residual: Optional[np.ndarray], eta_delt
 
 
 def draw_inactive_prediction_components(state: ChainState, prediction_set: np.ndarray,
-                                        subset, rng: np.random.Generator,
+                                        active: np.ndarray, rng: np.random.Generator,
                                         *, sigma2_eta: Optional[float] = None,
                                         sigma2_xi: Optional[float] = None):
     """Prior draws of (eta_i, xi_i) for prediction indices outside the subset.
 
-    ``subset`` is the sorted array of active indices or a ``SubsetMask``;
-    the lookup costs O(m log n) for m prediction indices, whatever N is.
+    ``active`` is the subset as the sorted array of its indices, as
+    ``sample_active_indices`` returns it; the lookup costs O(m log n) for m
+    prediction indices, whatever N is.
     Both vectors are independent normals with mean zero, eta drawn first;
     the variances default to the ones in ``state`` but the chain passes the
     previous sweep's values explicitly, honoring the update-order lag.
@@ -314,7 +314,6 @@ def draw_inactive_prediction_components(state: ChainState, prediction_set: np.nd
     s_xi = state.sigma2_xi if sigma2_xi is None else sigma2_xi
     if s_eta <= 0.0 or s_xi <= 0.0:
         raise InvalidParameterError("variances must be strictly positive")
-    active = subset.active if isinstance(subset, SubsetMask) else subset
     position = np.minimum(np.searchsorted(active, prediction_set), active.size - 1)
     outside = prediction_set[active[position] != prediction_set]
     if outside.size == 0:
@@ -445,7 +444,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
         residual = y_delta - x_delta @ beta - psi_eta - xi_delta if fixed is None else None
         (state.sigma2, state.sigma2_eta,
          state.sigma2_xi, state.sigma2_beta) = update_variances(
-            state, residual, eta_delta, xi_delta, beta, rng, fixed=fixed)
+            residual, eta_delta, xi_delta, beta, rng, fixed=fixed)
 
         if refresh_prior:
             outside, eta_outside, xi_outside = draw_inactive_prediction_components(

@@ -25,7 +25,6 @@ from .errors import InvalidParameterError, NumericalError
 __all__ = [
     "DatasetView",
     "BasisConfig",
-    "SubsetMask",
     "ChainState",
     "FixedVariances",
     "SamplerConfig",
@@ -116,43 +115,6 @@ class BasisConfig:
             raise InvalidParameterError(
                 f"metric must be '{METRIC_ABS}' or '{METRIC_GREAT_CIRCLE}', got {self.metric!r}"
             )
-
-
-@dataclass(frozen=True)
-class SubsetMask:
-    """Inclusion indicators with the active index list kept alongside.
-
-    ``active`` is redundant with ``delta``; both representations are
-    maintained and checked against each other.  The chain itself works
-    from the sorted active indices alone.
-    """
-
-    delta: np.ndarray
-    active: np.ndarray
-
-    def __post_init__(self):
-        delta = np.asarray(self.delta, dtype=bool)
-        active = np.asarray(self.active, dtype=np.int64)
-        if delta.ndim != 1:
-            raise InvalidParameterError("delta must be a 1-d bit vector")
-        if active.ndim != 1 or active.size < 1:
-            raise InvalidParameterError("active must be a nonempty 1-d index list")
-        if np.any(np.diff(active) <= 0):
-            raise InvalidParameterError("active indices must be strictly increasing")
-        if active[0] < 0 or active[-1] >= delta.shape[0]:
-            raise InvalidParameterError("active indices out of range")
-        if int(delta.sum()) != active.size or not np.all(delta[active]):
-            raise InvalidParameterError("delta and active disagree")
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "active", active)
-
-    @property
-    def n_active(self) -> int:
-        return self.active.size
-
-    @property
-    def size(self) -> int:
-        return self.delta.shape[0]
 
 
 @dataclass

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import InvalidParameterError
-from .model import BasisConfig, DatasetView, SubsetMask, kernel_matrix
+from .model import BasisConfig, DatasetView, kernel_matrix
 
 __all__ = [
     "TinyModelSpec",
@@ -46,6 +46,8 @@ __all__ = [
 # tensor-grid quadrature is kept to (1 + n) dimensions; subsets larger
 # than this fall back to the closed form on both sides of a check
 MAX_QUADRATURE_SUBSET = 2
+# Gauss-Hermite nodes per dimension of that grid
+QUADRATURE_NODES = 48
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ class TinyModelSpec:
     n: int
     fixed_variances: Tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     rho: float = 0.3
-    quadrature_nodes: int = 48
 
     def __post_init__(self):
         if not (1 <= self.N <= 4):
@@ -72,8 +73,6 @@ class TinyModelSpec:
             raise InvalidParameterError("subset enumeration capped at 6 masks")
         if any(v <= 0 for v in self.fixed_variances):
             raise InvalidParameterError("fixed variances must be strictly positive")
-        if self.quadrature_nodes < 8:
-            raise InvalidParameterError("need at least 8 quadrature nodes per dimension")
 
     @property
     def sigma2(self) -> float:
@@ -128,25 +127,24 @@ class CheckReport:
         )
 
 
-def enumerate_masks(N: int, n: int) -> List[SubsetMask]:
-    """Every size-n mask over N indices, in lexicographic order."""
-    masks = []
-    for combo in itertools.combinations(range(N), n):
-        delta = np.zeros(N, dtype=bool)
-        delta[list(combo)] = True
-        masks.append(SubsetMask(delta=delta, active=np.array(combo, dtype=np.int64)))
-    return masks
+def enumerate_masks(N: int, n: int) -> List[np.ndarray]:
+    """Every size-n subset of range(N), in lexicographic order.
+
+    Each subset is the sorted ``int64`` array of its indices, the form the
+    sampler draws; the oracles below take a subset in that form.
+    """
+    return [np.array(c, dtype=np.int64) for c in itertools.combinations(range(N), n)]
 
 
-def _subset_theta_free_cov(spec: TinyModelSpec, mask: SubsetMask) -> np.ndarray:
+def _subset_theta_free_cov(spec: TinyModelSpec, mask: np.ndarray) -> np.ndarray:
     # covariance of y_active given beta only: eta, xi and the observation
     # noise are all Gaussian and integrate out in closed form
-    psi = spec.full_kernel()[np.ix_(mask.active, mask.active)]
-    n = mask.n_active
+    psi = spec.full_kernel()[np.ix_(mask, mask)]
+    n = mask.size
     return spec.sigma2_eta * (psi @ psi.T) + (spec.sigma2 + spec.sigma2_xi) * np.eye(n)
 
 
-def marginal_m(spec: TinyModelSpec, mask: SubsetMask, y: np.ndarray) -> float:
+def marginal_m(spec: TinyModelSpec, mask: np.ndarray, y: np.ndarray) -> float:
     """Closed-form marginal density of the selected sub-vector.
 
     Every layer is Gaussian with zero mean, so the selected observations
@@ -159,11 +157,11 @@ def marginal_m(spec: TinyModelSpec, mask: SubsetMask, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float)
     if y.shape != (spec.N,):
         raise InvalidParameterError(f"y must have shape ({spec.N},), got {y.shape}")
-    if mask.size != spec.N or mask.n_active < 1:
+    if mask.size < 1 or mask.min() < 0 or mask.max() >= spec.N:
         raise InvalidParameterError("mask must select at least one of the N indices")
-    x = np.ones((mask.n_active, 1))
+    x = np.ones((mask.size, 1))
     cov = spec.sigma2_beta * (x @ x.T) + _subset_theta_free_cov(spec, mask)
-    value = float(stats.multivariate_normal(mean=np.zeros(mask.n_active), cov=cov).pdf(y[mask.active]))
+    value = float(stats.multivariate_normal(mean=np.zeros(mask.size), cov=cov).pdf(y[mask]))
     if not np.isfinite(value) or value <= 0.0:
         raise InvalidParameterError("marginal density is not finite and positive")
     return value
@@ -181,8 +179,8 @@ def _gauss_hermite_grid(nodes: int, dims: int):
     return np.sqrt(2.0) * points, weights / np.pi ** (dims / 2.0)
 
 
-def marginal_m_quadrature(spec: TinyModelSpec, mask: SubsetMask, y: np.ndarray,
-                          nodes: Optional[int] = None) -> float:
+def marginal_m_quadrature(spec: TinyModelSpec, mask: np.ndarray, y: np.ndarray,
+                          nodes: int = QUADRATURE_NODES) -> float:
     """Quadrature route to the same marginal: integrate out (beta, eta).
 
     The fine-scale effect and observation noise are absorbed analytically
@@ -192,14 +190,13 @@ def marginal_m_quadrature(spec: TinyModelSpec, mask: SubsetMask, y: np.ndarray,
     which is the whole point: it must agree with :func:`marginal_m`.
     """
     y = np.asarray(y, dtype=float)
-    n = mask.n_active
+    n = mask.size
     if n > MAX_QUADRATURE_SUBSET:
         raise InvalidParameterError(
             f"quadrature limited to subsets of size <= {MAX_QUADRATURE_SUBSET}, got {n}"
         )
-    nodes = nodes or spec.quadrature_nodes
-    psi = spec.full_kernel()[np.ix_(mask.active, mask.active)]
-    y_active = y[mask.active]
+    psi = spec.full_kernel()[np.ix_(mask, mask)]
+    y_active = y[mask]
     noise_var = spec.sigma2 + spec.sigma2_xi
 
     points, weights = _gauss_hermite_grid(nodes, 1 + n)
@@ -220,13 +217,11 @@ def _mixture_terms(spec: TinyModelSpec, y: np.ndarray) -> Tuple[float, List[floa
     """
     masks = enumerate_masks(spec.N, spec.n)
     prob = 1.0 / len(masks)
-    full_mask = SubsetMask(delta=np.ones(spec.N, dtype=bool),
-                           active=np.arange(spec.N, dtype=np.int64))
-    m_full = marginal_m(spec, full_mask, y)
+    m_full = marginal_m(spec, np.arange(spec.N), y)
     terms = []
     for mask in masks:
         m_closed = marginal_m(spec, mask, y)
-        if mask.n_active <= MAX_QUADRATURE_SUBSET:
+        if mask.size <= MAX_QUADRATURE_SUBSET:
             m_numeric = marginal_m_quadrature(spec, mask, y)
         else:
             m_numeric = m_closed
@@ -283,7 +278,7 @@ def check_subset_independence(spec: TinyModelSpec,
     )
 
 
-def _conditional_log_posterior_grid(spec: TinyModelSpec, mask: SubsetMask,
+def _conditional_log_posterior_grid(spec: TinyModelSpec, mask: np.ndarray,
                                     y: np.ndarray, grid_points: np.ndarray) -> np.ndarray:
     """Normalized log conditional of (beta, eta_active) on a fixed grid.
 
@@ -291,9 +286,9 @@ def _conditional_log_posterior_grid(spec: TinyModelSpec, mask: SubsetMask,
     depends on the full data vector but not on the parameters; the check
     verifies it cancels under normalization.
     """
-    psi = spec.full_kernel()[np.ix_(mask.active, mask.active)]
+    psi = spec.full_kernel()[np.ix_(mask, mask)]
     noise_var = spec.sigma2 + spec.sigma2_xi
-    y_active = y[mask.active]
+    y_active = y[mask]
     beta = grid_points[:, 0]
     eta = grid_points[:, 1:]
     means = beta[:, None] + eta @ psi.T
@@ -302,9 +297,7 @@ def _conditional_log_posterior_grid(spec: TinyModelSpec, mask: SubsetMask,
         - 0.5 * beta**2 / spec.sigma2_beta
         - 0.5 * np.sum(eta**2, axis=1) / spec.sigma2_eta
     )
-    full_mask = SubsetMask(delta=np.ones(spec.N, dtype=bool),
-                           active=np.arange(spec.N, dtype=np.int64))
-    log_unnorm += np.log(marginal_m(spec, full_mask, y)) - np.log(marginal_m(spec, mask, y))
+    log_unnorm += np.log(marginal_m(spec, np.arange(spec.N), y)) - np.log(marginal_m(spec, mask, y))
     log_norm = np.log(np.sum(np.exp(log_unnorm - log_unnorm.max()))) + log_unnorm.max()
     return log_unnorm - log_norm
 
@@ -325,10 +318,10 @@ def check_posterior_equivalence(spec: TinyModelSpec, y: np.ndarray,
     worst = 0.0
     cases = 0
     for mask in enumerate_masks(spec.N, spec.n):
-        outside = np.flatnonzero(~mask.delta)
+        outside = np.setdiff1d(np.arange(spec.N), mask, assume_unique=True)
         if outside.size == 0:
             continue
-        dims = 1 + mask.n_active
+        dims = 1 + mask.size
         grid = np.array(list(itertools.product(axis, repeat=dims)))
         reference = _conditional_log_posterior_grid(spec, mask, y, grid)
         for _ in range(perturbations):
@@ -345,7 +338,7 @@ def check_posterior_equivalence(spec: TinyModelSpec, y: np.ndarray,
     )
 
 
-def beta_posterior_given_mask(spec: TinyModelSpec, mask: SubsetMask,
+def beta_posterior_given_mask(spec: TinyModelSpec, mask: np.ndarray,
                               y: np.ndarray) -> Tuple[float, float]:
     """Exact (mean, variance) of the coefficient given one subset.
 
@@ -354,8 +347,8 @@ def beta_posterior_given_mask(spec: TinyModelSpec, mask: SubsetMask,
     """
     y = np.asarray(y, dtype=float)
     cov = _subset_theta_free_cov(spec, mask)
-    x = np.ones(mask.n_active)
-    solve = np.linalg.solve(cov, np.column_stack([x, y[mask.active]]))
+    x = np.ones(mask.size)
+    solve = np.linalg.solve(cov, np.column_stack([x, y[mask]]))
     precision = float(x @ solve[:, 0]) + 1.0 / spec.sigma2_beta
     mean = float(x @ solve[:, 1]) / precision
     return mean, 1.0 / precision

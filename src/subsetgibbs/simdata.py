@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .distributions import draw_srswor, make_rng
+from .distributions import make_rng, sample_active_indices
 from .errors import InvalidParameterError
 from .model import DatasetView
 
@@ -153,9 +153,8 @@ def split_holdout(data: DatasetView, holdout_fraction: float,
         )
     if k >= N:
         raise InvalidParameterError("holdout would consume the whole dataset")
-    mask = draw_srswor(k, N, rng)
-    holdout_idx = mask.active
-    train_idx = np.flatnonzero(~mask.delta)
+    holdout_idx = sample_active_indices(k, N, rng)
+    train_idx = np.setdiff1d(np.arange(N), holdout_idx, assume_unique=True)
     train = DatasetView(
         y=data.y[train_idx],
         x=data.x[train_idx],

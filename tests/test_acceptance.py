@@ -33,7 +33,6 @@ from subsetgibbs.gibbs import (
     update_variances,
     update_xi_active,
 )
-from subsetgibbs.model import SubsetMask
 from subsetgibbs.oracle import (
     TinyModelSpec,
     beta_mixture_cdf,
@@ -147,9 +146,8 @@ def test_criterion_2_conjugate_full_conditionals():
     eta_v = rng_fix.normal(size=10)
     xi_v = rng_fix.normal(size=10)
     beta_v = rng_fix.normal(size=3)
-    state_v = sg.ChainState.initial(10, 3)
     draws = np.array([
-        update_variances(state_v, residual_v, eta_v, xi_v, beta_v, rng)
+        update_variances(residual_v, eta_v, xi_v, beta_v, rng)
         for _ in range(DRAWS)
     ])
     shapes = np.array([6.0, 6.0, 6.0, 1.0 + 1.5])
@@ -161,11 +159,11 @@ def test_criterion_2_conjugate_full_conditionals():
 
     rng = sg.make_rng(105)
     state_p = sg.ChainState.initial(40, 1)
-    mask = SubsetMask(delta=np.eye(40, dtype=bool)[0], active=np.array([0]))
+    active = np.array([0])
     pred = np.arange(1, 21)
     collected = np.array([
         np.concatenate(draw_inactive_prediction_components(
-            state_p, pred, mask, rng, sigma2_eta=1.6, sigma2_xi=0.9)[1:])
+            state_p, pred, active, rng, sigma2_eta=1.6, sigma2_xi=0.9)[1:])
         for _ in range(DRAWS)
     ])
     _assert_moments("inactive prediction components", collected,

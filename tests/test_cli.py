@@ -91,6 +91,14 @@ class TestFit:
         assert code == EXIT_USAGE
         assert str(data) in capsys.readouterr().err
 
+    def test_repeated_header_name_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("index,y,x1,x1\n1,0.5,1.0,2.0\n2,0.25,1.0,3.0\n")
+        code = run(["fit", "--data", str(data), "--n", "2", "--pred-count", "2",
+                    "--output-dir", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert str(data) in capsys.readouterr().err
+
     def test_outputs_and_determinism(self, tmp_path):
         sim = simulate(tmp_path)
         fits = []
@@ -135,12 +143,14 @@ class TestFit:
                     "--pred-count", "5", "--output-dir", str(tmp_path / "bad")])
         assert code == EXIT_USAGE
 
-    def test_replay_manifest_reproduces_outputs(self, tmp_path):
+    @pytest.mark.parametrize("equals_form", [False, True], ids=["space", "equals"])
+    def test_replay_manifest_reproduces_outputs(self, tmp_path, equals_form):
         sim = simulate(tmp_path)
         out = tmp_path / "orig"
+        output_flag = [f"--output-dir={out}"] if equals_form else ["--output-dir", str(out)]
         assert run(["fit", "--data", str(sim / "data.csv"), "--n", "8",
                     "--iterations", "120", "--burn-in", "20", "--pred-count", "20",
-                    "--seed", "5", "--output-dir", str(out)]) == EXIT_OK
+                    "--seed", "5", *output_flag]) == EXIT_OK
         replayed = tmp_path / "replayed"
         assert replay_manifest(out / "manifest.json", output_dir=replayed) == EXIT_OK
         assert (out / "predictions.csv").read_bytes() == (replayed / "predictions.csv").read_bytes()

@@ -9,32 +9,32 @@ from scipy.integrate import quad
 from subsetgibbs import (
     InvalidParameterError,
     MlbParams,
-    draw_srswor,
     make_rng,
     mlb_log_density,
     spawn_seed,
 )
+from subsetgibbs.distributions import sample_active_indices
 
 
-class TestDrawSrswor:
-    def test_full_subset_is_all_ones(self):
-        mask = draw_srswor(5, 5, make_rng(0))
-        assert mask.delta.all()
-        np.testing.assert_array_equal(mask.active, np.arange(5))
+class TestSampleActiveIndices:
+    def test_full_subset_is_every_index(self):
+        active = sample_active_indices(5, 5, make_rng(0))
+        assert active.dtype == np.int64
+        np.testing.assert_array_equal(active, np.arange(5))
 
     def test_rejects_out_of_range_sizes(self):
         rng = make_rng(0)
         with pytest.raises(InvalidParameterError):
-            draw_srswor(0, 5, rng)
+            sample_active_indices(0, 5, rng)
         with pytest.raises(InvalidParameterError):
-            draw_srswor(6, 5, rng)
+            sample_active_indices(6, 5, rng)
 
     def test_single_draw_inclusion_frequency(self):
         rng = make_rng(2024)
         counts = np.zeros(3)
         reps = 300_000
         for _ in range(reps):
-            counts[draw_srswor(1, 3, rng).active[0]] += 1
+            counts[sample_active_indices(1, 3, rng)[0]] += 1
         np.testing.assert_allclose(counts / reps, 1.0 / 3.0, atol=0.005)
 
     def test_inclusion_probability_matches_n_over_N(self):
@@ -42,20 +42,20 @@ class TestDrawSrswor:
         reps = 20_000
         hits = np.zeros(20)
         for _ in range(reps):
-            hits[draw_srswor(5, 20, rng).active] += 1
+            hits[sample_active_indices(5, 20, rng)] += 1
         np.testing.assert_allclose(hits / reps, 0.25, atol=0.01)
 
     @given(st.integers(min_value=1, max_value=30), st.data())
     @settings(max_examples=50, deadline=None)
-    def test_mask_invariants(self, N, data):
+    def test_subset_invariants(self, N, data):
         n = data.draw(st.integers(min_value=1, max_value=N))
         seed = data.draw(st.integers(min_value=0, max_value=2**32))
-        mask = draw_srswor(n, N, make_rng(seed))
-        assert int(mask.delta.sum()) == n
-        assert mask.active.size == n
-        assert np.all(np.diff(mask.active) > 0)
-        repeat = draw_srswor(n, N, make_rng(seed))
-        np.testing.assert_array_equal(mask.active, repeat.active)
+        active = sample_active_indices(n, N, make_rng(seed))
+        assert active.size == n
+        assert np.all(np.diff(active) > 0)
+        assert 0 <= active[0] and active[-1] < N
+        repeat = sample_active_indices(n, N, make_rng(seed))
+        np.testing.assert_array_equal(active, repeat)
 
 
 class TestSpawnSeed:

@@ -29,7 +29,7 @@ from subsetgibbs.gibbs import (
     update_variances,
     update_xi_active,
 )
-from subsetgibbs.model import _BANDED_MIN_RHO_GAP, BandedKernel, SubsetMask, banded_kernel
+from subsetgibbs.model import _BANDED_MIN_RHO_GAP, BandedKernel, banded_kernel
 
 
 def fixed_state(N, p=1, sigma2=1.0, sigma2_eta=1.0, sigma2_xi=1.0, sigma2_beta=1.0,
@@ -297,16 +297,13 @@ class TestUpdateVariances:
     def test_zero_sums_force_unit_rate_draws(self):
         # SSR=0 with n=2 gives IG(2, 1) for sigma2; the draw stream must
         # match the reciprocal-gamma construction exactly
-        state = fixed_state(2)
         rng_a, rng_b = make_rng(5), make_rng(5)
-        drawn = update_variances(state, np.zeros(2), np.zeros(2), np.zeros(2),
-                                 np.zeros(2), rng_a)
+        drawn = update_variances(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), rng_a)
         direct = tuple(1.0 / rng_b.gamma(shape, 1.0) for shape in (2.0, 2.0, 2.0, 2.0))
         assert drawn == direct
 
     def test_moment_oracle_with_finite_variance(self):
         # n=6 makes the conditional IG(4, 1 + SSR/2): mean and variance finite
-        state = fixed_state(6)
         residual = np.array([1.0, -1.0, 0.5, -0.5, 0.3, -0.3])
         ssr = float(residual @ residual)
         shape, rate = 4.0, 1.0 + ssr / 2.0
@@ -314,29 +311,24 @@ class TestUpdateVariances:
         expected_var = rate**2 / ((shape - 1.0) ** 2 * (shape - 2.0))
         count = 200_000
         draws = np.array([
-            update_variances(state, residual, np.zeros(6), np.zeros(6), np.zeros(6),
-                             rng)[0]
+            update_variances(residual, np.zeros(6), np.zeros(6), np.zeros(6), rng)[0]
             for rng in [make_rng(77)] for _ in range(count)
         ])
         assert draws.mean() == pytest.approx(
             expected_mean, abs=3.0 * np.sqrt(expected_var / count))
 
     def test_fixed_components_pass_through_without_randomness(self):
-        state = fixed_state(2)
         fixed = FixedVariances.all_of(0.3, 0.4, 0.5, 0.6)
         rng = make_rng(9)
         before = rng.bit_generator.state["state"]["state"]
-        out = update_variances(state, None, np.zeros(2), np.zeros(2), np.zeros(2),
-                               rng, fixed=fixed)
+        out = update_variances(None, np.zeros(2), np.zeros(2), np.zeros(2), rng, fixed=fixed)
         assert out == (0.3, 0.4, 0.5, 0.6)
         assert rng.bit_generator.state["state"]["state"] == before
 
     def test_beta_prior_recovery(self):
         # beta = 0 with p=2 gives sigma2_beta ~ IG(2, 1)
-        state = fixed_state(2, p=2)
         rng_a, rng_b = make_rng(123), make_rng(123)
-        drawn = update_variances(state, np.zeros(3), np.zeros(3), np.zeros(3),
-                                 np.zeros(2), rng_a)
+        drawn = update_variances(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(2), rng_a)
         for _ in range(3):
             rng_b.gamma(1.0 + 1.5, 1.0)
         assert drawn[3] == 1.0 / rng_b.gamma(2.0, 1.0)
@@ -345,22 +337,20 @@ class TestUpdateVariances:
 class TestDrawInactivePredictionComponents:
     def test_empty_intersection_leaves_stream_untouched(self):
         state = fixed_state(6)
-        mask = SubsetMask(delta=np.array([True, True, True, False, False, False]),
-                          active=np.array([0, 1, 2]))
         rng = make_rng(4)
         outside, eta, xi = draw_inactive_prediction_components(
-            state, np.array([0, 1]), mask, rng)
+            state, np.array([0, 1]), np.array([0, 1, 2]), rng)
         assert outside.size == 0 and eta.size == 0 and xi.size == 0
         assert make_rng(4).standard_normal() == rng.standard_normal()
 
     def test_prior_moments(self):
         state = fixed_state(300, sigma2_eta=1.0, sigma2_xi=4.0)
-        mask = SubsetMask(delta=np.eye(300, dtype=bool)[0], active=np.array([0]))
+        active = np.array([0])
         pred = np.arange(1, 201)
         rng = make_rng(10)
         eta_all, xi_all = [], []
         for _ in range(5000):
-            _, eta, xi = draw_inactive_prediction_components(state, pred, mask, rng)
+            _, eta, xi = draw_inactive_prediction_components(state, pred, active, rng)
             eta_all.append(eta)
             xi_all.append(xi)
         eta_all = np.concatenate(eta_all)
@@ -372,12 +362,11 @@ class TestDrawInactivePredictionComponents:
 
     def test_draws_independent_across_indices(self):
         state = fixed_state(4)
-        mask = SubsetMask(delta=np.array([True, False, False, False]),
-                          active=np.array([0]))
+        active = np.array([0])
         pred = np.array([1, 2])
         rng = make_rng(21)
         draws = np.array([
-            draw_inactive_prediction_components(state, pred, mask, rng)[1]
+            draw_inactive_prediction_components(state, pred, active, rng)[1]
             for _ in range(100_000)
         ])
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
@@ -385,27 +374,18 @@ class TestDrawInactivePredictionComponents:
 
     def test_lagged_variance_override(self):
         state = fixed_state(3, sigma2_eta=1.0, sigma2_xi=1.0)
-        mask = SubsetMask(delta=np.array([True, False, False]), active=np.array([0]))
         rng_a, rng_b = make_rng(3), make_rng(3)
         _, eta_a, _ = draw_inactive_prediction_components(
-            state, np.array([1]), mask, rng_a, sigma2_eta=9.0, sigma2_xi=9.0)
+            state, np.array([1]), np.array([0]), rng_a, sigma2_eta=9.0, sigma2_xi=9.0)
         z = rng_b.standard_normal(1)
         np.testing.assert_allclose(eta_a, 3.0 * z)
 
-    def test_sorted_indices_match_mask(self):
-        # the chain passes the sorted active indices; prediction indices
-        # before, between and after them must be classified as with a mask
+    def test_outside_indices_before_between_and_after_subset(self):
         state = fixed_state(10)
-        active = np.array([2, 5, 6])
-        delta = np.zeros(10, dtype=bool)
-        delta[active] = True
-        mask = SubsetMask(delta=delta, active=active)
-        pred = np.array([0, 2, 3, 6, 9])
-        from_mask = draw_inactive_prediction_components(state, pred, mask, make_rng(8))
-        from_indices = draw_inactive_prediction_components(state, pred, active, make_rng(8))
-        np.testing.assert_array_equal(from_mask[0], [0, 3, 9])
-        for a, b in zip(from_mask, from_indices):
-            np.testing.assert_array_equal(a, b)
+        outside, eta, xi = draw_inactive_prediction_components(
+            state, np.array([0, 2, 3, 6, 9]), np.array([2, 5, 6]), make_rng(8))
+        np.testing.assert_array_equal(outside, [0, 3, 9])
+        assert eta.size == 3 and xi.size == 3
 
 
 class TestSampleMvnPrecision:

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from subsetgibbs import InvalidParameterError
-from subsetgibbs.model import SubsetMask
 from subsetgibbs.oracle import (
     TinyModelSpec,
     beta_mixture_cdf,
@@ -32,7 +31,8 @@ class TestTinyModelSpec:
 class TestEnumerateMasks:
     def test_counts_and_order(self):
         masks = enumerate_masks(3, 2)
-        actives = [m.active.tolist() for m in masks]
+        actives = [m.tolist() for m in masks]
+        assert all(m.dtype == np.int64 for m in masks)
         assert actives == [[0, 1], [0, 2], [1, 2]]
 
 
@@ -46,8 +46,11 @@ class TestMarginal:
             assert value == pytest.approx(stats.norm.pdf(y0, scale=2.0), rel=1e-12)
 
     def test_rejects_empty_mask(self):
+        spec = TinyModelSpec(N=2, n=1)
         with pytest.raises(InvalidParameterError):
-            SubsetMask(delta=np.zeros(2, dtype=bool), active=np.array([], dtype=np.int64))
+            marginal_m(spec, np.array([], dtype=np.int64), np.zeros(2))
+        with pytest.raises(InvalidParameterError):
+            marginal_m(spec, np.array([2]), np.zeros(2))  # outside range(N)
 
     def test_quadrature_matches_closed_form_at_200_nodes(self):
         spec = TinyModelSpec(N=2, n=2)
@@ -135,11 +138,11 @@ class TestBetaMixture:
         mask = enumerate_masks(3, 2)[1]
         mean, var = beta_posterior_given_mask(spec, mask, y)
         # independent route: brute-force the Gaussian algebra with solves
-        psi = spec.full_kernel()[np.ix_(mask.active, mask.active)]
+        psi = spec.full_kernel()[np.ix_(mask, mask)]
         cov = 1.5 * psi @ psi.T + (0.5 + 0.25) * np.eye(2)
         x = np.ones(2)
         precision = x @ np.linalg.solve(cov, x) + 1.0 / 2.0
-        expected_mean = (x @ np.linalg.solve(cov, y[mask.active])) / precision
+        expected_mean = (x @ np.linalg.solve(cov, y[mask])) / precision
         assert mean == pytest.approx(expected_mean, rel=1e-12)
         assert var == pytest.approx(1.0 / precision, rel=1e-12)
 
