@@ -13,7 +13,6 @@ applied to it.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 import json
 import os
 from dataclasses import dataclass, replace
@@ -227,10 +226,12 @@ def _format_float(value: float) -> str:
 
 
 def _write_rows(path, header: List[str], rows) -> None:
+    # what csv.writer writes for fields without commas, quotes or line
+    # breaks (every field here is a number or empty), in one write call
+    lines = [",".join(header)]
+    lines.extend(",".join(map(str, row)) for row in rows)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write("\r\n".join(lines) + "\r\n")
 
 
 def write_report_csv(report: CalibrationReport, path) -> None:
@@ -260,6 +261,7 @@ def write_summary_json(report: CalibrationReport, path) -> None:
         "used_cpu_time": report.used_cpu_time,
         "grid": ",".join(str(n) for n, _ in report.per_n),
         "failed_grid": ",".join(str(n) for n, _ in report.failures),
+        "failures": [{"n": n, "message": message} for n, message in report.failures],
         "selected_wall_seconds": report.output_for(report.selected_n).elapsed_wall_seconds,
         "selected_cpu_seconds": report.output_for(report.selected_n).elapsed_cpu_seconds,
     })

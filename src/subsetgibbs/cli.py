@@ -164,8 +164,9 @@ def _sampler_config(args, N: int) -> SamplerConfig:
 
 def _write_predictions(path, out) -> None:
     _write_rows(path, ["index", "mu_hat", "var_hat"],
-                ((i, _format_float(mu), _format_float(var))
-                 for i, mu, var in zip(out.prediction_indices + 1, out.mu_hat, out.mu_var)))
+                zip((out.prediction_indices + 1).tolist(),
+                    map(_format_float, out.mu_hat.tolist()),
+                    map(_format_float, out.mu_var.tolist())))
 
 
 def cmd_simulate(args) -> int:
@@ -174,11 +175,11 @@ def cmd_simulate(args) -> int:
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     data, truth, _ = generate_ar1(config)
-    index = np.arange(1, config.N + 1)
+    index = range(1, config.N + 1)
     _write_rows(output_dir / "data.csv", ["index", "y"],
-                ((i, _format_float(v)) for i, v in zip(index, data.y)))
+                zip(index, map(_format_float, data.y.tolist())))
     _write_rows(output_dir / "truth.csv", ["index", "mu"],
-                ((i, _format_float(v)) for i, v in zip(index, truth)))
+                zip(index, map(_format_float, truth.tolist())))
     write_manifest(output_dir, "simulate", args.raw_argv, args.seed, str(output_dir / "data.csv"))
     print(f"wrote {output_dir / 'data.csv'} and {output_dir / 'truth.csv'} (N={config.N})")
     return EXIT_OK
@@ -197,7 +198,7 @@ def cmd_fit(args) -> int:
     beta_names = [f"beta_{j + 1}" for j in range(p)]
     header = ["iteration"] + beta_names + ["sigma2", "sigma2_eta", "sigma2_xi", "sigma2_beta"]
     _write_rows(output_dir / "trace.csv", header,
-                ((g + 1, *(_format_float(v) for v in row)) for g, row in enumerate(out.trace)))
+                ((g + 1, *map(_format_float, row)) for g, row in enumerate(out.trace.tolist())))
     _write_json(output_dir / "timing.json", {
         "wall_seconds": out.elapsed_wall_seconds,
         "cpu_seconds": out.elapsed_cpu_seconds,

@@ -58,7 +58,9 @@ def sample_active_indices(n: int, N: int, rng: np.random.Generator) -> np.ndarra
     N = int(N)
     if not (1 <= n <= N):
         raise InvalidParameterError(f"subset size must satisfy 1 <= n <= N, got n={n}, N={N}")
-    return np.sort(rng.choice(N, n, replace=False, shuffle=False))
+    active = rng.choice(N, n, replace=False, shuffle=False)
+    active.sort()
+    return active
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,12 @@ every block from its conjugate full conditional given that subset:
     6. prediction-set components outside the subset: prior refresh
        (``draw_inactive_prediction_components``) or carry-over, per
        SamplerConfig.prediction_refresh
-    7. per-index predictions over the prediction set, accumulated after
-       burn-in; the kernel product there is a tridiagonal solve whenever
-       the prediction set qualifies for the banded path
+    7. per-index predictions over the prediction set, computed and
+       accumulated on kept sweeps only; the kernel product there is a
+       tridiagonal solve whenever the prediction set qualifies for the
+       banded path.  Under carry-over, (Psi eta, xi) on the prediction set
+       is reused until a subset meets the set, since only the subset's
+       components change
 
 Variance lags follow the update order exactly: steps 2-4 condition on the
 previous sweep's variances, and step 6's prior refresh also uses the
@@ -140,9 +143,20 @@ def _kernel_operator(coords: np.ndarray, basis):
     return banded if banded is not None else kernel_matrix(coords, coords, basis)
 
 
-def _beta_precision(state: ChainState, xtx: np.ndarray) -> np.ndarray:
-    """Precision of the beta block, X'X / sigma2 + I / sigma2_beta."""
-    return xtx / state.sigma2 + np.eye(xtx.shape[0]) / state.sigma2_beta
+def _beta_factor(state: ChainState, xtx: np.ndarray, *, n: int, iteration: Optional[int]):
+    """Lower Cholesky factor of the beta block's precision X'X/sigma2 + I/sigma2_beta.
+
+    Returns (lower, jitter_events).  LAPACK's dpotrf is called directly
+    (the NumPy wrapper costs several times the factorization at p <= 3);
+    only when it fails does :func:`_cholesky_with_jitter` take over.
+    """
+    precision = xtx / state.sigma2
+    # ravel() of the fresh contiguous array is a view: this adds to its diagonal
+    precision.ravel()[::precision.shape[0] + 1] += 1.0 / state.sigma2_beta
+    lower, info = lapack.dpotrf(precision, lower=1)
+    if info == 0:
+        return lower, 0
+    return _cholesky_with_jitter(precision, n=n, iteration=iteration)
 
 
 def _banded_eta_factor(kernel: BandedKernel, sigma2: float, sigma2_eta: float):
@@ -153,15 +167,17 @@ def _banded_eta_factor(kernel: BandedKernel, sigma2: float, sigma2_eta: float):
     superdiagonals).  Returns None when the factorization fails.
     """
     d, e = kernel.diag, kernel.off
-    band = np.zeros((3, d.shape[0]))
+    e2 = e * e
+    # Fortran order, so LAPACK factors the band in place without a copy
+    band = np.zeros((d.shape[0], 3)).T
     band[2] = d * d
-    band[2, :-1] += e * e
-    band[2, 1:] += e * e
+    band[2, :-1] += e2
+    band[2, 1:] += e2
     band[1, 1:] = e * (d[:-1] + d[1:])
     band[0, 2:] = e[:-1] * e[1:]
     band /= sigma2_eta
     band[2] += 1.0 / sigma2
-    factor, info = lapack.dpbtrf(band)
+    factor, info = lapack.dpbtrf(band, overwrite_ab=1)
     return factor if info == 0 else None
 
 
@@ -242,7 +258,7 @@ def update_xi_active(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray
     shrink = state.sigma2_xi / (state.sigma2 + state.sigma2_xi)
     mean = shrink * (y_delta - x_delta @ state.beta - psi_eta)
     variance = state.sigma2 * state.sigma2_xi / (state.sigma2 + state.sigma2_xi)
-    return mean + np.sqrt(variance) * rng.standard_normal(mean.shape[0])
+    return mean + math.sqrt(variance) * rng.standard_normal(mean.shape[0])
 
 
 def update_beta(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray,
@@ -260,8 +276,8 @@ def update_beta(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray,
     if psi_eta is None:
         psi_eta = psi_delta @ eta_delta
     if chol is None:
-        chol, _ = _cholesky_with_jitter(_beta_precision(state, x_delta.T @ x_delta),
-                                        n=y_delta.shape[0], iteration=iteration)
+        chol, _ = _beta_factor(state, x_delta.T @ x_delta,
+                               n=y_delta.shape[0], iteration=iteration)
     residual = y_delta - psi_eta - xi_delta
     linear = x_delta.T @ residual / state.sigma2
     return _sample_mvn_precision(chol, linear, rng)
@@ -285,13 +301,12 @@ def update_variances(residual: Optional[np.ndarray], eta_delta: np.ndarray,
     """
     if fixed is not None:
         return fixed.sigma2, fixed.sigma2_eta, fixed.sigma2_xi, fixed.sigma2_beta
-    n = eta_delta.shape[0]
-
-    def _draw(half_df: float, vector: np.ndarray) -> float:
-        return 1.0 / rng.gamma(1.0 + half_df, 1.0 / (1.0 + 0.5 * float(vector @ vector)))
-
-    return (_draw(n / 2.0, residual), _draw(n / 2.0, eta_delta), _draw(n / 2.0, xi_delta),
-            _draw(beta.shape[0] / 2.0, beta))
+    shape = 1.0 + eta_delta.shape[0] / 2.0
+    return (1.0 / rng.gamma(shape, 1.0 / (1.0 + 0.5 * float(residual @ residual))),
+            1.0 / rng.gamma(shape, 1.0 / (1.0 + 0.5 * float(eta_delta @ eta_delta))),
+            1.0 / rng.gamma(shape, 1.0 / (1.0 + 0.5 * float(xi_delta @ xi_delta))),
+            1.0 / rng.gamma(1.0 + beta.shape[0] / 2.0,
+                            1.0 / (1.0 + 0.5 * float(beta @ beta))))
 
 
 def draw_inactive_prediction_components(state: ChainState, prediction_set: np.ndarray,
@@ -323,11 +338,11 @@ def draw_inactive_prediction_components(state: ChainState, prediction_set: np.nd
     return outside, eta_draw, xi_draw
 
 
-def _predict_from_design(x_pred: np.ndarray, psi_pred, pred_indices: np.ndarray,
-                         state: ChainState) -> np.ndarray:
-    # shared by predict_mu and the chain; psi_pred is a dense matrix or a
-    # BandedKernel
-    return x_pred @ state.beta + psi_pred @ state.eta[pred_indices] + state.xi[pred_indices]
+def _predict(x_pred: np.ndarray, beta: np.ndarray, psi_eta: np.ndarray,
+             xi: np.ndarray) -> np.ndarray:
+    # the prediction rule, shared by predict_mu and the chain; psi_eta is
+    # Psi eta over the prediction set, Psi dense or a BandedKernel
+    return x_pred @ beta + psi_eta + xi
 
 
 def predict_mu(state: ChainState, data: DatasetView, basis: BasisConfig,
@@ -344,7 +359,7 @@ def predict_mu(state: ChainState, data: DatasetView, basis: BasisConfig,
     if pred[0] < 0 or pred[-1] >= data.n_obs or np.any(np.diff(pred) <= 0):
         raise InvalidParameterError("prediction_set must be sorted, unique and in range")
     psi_pred = _kernel_operator(data.index_coords[pred], basis)
-    return _predict_from_design(data.x[pred], psi_pred, pred, state)
+    return _predict(data.x[pred], state.beta, psi_pred @ state.eta[pred], state.xi[pred])
 
 
 def run_chain(data: DatasetView, config: SamplerConfig, n: int,
@@ -395,6 +410,15 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     psi_pred = _kernel_operator(data.index_coords[pred], config.basis)
     x_pred = data.x[pred]
 
+    # Under carry, a sweep changes eta and xi only on its subset, so the
+    # prediction set's (Psi eta, xi) stays valid until a subset meets the
+    # set; under prior refresh it is recomputed on every kept sweep.
+    in_pred = None
+    if not refresh_prior:
+        in_pred = np.zeros(N, dtype=bool)
+        in_pred[pred] = True
+    pred_parts = None
+
     m = pred.size
     kept = 0
     mu_mean = np.zeros(m)
@@ -403,10 +427,12 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     trace = np.empty((config.iterations, data.n_covariates + 4)) if collect_trace else None
 
     # Pinned variances leave each subset's design and precision factors
-    # (banded or dense) constant, so with an enumerable mask space they are
+    # (banded or dense) constant, so with an enumerable subset space they are
     # reused across sweeps.  Cache hits are arithmetically identical to
-    # recomputation.
-    design_cache = {} if fixed is not None and math.comb(N, n) <= _DESIGN_CACHE_LIMIT else None
+    # recomputation.  For 1 <= n < N there are at least N subsets, so the
+    # binomial is only evaluated for a small N.
+    memoize = n == N or (N <= _DESIGN_CACHE_LIMIT and math.comb(N, n) <= _DESIGN_CACHE_LIMIT)
+    design_cache = {} if fixed is not None and memoize else None
 
     for g in range(1, config.iterations + 1):
         active = sample_active_indices(n, N, rng)
@@ -416,8 +442,8 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
             psi_delta, chol_eta, jitter = _factor_eta_precision(
                 _kernel_operator(data.index_coords[active], config.basis),
                 state.sigma2, state.sigma2_eta, n=n, iteration=g)
-            chol_beta, jitter_beta = _cholesky_with_jitter(
-                _beta_precision(state, x_delta.T @ x_delta), n=n, iteration=g)
+            chol_beta, jitter_beta = _beta_factor(state, x_delta.T @ x_delta,
+                                                  n=n, iteration=g)
             jitter_events += jitter + jitter_beta
             design = (x_delta, psi_delta, chol_eta, chol_beta)
             if design_cache is not None:
@@ -453,7 +479,8 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
             state.eta[outside] = eta_outside
             state.xi[outside] = xi_outside
 
-        mu_g = _predict_from_design(x_pred, psi_pred, pred, state)
+        if in_pred is None or (pred_parts is not None and in_pred[active].any()):
+            pred_parts = None
 
         if collect_trace:
             trace[g - 1, :-4] = state.beta
@@ -461,6 +488,9 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
                                  state.sigma2_xi, state.sigma2_beta)
 
         if g > config.burn_in:
+            if pred_parts is None:
+                pred_parts = (psi_pred @ state.eta[pred], state.xi[pred])
+            mu_g = _predict(x_pred, state.beta, *pred_parts)
             kept += 1
             delta_mu = mu_g - mu_mean
             mu_mean += delta_mu / kept

@@ -330,12 +330,15 @@ def banded_kernel(coords: np.ndarray, basis: BasisConfig) -> Optional[BandedKern
     coords = np.asarray(coords, dtype=float)
     if basis.metric != METRIC_ABS or coords.ndim != 1:
         return None
+    # a smallest gap at or above the threshold also proves the coordinates
+    # sorted, so the common case costs one pass; otherwise sort and look again
     order = None
-    if np.any(coords[1:] < coords[:-1]):
-        order = np.argsort(coords, kind="stable")
-    scaled_gap = basis.rho * np.diff(coords if order is None else coords[order])
+    scaled_gap = basis.rho * (coords[1:] - coords[:-1])
     if scaled_gap.size and scaled_gap.min() < _BANDED_MIN_RHO_GAP:
-        return None
+        order = np.argsort(coords, kind="stable")
+        scaled_gap = basis.rho * np.diff(coords[order])
+        if scaled_gap.min() < _BANDED_MIN_RHO_GAP:
+            return None
     a = np.exp(-scaled_gap)
     # 1 - a^2 through expm1: exact for small gaps, exactly 1 for large ones
     one_minus_a2 = -np.expm1(-2.0 * scaled_gap)

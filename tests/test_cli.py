@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subsetgibbs import __version__
+from subsetgibbs import NumericalError, __version__
 from subsetgibbs.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -272,6 +272,31 @@ class TestCalibrate:
         assert [row.split(",")[0] for row in lines[1:]] == ["4", "8", "12"]
         for n in (4, 8, 12):
             assert (out / f"predictions_n{n}.csv").exists()
+
+    def test_failure_messages_reach_the_summary(self, tmp_path, monkeypatch):
+        import subsetgibbs.calibrate as calibrate
+        real = calibrate.run_chain
+
+        def failing_at_8(data, config, n, **kwargs):
+            if n == 8:
+                raise NumericalError("precision not positive definite", n=n, iteration=3)
+            return real(data, config, n, **kwargs)
+
+        monkeypatch.setattr(calibrate, "run_chain", failing_at_8)
+        sim = simulate(tmp_path, N=200, pred_count=20)
+        out = tmp_path / "cal"
+        code = run(["calibrate", "--data", str(sim / "data.csv"),
+                    "--n-grid", "4:12:4", "--budget-seconds", "60",
+                    "--iterations", "30", "--burn-in", "10", "--pred-count", "20",
+                    "--seed", "2", "--output-dir", str(out)])
+        assert code == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["grid"] == "4,12"
+        assert summary["failed_grid"] == "8"
+        [failure] = summary["failures"]
+        assert failure["n"] == 8
+        assert "precision not positive definite" in failure["message"]
+        assert "iteration=3" in failure["message"]
 
     def test_grid_parsing_rejects_garbage(self, tmp_path):
         sim = simulate(tmp_path, N=100, pred_count=10)

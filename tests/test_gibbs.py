@@ -5,6 +5,8 @@ tests from the stated conditional laws, independently of the sampler's
 own linear algebra.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from subsetgibbs import (
     run_chain,
 )
 from subsetgibbs.gibbs import (
+    _beta_factor,
     _cholesky_with_jitter,
     _sample_mvn_precision,
     draw_inactive_prediction_components,
@@ -403,6 +406,26 @@ class TestSampleMvnPrecision:
         assert np.all(np.isfinite(chol)) and np.all(np.isfinite(draw))
 
 
+class TestBetaFactor:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_is_the_cholesky_factor_of_the_precision(self, p):
+        rng = np.random.default_rng(p)
+        x = rng.normal(size=(10, p))
+        state = fixed_state(10, p, sigma2=0.7, sigma2_beta=1.9)
+        lower, jitter = _beta_factor(state, x.T @ x, n=10, iteration=1)
+        expected = np.linalg.cholesky(x.T @ x / 0.7 + np.eye(p) / 1.9)
+        assert jitter == 0
+        np.testing.assert_allclose(lower, expected, rtol=1e-14, atol=0.0)
+
+    def test_singular_precision_falls_back_to_jitter(self):
+        # a flat beta prior (1/sigma2_beta = 0) on collinear columns
+        state = fixed_state(4, 2, sigma2_beta=np.inf)
+        xtx = np.ones((4, 2)).T @ np.ones((4, 2))
+        lower, jitter = _beta_factor(state, xtx, n=4, iteration=2)
+        assert jitter >= 1
+        assert np.all(np.isfinite(lower))
+
+
 def small_dataset(N=12, seed=0):
     rng = np.random.default_rng(seed)
     return DatasetView(y=rng.normal(size=N), x=np.ones((N, 1)),
@@ -485,7 +508,94 @@ def count_calls(monkeypatch, names):
     return calls
 
 
+def record_prediction_products(monkeypatch):
+    """Record the chain's subsets and the sweeps that multiply by the prediction kernel.
+
+    The prediction kernel is the first one the chain builds.  Each product
+    with it is recorded as the number of subsets drawn so far, which is the
+    1-based sweep index.  ``state`` is the chain's state, caught as the
+    first argument of the xi update.
+    """
+    record = {"subsets": [], "products": [], "kernels": [], "state": None}
+    draw, kernel_operator = gibbs.sample_active_indices, gibbs._kernel_operator
+    matmul, update_xi = BandedKernel.__matmul__, gibbs.update_xi_active
+
+    def drawing(n, N, rng):
+        active = draw(n, N, rng)
+        record["subsets"].append(active.copy())
+        return active
+
+    def building(coords, basis):
+        record["kernels"].append(kernel_operator(coords, basis))
+        return record["kernels"][-1]
+
+    def multiplying(kernel, v):
+        if kernel is record["kernels"][0]:
+            record["products"].append(len(record["subsets"]))
+        return matmul(kernel, v)
+
+    def updating_xi(state, *args, **kwargs):
+        record["state"] = state
+        return update_xi(state, *args, **kwargs)
+
+    monkeypatch.setattr(gibbs, "sample_active_indices", drawing)
+    monkeypatch.setattr(gibbs, "_kernel_operator", building)
+    monkeypatch.setattr(BandedKernel, "__matmul__", multiplying)
+    monkeypatch.setattr(gibbs, "update_xi_active", updating_xi)
+    return record
+
+
 class TestRunChain:
+    def test_carry_reuses_the_prediction_product_until_a_subset_meets_the_set(
+            self, monkeypatch):
+        matmul, predict = BandedKernel.__matmul__, gibbs._predict
+        record = record_prediction_products(monkeypatch)
+        pred = np.array([5, 30, 55])
+        checked = []
+
+        def predicting(x_pred, beta, psi_eta, xi):
+            # a reused product must equal a fresh one, bit for bit
+            state = record["state"]
+            np.testing.assert_array_equal(psi_eta, matmul(record["kernels"][0], state.eta[pred]))
+            np.testing.assert_array_equal(xi, state.xi[pred])
+            checked.append(True)
+            return predict(x_pred, beta, psi_eta, xi)
+
+        monkeypatch.setattr(gibbs, "_predict", predicting)
+        config = small_config(60, iterations=120, burn_in=20, prediction_set=pred,
+                              prediction_refresh="carry")
+        out = run_chain(small_dataset(N=60), config, 4)
+
+        expected, stale = [], True
+        for g, active in enumerate(record["subsets"], start=1):
+            stale = stale or bool(np.isin(active, pred).any())
+            if g > config.burn_in and stale:
+                expected.append(g)
+                stale = False
+        assert record["products"] == expected
+        assert expected[0] == config.burn_in + 1
+        assert 1 < len(expected) < out.iterations_kept == len(checked)
+
+    def test_prior_refresh_multiplies_once_per_kept_sweep(self, monkeypatch):
+        record = record_prediction_products(monkeypatch)
+        config = small_config(60, iterations=50, burn_in=15,
+                              prediction_set=np.array([5, 30, 55]),
+                              prediction_refresh="prior")
+        run_chain(small_dataset(N=60), config, 4)
+        assert record["products"] == list(range(config.burn_in + 1, config.iterations + 1))
+
+    def test_pinned_chain_skips_the_binomial_for_large_N(self, monkeypatch):
+        # C(N, n) >= N > 64 for 1 <= n < N, so the memo check must not
+        # evaluate a binomial that can take seconds at N = 10^6
+        calls = []
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda N, k: calls.append((N, k)) or comb(N, k))
+        N = 100
+        config = small_config(N, iterations=5, burn_in=0,
+                              fixed_variances=FixedVariances.all_of(1, 1, 1, 1))
+        run_chain(small_dataset(N=N), config, N // 2)
+        assert all(args[0] != N for args in calls)
+
     @pytest.mark.parametrize("policy, per_sweep", [("prior", 1), ("carry", 0)])
     def test_prior_refresh_runs_the_tested_helper(self, monkeypatch, policy, per_sweep):
         calls = count_calls(monkeypatch, ["draw_inactive_prediction_components"])
