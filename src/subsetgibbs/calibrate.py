@@ -77,12 +77,8 @@ class CalibrationReport:
     pairwise_diffs: List[Tuple[int, float]]
     budget_met: bool
     budget_seconds: float
-    used_cpu_time: bool = False
-    failures: Optional[List[Tuple[int, str]]] = None
-
-    def __post_init__(self):
-        if self.failures is None:
-            self.failures = []
+    used_cpu_time: bool
+    failures: List[Tuple[int, str]]
 
     def output_for(self, n: int) -> ChainOutput:
         for grid_n, out in self.per_n:

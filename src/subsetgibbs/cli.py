@@ -104,8 +104,17 @@ def read_csv(path, required: Sequence[str]) -> dict:
 
 
 def read_data_csv(path) -> DatasetView:
-    """Load a dataset file, applying the intercept and coord defaults."""
+    """Load a dataset file, applying the intercept and coord defaults.
+
+    Columns other than index, y, coord and x-prefixed covariates are a
+    usage error rather than silently ignored.
+    """
     columns = read_csv(path, ("index", "y"))
+    unknown = [name for name in columns
+               if name not in ("index", "y", "coord") and not name.startswith("x")]
+    if unknown:
+        raise InvalidParameterError(f"{path}: unknown column {unknown[0]!r}; "
+                                    "expected index, y, x1..xp or coord")
     index = columns["index"]
     if not np.array_equal(index, np.arange(1, index.size + 1)):
         raise InvalidParameterError(f"{path}: index column must be 1-based and contiguous")
@@ -172,9 +181,9 @@ def _write_predictions(path, out) -> None:
 def cmd_simulate(args) -> int:
     config = Ar1Config(N=args.N, phi=args.phi, noise_var=args.noise_var,
                        seed=args.seed, prediction_count=args.pred_count)
+    data, truth, _ = generate_ar1(config)
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    data, truth, _ = generate_ar1(config)
     index = range(1, config.N + 1)
     _write_rows(output_dir / "data.csv", ["index", "y"],
                 zip(index, map(_format_float, data.y.tolist())))

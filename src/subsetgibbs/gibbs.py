@@ -32,6 +32,11 @@ Variance lags follow the update order exactly: steps 2-4 condition on the
 previous sweep's variances, and step 6's prior refresh also uses the
 previous sweep's variances even though step 5 has already produced new
 ones.
+
+Steps 2-4 take what ``run_chain`` computes once per sweep, or memoizes
+under pinned variances: the factors of the eta and beta precisions, and
+the Psi eta that step 2 returns.  Every dense Cholesky factor comes from
+``_cholesky_with_jitter``.
 """
 
 from __future__ import annotations
@@ -104,22 +109,24 @@ class ChainOutput:
 
 
 def _cholesky_with_jitter(precision: np.ndarray, *, n: int, iteration: Optional[int]):
-    """Lower Cholesky factor, adding 1e-10 * trace/dim jitter on failure.
+    """Lower Cholesky factor by LAPACK's dpotrf, jittered on failure.
 
-    Returns (lower, jitter_events); raises NumericalError when two
-    escalating jitters still leave the matrix numerically indefinite.
+    Each failure counts one jitter event and adds 1e-10 * trace/dim, then
+    ten times that; returns (lower, jitter_events).  Raises NumericalError
+    when the matrix is still numerically indefinite.
     """
+    lower, info = lapack.dpotrf(precision, lower=1)
+    if info == 0:
+        return lower, 0
     dim = precision.shape[0]
-    jitter_events = 0
     jitter = 1e-10 * np.trace(precision) / dim
     attempt = precision
-    for _ in range(3):
-        try:
-            return np.linalg.cholesky(attempt), jitter_events
-        except np.linalg.LinAlgError:
-            jitter_events += 1
-            attempt = attempt + jitter * np.eye(dim)
-            jitter *= 10.0
+    for jitter_events in (1, 2):
+        attempt = attempt + jitter * np.eye(dim)
+        jitter *= 10.0
+        lower, info = lapack.dpotrf(attempt, lower=1)
+        if info == 0:
+            return lower, jitter_events
     raise NumericalError(
         "precision matrix not positive definite after jitter",
         n=n, iteration=iteration,
@@ -146,16 +153,11 @@ def _kernel_operator(coords: np.ndarray, basis):
 def _beta_factor(state: ChainState, xtx: np.ndarray, *, n: int, iteration: Optional[int]):
     """Lower Cholesky factor of the beta block's precision X'X/sigma2 + I/sigma2_beta.
 
-    Returns (lower, jitter_events).  LAPACK's dpotrf is called directly
-    (the NumPy wrapper costs several times the factorization at p <= 3);
-    only when it fails does :func:`_cholesky_with_jitter` take over.
+    Returns (lower, jitter_events), as :func:`_cholesky_with_jitter` does.
     """
     precision = xtx / state.sigma2
     # ravel() of the fresh contiguous array is a view: this adds to its diagonal
     precision.ravel()[::precision.shape[0] + 1] += 1.0 / state.sigma2_beta
-    lower, info = lapack.dpotrf(precision, lower=1)
-    if info == 0:
-        return lower, 0
     return _cholesky_with_jitter(precision, n=n, iteration=iteration)
 
 
@@ -205,27 +207,22 @@ def _factor_eta_precision(psi_delta, sigma2: float, sigma2_eta: float,
 
 
 def update_eta_active(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray,
-                      psi_delta, xi_delta: np.ndarray,
-                      rng: np.random.Generator, *, iteration: Optional[int] = None,
-                      chol: Optional[np.ndarray] = None,
-                      with_product: bool = False):
+                      psi_delta, xi_delta: np.ndarray, chol: np.ndarray,
+                      rng: np.random.Generator):
     """Draw the subset's basis coefficients from their full conditional.
 
     The conditional is normal with covariance
     ``((1/sigma2) Psi'Psi + (1/sigma2_eta) I)^-1`` and mean
     ``(Psi'Psi + (sigma2/sigma2_eta) I)^-1 Psi'(y - X beta - xi)``.
 
-    ``psi_delta`` is the dense kernel matrix or a ``BandedKernel``.  The
-    banded draw takes v = Psi eta ~ N(M^-1 r / sigma2, M^-1) with
-    M = I/sigma2 + T^2/sigma2_eta = U'U, as v = M^-1 (r / sigma2 + U'z),
-    and returns eta = T v.  ``chol`` is a precomputed factor of the
-    matching kind (lower dense factor of the precision, or U in band
-    storage).  With ``with_product`` the return value is (eta, Psi eta).
+    ``psi_delta`` and ``chol`` are the kernel and the factor that
+    :func:`_factor_eta_precision` returns: the dense kernel matrix with
+    the lower Cholesky factor of the precision, or a ``BandedKernel`` with
+    U in band storage.  The banded draw takes v = Psi eta from
+    N(M^-1 r / sigma2, M^-1) with M = I/sigma2 + T^2/sigma2_eta = U'U, as
+    v = M^-1 (r / sigma2 + U'z), and sets eta = T v.  Returns (eta, Psi eta).
     """
     n = y_delta.shape[0]
-    if chol is None:
-        psi_delta, chol, _ = _factor_eta_precision(
-            psi_delta, state.sigma2, state.sigma2_eta, n=n, iteration=iteration)
     residual = y_delta - x_delta @ state.beta - xi_delta
     if isinstance(psi_delta, BandedKernel):
         z = rng.standard_normal(n)
@@ -235,26 +232,20 @@ def update_eta_active(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarra
         rhs[2:] += chol[0, 2:] * z[:-2]
         product, _ = lapack.dpbtrs(chol, rhs)
         draw = psi_delta.from_sorted(psi_delta.sorted_inverse_matvec(product))
-        product = psi_delta.from_sorted(product)
-    else:
-        linear = psi_delta.T @ residual / state.sigma2
-        draw = _sample_mvn_precision(chol, linear, rng)
-        product = psi_delta @ draw if with_product else None
-    return (draw, product) if with_product else draw
+        return draw, psi_delta.from_sorted(product)
+    linear = psi_delta.T @ residual / state.sigma2
+    draw = _sample_mvn_precision(chol, linear, rng)
+    return draw, psi_delta @ draw
 
 
 def update_xi_active(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray,
-                     psi_delta, eta_delta: np.ndarray,
-                     rng: np.random.Generator, *,
-                     psi_eta: Optional[np.ndarray] = None) -> np.ndarray:
+                     psi_eta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw the subset's fine-scale effects: independent normals.
 
     Mean ``(s_xi / (s + s_xi)) * (y - X beta - Psi eta)`` and common
-    variance ``s * s_xi / (s + s_xi)`` with s = sigma2, s_xi = sigma2_xi.
-    ``psi_eta`` (Psi eta) may be supplied when the caller has it.
+    variance ``s * s_xi / (s + s_xi)`` with s = sigma2, s_xi = sigma2_xi;
+    ``psi_eta`` is Psi eta on the subset.
     """
-    if psi_eta is None:
-        psi_eta = psi_delta @ eta_delta
     shrink = state.sigma2_xi / (state.sigma2 + state.sigma2_xi)
     mean = shrink * (y_delta - x_delta @ state.beta - psi_eta)
     variance = state.sigma2 * state.sigma2_xi / (state.sigma2 + state.sigma2_xi)
@@ -262,22 +253,15 @@ def update_xi_active(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray
 
 
 def update_beta(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray,
-                psi_delta, eta_delta: np.ndarray, xi_delta: np.ndarray,
-                rng: np.random.Generator, *, iteration: Optional[int] = None,
-                chol: Optional[np.ndarray] = None,
-                psi_eta: Optional[np.ndarray] = None) -> np.ndarray:
+                psi_eta: np.ndarray, xi_delta: np.ndarray, chol: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
     """Draw the regression coefficients from their full conditional.
 
     Normal with covariance ``((1/sigma2) X'X + (1/sigma2_beta) I_p)^-1``
     and mean ``(X'X + (sigma2/sigma2_beta) I_p)^-1 X'(y - Psi eta - xi)``.
-    ``chol``, the lower Cholesky factor of that precision, and ``psi_eta``
-    (Psi eta) may be supplied when the caller has them.
+    ``psi_eta`` is Psi eta on the subset and ``chol`` the lower Cholesky
+    factor of that precision, as :func:`_beta_factor` returns it.
     """
-    if psi_eta is None:
-        psi_eta = psi_delta @ eta_delta
-    if chol is None:
-        chol, _ = _beta_factor(state, x_delta.T @ x_delta,
-                               n=y_delta.shape[0], iteration=iteration)
     residual = y_delta - psi_eta - xi_delta
     linear = x_delta.T @ residual / state.sigma2
     return _sample_mvn_precision(chol, linear, rng)
@@ -309,32 +293,29 @@ def update_variances(residual: Optional[np.ndarray], eta_delta: np.ndarray,
                             1.0 / (1.0 + 0.5 * float(beta @ beta))))
 
 
-def draw_inactive_prediction_components(state: ChainState, prediction_set: np.ndarray,
-                                        active: np.ndarray, rng: np.random.Generator,
-                                        *, sigma2_eta: Optional[float] = None,
-                                        sigma2_xi: Optional[float] = None):
+def draw_inactive_prediction_components(prediction_set: np.ndarray, active: np.ndarray,
+                                        sigma2_eta: float, sigma2_xi: float,
+                                        rng: np.random.Generator):
     """Prior draws of (eta_i, xi_i) for prediction indices outside the subset.
 
     ``active`` is the subset as the sorted array of its indices, as
     ``sample_active_indices`` returns it; the lookup costs O(m log n) for m
     prediction indices, whatever N is.
-    Both vectors are independent normals with mean zero, eta drawn first;
-    the variances default to the ones in ``state`` but the chain passes the
-    previous sweep's values explicitly, honoring the update-order lag.
+    Both vectors are independent normals with mean zero and variances
+    ``sigma2_eta`` and ``sigma2_xi``, eta drawn first; the chain passes the
+    previous sweep's variances, honoring the update-order lag.
     Indices already in the subset are untouched.  Returns the refreshed
     index set with the two draws (empty arrays when the subset covers the
     set).
     """
-    s_eta = state.sigma2_eta if sigma2_eta is None else sigma2_eta
-    s_xi = state.sigma2_xi if sigma2_xi is None else sigma2_xi
-    if s_eta <= 0.0 or s_xi <= 0.0:
+    if sigma2_eta <= 0.0 or sigma2_xi <= 0.0:
         raise InvalidParameterError("variances must be strictly positive")
     position = np.minimum(np.searchsorted(active, prediction_set), active.size - 1)
     outside = prediction_set[active[position] != prediction_set]
     if outside.size == 0:
         return outside, np.empty(0), np.empty(0)
-    eta_draw = np.sqrt(s_eta) * rng.standard_normal(outside.size)
-    xi_draw = np.sqrt(s_xi) * rng.standard_normal(outside.size)
+    eta_draw = np.sqrt(sigma2_eta) * rng.standard_normal(outside.size)
+    xi_draw = np.sqrt(sigma2_xi) * rng.standard_normal(outside.size)
     return outside, eta_draw, xi_draw
 
 
@@ -455,16 +436,13 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
         prev_sigma2_xi = state.sigma2_xi
 
         eta_delta, psi_eta = update_eta_active(
-            state, y_delta, x_delta, psi_delta, state.xi[active], rng, iteration=g,
-            chol=chol_eta, with_product=True)
+            state, y_delta, x_delta, psi_delta, state.xi[active], chol_eta, rng)
         state.eta[active] = eta_delta
 
-        xi_delta = update_xi_active(state, y_delta, x_delta, psi_delta, eta_delta, rng,
-                                    psi_eta=psi_eta)
+        xi_delta = update_xi_active(state, y_delta, x_delta, psi_eta, rng)
         state.xi[active] = xi_delta
 
-        beta = update_beta(state, y_delta, x_delta, psi_delta, eta_delta, xi_delta,
-                           rng, iteration=g, chol=chol_beta, psi_eta=psi_eta)
+        beta = update_beta(state, y_delta, x_delta, psi_eta, xi_delta, chol_beta, rng)
         state.beta = beta
 
         residual = y_delta - x_delta @ beta - psi_eta - xi_delta if fixed is None else None
@@ -474,8 +452,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
 
         if refresh_prior:
             outside, eta_outside, xi_outside = draw_inactive_prediction_components(
-                state, pred, active, rng,
-                sigma2_eta=prev_sigma2_eta, sigma2_xi=prev_sigma2_xi)
+                pred, active, prev_sigma2_eta, prev_sigma2_xi, rng)
             state.eta[outside] = eta_outside
             state.xi[outside] = xi_outside
 

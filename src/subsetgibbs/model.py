@@ -291,19 +291,11 @@ class BandedKernel:
         return out
 
     def sorted_inverse_matvec(self, v: np.ndarray) -> np.ndarray:
-        """T v for v (1-d, or 2-d by rows) already in sorted order."""
-        diag, off = self.diag, self.off
-        if v.ndim == 2:
-            diag, off = diag[:, None], off[:, None]
-        out = diag * v
-        out[:-1] += off * v[1:]
-        out[1:] += off * v[:-1]
+        """T v for a vector v already in sorted order."""
+        out = self.diag * v
+        out[:-1] += self.off * v[1:]
+        out[1:] += self.off * v[:-1]
         return out
-
-    def inverse_matvec(self, v) -> np.ndarray:
-        """T v = Psi^-1 v."""
-        v = np.asarray(v, dtype=float)
-        return self.from_sorted(self.sorted_inverse_matvec(self.to_sorted(v)))
 
     def __matmul__(self, v) -> np.ndarray:
         # Psi v solves T x = v; T is factored once (LDL') on first use

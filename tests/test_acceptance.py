@@ -27,6 +27,8 @@ import scipy.stats as st
 import subsetgibbs as sg
 from subsetgibbs import cli
 from subsetgibbs.gibbs import (
+    _beta_factor,
+    _factor_eta_precision,
     draw_inactive_prediction_components,
     update_beta,
     update_eta_active,
@@ -119,7 +121,9 @@ def test_criterion_2_conjugate_full_conditionals():
     residual = y - x @ state.beta - state.xi
     precision = psi.T @ psi / state.sigma2 + np.eye(4) / state.sigma2_eta
     cov = np.linalg.inv(precision)
-    draws = np.array([update_eta_active(state, y, x, psi, state.xi, rng)
+    _, chol_eta, _ = _factor_eta_precision(psi, state.sigma2, state.sigma2_eta,
+                                           n=4, iteration=1)
+    draws = np.array([update_eta_active(state, y, x, psi, state.xi, chol_eta, rng)[0]
                       for _ in range(DRAWS)])
     _assert_moments("eta", draws, cov @ psi.T @ residual / state.sigma2, np.diag(cov))
 
@@ -127,14 +131,15 @@ def test_criterion_2_conjugate_full_conditionals():
     shrink = state.sigma2_xi / (state.sigma2 + state.sigma2_xi)
     xi_mean = shrink * (y - x @ state.beta - psi @ state.eta)
     xi_var = state.sigma2 * state.sigma2_xi / (state.sigma2 + state.sigma2_xi)
-    draws = np.array([update_xi_active(state, y, x, psi, state.eta, rng)
+    draws = np.array([update_xi_active(state, y, x, psi @ state.eta, rng)
                       for _ in range(DRAWS)])
     _assert_moments("xi", draws, xi_mean, xi_var)
 
     rng = sg.make_rng(103)
     residual_b = y - psi @ state.eta - state.xi
     cov_b = np.linalg.inv(x.T @ x / state.sigma2 + np.eye(1) / state.sigma2_beta)
-    draws = np.array([update_beta(state, y, x, psi, state.eta, state.xi, rng)
+    chol_beta, _ = _beta_factor(state, x.T @ x, n=4, iteration=1)
+    draws = np.array([update_beta(state, y, x, psi @ state.eta, state.xi, chol_beta, rng)
                       for _ in range(DRAWS)])
     _assert_moments("beta", draws, cov_b @ x.T @ residual_b / state.sigma2,
                     np.diag(cov_b))
@@ -158,12 +163,10 @@ def test_criterion_2_conjugate_full_conditionals():
     _assert_moments("variances", draws, ig_mean, ig_var)
 
     rng = sg.make_rng(105)
-    state_p = sg.ChainState.initial(40, 1)
     active = np.array([0])
     pred = np.arange(1, 21)
     collected = np.array([
-        np.concatenate(draw_inactive_prediction_components(
-            state_p, pred, active, rng, sigma2_eta=1.6, sigma2_xi=0.9)[1:])
+        np.concatenate(draw_inactive_prediction_components(pred, active, 1.6, 0.9, rng)[1:])
         for _ in range(DRAWS)
     ])
     _assert_moments("inactive prediction components", collected,

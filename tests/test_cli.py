@@ -50,6 +50,12 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert not (tmp_path / "x").exists()
 
+    def test_bad_seed_is_usage_error_before_any_directory(self, tmp_path):
+        code = run(["simulate", "--N", "10", "--pred-count", "5", "--seed", "-1",
+                    "--output-dir", str(tmp_path / "x")])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "x").exists()
+
     def test_manifest_written(self, tmp_path):
         out = simulate(tmp_path)
         manifest = json.loads((out / "manifest.json").read_text())
@@ -98,6 +104,16 @@ class TestFit:
                     "--output-dir", str(tmp_path / "o")])
         assert code == EXIT_USAGE
         assert str(data) in capsys.readouterr().err
+
+    def test_unknown_column_is_usage_error(self, tmp_path, capsys):
+        # a misspelt coord must not fall back to fitting on the index
+        data = tmp_path / "data.csv"
+        data.write_text("index,y,cord\n1,0.5,10.0\n2,0.25,20.0\n")
+        code = run(["fit", "--data", str(data), "--n", "2", "--pred-count", "2",
+                    "--output-dir", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "'cord'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_outputs_and_determinism(self, tmp_path):
         sim = simulate(tmp_path)

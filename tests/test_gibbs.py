@@ -25,6 +25,7 @@ from subsetgibbs import (
 from subsetgibbs.gibbs import (
     _beta_factor,
     _cholesky_with_jitter,
+    _factor_eta_precision,
     _sample_mvn_precision,
     draw_inactive_prediction_components,
     update_beta,
@@ -55,6 +56,19 @@ def moments(draw_one, count, seed=0):
     return draws.mean(axis=0), draws.var(axis=0, ddof=1), draws
 
 
+def eta_sampler(state, y, x, psi, xi):
+    """The chain's eta call on a fixed subset: factor once, then draw eta."""
+    psi, chol, _ = _factor_eta_precision(psi, state.sigma2, state.sigma2_eta,
+                                         n=y.shape[0], iteration=1)
+    return lambda rng: update_eta_active(state, y, x, psi, xi, chol, rng)[0]
+
+
+def beta_sampler(state, y, x, psi_eta, xi):
+    """The chain's beta call on a fixed subset: factor once, then draw beta."""
+    chol, _ = _beta_factor(state, x.T @ x, n=y.shape[0], iteration=1)
+    return lambda rng: update_beta(state, y, x, psi_eta, xi, chol, rng)
+
+
 class TestUpdateEtaActive:
     def test_scalar_half_shrinkage(self):
         # n=1, Psi=[1], unit variances: mean r/2, variance 1/2
@@ -62,9 +76,8 @@ class TestUpdateEtaActive:
         state = fixed_state(1)
         y = np.array([r])
         x = np.zeros((1, 1))
-        psi = np.eye(1)
-        mean, var, _ = moments(
-            lambda rng: update_eta_active(state, y, x, psi, np.zeros(1), rng)[0], 100_000)
+        draw = eta_sampler(state, y, x, np.eye(1), np.zeros(1))
+        mean, var, _ = moments(lambda rng: draw(rng)[0], 100_000)
         assert mean == pytest.approx(r / 2.0, abs=3.0 * np.sqrt(0.5 / 100_000))
         assert var == pytest.approx(0.5, rel=0.02)
 
@@ -72,9 +85,7 @@ class TestUpdateEtaActive:
         state = fixed_state(3, sigma2_eta=1e12)
         y = np.array([0.5, -1.0, 2.0])
         x = np.zeros((3, 1))
-        psi = np.eye(3)
-        mean, var, _ = moments(
-            lambda rng: update_eta_active(state, y, x, psi, np.zeros(3), rng), 50_000)
+        mean, var, _ = moments(eta_sampler(state, y, x, np.eye(3), np.zeros(3)), 50_000)
         np.testing.assert_allclose(mean, y, atol=3.0 * np.sqrt(1.0 / 50_000) + 1e-9)
         np.testing.assert_allclose(var, 1.0, rtol=0.03)
 
@@ -93,8 +104,7 @@ class TestUpdateEtaActive:
         cov = np.linalg.inv(precision)
         expected_mean = cov @ psi.T @ residual / sigma2
         count = 100_000
-        mean, var, _ = moments(
-            lambda rng: update_eta_active(state, y, x, psi, state.xi, rng), count)
+        mean, var, _ = moments(eta_sampler(state, y, x, psi, state.xi), count)
         assert np.all(np.abs(mean - expected_mean) < 3.0 * np.sqrt(np.diag(cov) / count))
         np.testing.assert_allclose(var, np.diag(cov), rtol=0.03)
 
@@ -118,12 +128,14 @@ def eta_law(state, y, x, psi, xi):
     with covariance A A'.
     """
     n = y.shape[0]
-    mean, product_mean = update_eta_active(state, y, x, psi, xi, FixedNormals(np.zeros(n)),
-                                           with_product=True)
+    psi, chol, _ = _factor_eta_precision(psi, state.sigma2, state.sigma2_eta,
+                                         n=n, iteration=1)
+    mean, product_mean = update_eta_active(state, y, x, psi, xi, chol,
+                                           FixedNormals(np.zeros(n)))
     columns, product_columns = [], []
     for k in range(n):
-        draw, product = update_eta_active(state, y, x, psi, xi, FixedNormals(np.eye(n)[k]),
-                                          with_product=True)
+        draw, product = update_eta_active(state, y, x, psi, xi, chol,
+                                          FixedNormals(np.eye(n)[k]))
         columns.append(draw - mean)
         product_columns.append(product - product_mean)
     a, b = np.array(columns).T, np.array(product_columns).T
@@ -209,9 +221,9 @@ class TestBandedEtaDraw:
                             beta=[0.4], xi=rng_fix.normal(size=4) * 0.3)
         cov = np.linalg.inv(psi.T @ psi / state.sigma2 + np.eye(4) / state.sigma2_eta)
         mean = cov @ psi.T @ (y - x @ state.beta - state.xi) / state.sigma2
+        draw = eta_sampler(state, y, x, banded, state.xi)
         rng = make_rng(101)
-        draws = np.array([update_eta_active(state, y, x, banded, state.xi, rng)
-                          for _ in range(100_000)])
+        draws = np.array([draw(rng) for _ in range(100_000)])
         assert_moments_within_3se(draws, mean, np.diag(cov))
 
 
@@ -220,18 +232,16 @@ class TestUpdateXiActive:
         state = fixed_state(2, sigma2=0.8, sigma2_xi=0.8)
         y = np.array([2.0, -1.0])
         x = np.zeros((2, 1))
-        psi = np.eye(2)
         count = 100_000
         mean, var, _ = moments(
-            lambda rng: update_xi_active(state, y, x, psi, np.zeros(2), rng), count)
+            lambda rng: update_xi_active(state, y, x, np.zeros(2), rng), count)
         np.testing.assert_allclose(mean, y / 2.0, atol=3.0 * np.sqrt(0.4 / count))
         np.testing.assert_allclose(var, 0.4, rtol=0.03)
 
     def test_vanishing_variance_shrinks_away(self):
         state = fixed_state(2, sigma2_xi=1e-14)
         y = np.array([2.0, -1.0])
-        draws = update_xi_active(state, y, np.zeros((2, 1)), np.eye(2), np.zeros(2),
-                                 make_rng(0))
+        draws = update_xi_active(state, y, np.zeros((2, 1)), np.zeros(2), make_rng(0))
         np.testing.assert_allclose(draws, 0.0, atol=1e-5)
 
     def test_matches_closed_form_on_fixed_subset(self):
@@ -246,7 +256,7 @@ class TestUpdateXiActive:
         expected_var = 0.5 * 1.5 / 2.0
         count = 100_000
         mean, var, _ = moments(
-            lambda rng: update_xi_active(state, y, x, psi, state.eta, rng), count)
+            lambda rng: update_xi_active(state, y, x, psi @ state.eta, rng), count)
         np.testing.assert_allclose(
             mean, expected_mean, atol=3.0 * np.sqrt(expected_var / count))
         np.testing.assert_allclose(var, expected_var, rtol=0.03)
@@ -258,11 +268,9 @@ class TestUpdateBeta:
         state = fixed_state(1)
         y = np.array([2.0])
         x = np.ones((1, 1))
-        psi = np.eye(1)
         count = 100_000
-        mean, var, _ = moments(
-            lambda rng: update_beta(state, y, x, psi, np.zeros(1), np.zeros(1), rng)[0],
-            count)
+        draw = beta_sampler(state, y, x, np.zeros(1), np.zeros(1))
+        mean, var, _ = moments(lambda rng: draw(rng)[0], count)
         assert mean == pytest.approx(1.0, abs=3.0 * np.sqrt(0.5 / count))
         assert var == pytest.approx(0.5, rel=0.02)
 
@@ -270,11 +278,9 @@ class TestUpdateBeta:
         state = fixed_state(3, sigma2_beta=2.5)
         y = np.array([1.0, 2.0, 3.0])
         x = np.zeros((3, 1))
-        psi = np.eye(3)
         count = 100_000
-        mean, var, _ = moments(
-            lambda rng: update_beta(state, y, x, psi, np.zeros(3), np.zeros(3), rng)[0],
-            count)
+        draw = beta_sampler(state, y, x, np.zeros(3), np.zeros(3))
+        mean, var, _ = moments(lambda rng: draw(rng)[0], count)
         assert mean == pytest.approx(0.0, abs=3.0 * np.sqrt(2.5 / count))
         assert var == pytest.approx(2.5, rel=0.02)
 
@@ -290,8 +296,7 @@ class TestUpdateBeta:
         cov = np.linalg.inv(x.T @ x / sigma2 + np.eye(2) / sigma2_beta)
         expected_mean = cov @ x.T @ residual / sigma2
         count = 100_000
-        mean, var, _ = moments(
-            lambda rng: update_beta(state, y, x, psi, state.eta, state.xi, rng), count)
+        mean, var, _ = moments(beta_sampler(state, y, x, psi @ state.eta, state.xi), count)
         assert np.all(np.abs(mean - expected_mean) < 3.0 * np.sqrt(np.diag(cov) / count))
         np.testing.assert_allclose(var, np.diag(cov), rtol=0.03)
 
@@ -339,21 +344,19 @@ class TestUpdateVariances:
 
 class TestDrawInactivePredictionComponents:
     def test_empty_intersection_leaves_stream_untouched(self):
-        state = fixed_state(6)
         rng = make_rng(4)
         outside, eta, xi = draw_inactive_prediction_components(
-            state, np.array([0, 1]), np.array([0, 1, 2]), rng)
+            np.array([0, 1]), np.array([0, 1, 2]), 1.0, 1.0, rng)
         assert outside.size == 0 and eta.size == 0 and xi.size == 0
         assert make_rng(4).standard_normal() == rng.standard_normal()
 
     def test_prior_moments(self):
-        state = fixed_state(300, sigma2_eta=1.0, sigma2_xi=4.0)
         active = np.array([0])
         pred = np.arange(1, 201)
         rng = make_rng(10)
         eta_all, xi_all = [], []
         for _ in range(5000):
-            _, eta, xi = draw_inactive_prediction_components(state, pred, active, rng)
+            _, eta, xi = draw_inactive_prediction_components(pred, active, 1.0, 4.0, rng)
             eta_all.append(eta)
             xi_all.append(xi)
         eta_all = np.concatenate(eta_all)
@@ -364,29 +367,28 @@ class TestDrawInactivePredictionComponents:
         assert abs(eta_all.mean()) < 0.01
 
     def test_draws_independent_across_indices(self):
-        state = fixed_state(4)
         active = np.array([0])
         pred = np.array([1, 2])
         rng = make_rng(21)
         draws = np.array([
-            draw_inactive_prediction_components(state, pred, active, rng)[1]
+            draw_inactive_prediction_components(pred, active, 1.0, 1.0, rng)[1]
             for _ in range(100_000)
         ])
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
         assert abs(corr) < 0.01
 
     def test_lagged_variance_override(self):
-        state = fixed_state(3, sigma2_eta=1.0, sigma2_xi=1.0)
+        # the chain passes the previous sweep's variances; the draw scales
+        # with exactly the variances it is given
         rng_a, rng_b = make_rng(3), make_rng(3)
         _, eta_a, _ = draw_inactive_prediction_components(
-            state, np.array([1]), np.array([0]), rng_a, sigma2_eta=9.0, sigma2_xi=9.0)
+            np.array([1]), np.array([0]), 9.0, 9.0, rng_a)
         z = rng_b.standard_normal(1)
         np.testing.assert_allclose(eta_a, 3.0 * z)
 
     def test_outside_indices_before_between_and_after_subset(self):
-        state = fixed_state(10)
         outside, eta, xi = draw_inactive_prediction_components(
-            state, np.array([0, 2, 3, 6, 9]), np.array([2, 5, 6]), make_rng(8))
+            np.array([0, 2, 3, 6, 9]), np.array([2, 5, 6]), 1.0, 1.0, make_rng(8))
         np.testing.assert_array_equal(outside, [0, 3, 9])
         assert eta.size == 3 and xi.size == 3
 
@@ -404,6 +406,15 @@ class TestSampleMvnPrecision:
         draw = _sample_mvn_precision(chol, np.ones(2), make_rng(0))
         assert jitter >= 1
         assert np.all(np.isfinite(chol)) and np.all(np.isfinite(draw))
+
+    def test_one_failure_counts_one_event_and_factors_the_jittered_matrix(self):
+        # singular with trace 5, so the first jitter is 1e-10 * 5 / 2
+        singular = np.array([[4.0, 2.0], [2.0, 1.0]])
+        lower, jitter = _cholesky_with_jitter(singular, n=2, iteration=1)
+        assert jitter == 1
+        np.testing.assert_array_equal(lower, np.tril(lower))
+        np.testing.assert_allclose(lower @ lower.T, singular + 2.5e-10 * np.eye(2),
+                                   rtol=0.0, atol=1e-14)
 
 
 class TestBetaFactor:

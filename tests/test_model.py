@@ -156,10 +156,12 @@ class TestBandedKernel:
         for coords in sorted_and_shuffled_coords(n, rho, seed=n):
             kernel = banded_kernel(coords, basis)
             assert isinstance(kernel, BandedKernel)
-            psi = kernel_matrix(coords, coords, basis)
-            np.testing.assert_allclose(kernel.inverse_matvec(psi), np.eye(n), atol=1e-10)
-            np.testing.assert_allclose(psi @ kernel.inverse_matvec(np.eye(n)), np.eye(n),
-                                       atol=1e-10)
+            # T in sorted order, from its stored diagonals
+            t = np.diag(kernel.diag) + np.diag(kernel.off, 1) + np.diag(kernel.off, -1)
+            order = np.arange(n) if kernel.order is None else kernel.order
+            psi = kernel_matrix(coords[order], coords[order], basis)
+            np.testing.assert_allclose(t @ psi, np.eye(n), atol=1e-10)
+            np.testing.assert_allclose(psi @ t, np.eye(n), atol=1e-10)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50])
     def test_product_is_dense_kernel_product(self, n):
