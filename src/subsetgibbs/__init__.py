@@ -24,7 +24,7 @@ from .distributions import (
     spawn_seed,
 )
 from .errors import InvalidParameterError, NumericalError
-from .gibbs import ChainOutput, Clock, predict_mu, run_chain
+from .gibbs import ChainOutput, Clock, run_chain
 from .model import (
     BasisConfig,
     ChainState,
@@ -66,7 +66,6 @@ __all__ = [
     "make_rng",
     "mlb_log_density",
     "pairwise_difference",
-    "predict_mu",
     "rmspe",
     "rste",
     "run_chain",

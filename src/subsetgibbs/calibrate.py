@@ -135,6 +135,14 @@ def _describe_failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _usable_cpus() -> int:
+    # the process's CPU affinity where the platform reports it: two chains
+    # on one allowed CPU would inflate the chain times that select n
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(data: DatasetView, config: SamplerConfig, plan: SweepPlan,
               *, use_cpu_time: bool = False,
               clock_factory: Optional[Callable[[int], Clock]] = None) -> CalibrationReport:
@@ -143,9 +151,10 @@ def run_sweep(data: DatasetView, config: SamplerConfig, plan: SweepPlan,
     The chain for grid index i uses seed ``spawn_seed(config.seed, i)``,
     so the predictions and diagnostics are bit-identical at any worker
     count.  Chains run in separate processes when ``plan.max_parallel``
-    and the machine's core count both exceed 1 (the worker count is
-    clamped to ``os.cpu_count()``).  Any exception from a chain, a dead
-    worker included, is recorded per grid point and the sweep continues.
+    and the number of CPUs the process may run on both exceed 1 (the
+    worker count is clamped to that number).  Any exception from a chain,
+    a dead worker included, is recorded per grid point and the sweep
+    continues.
 
     Selection uses wall time unless ``use_cpu_time`` is set.
     ``clock_factory(n)`` injects a fake time source per grid point (used
@@ -163,7 +172,7 @@ def run_sweep(data: DatasetView, config: SamplerConfig, plan: SweepPlan,
     results: Dict[int, ChainOutput] = {}
     failures: List[Tuple[int, str]] = []
 
-    workers = min(plan.max_parallel, len(plan.n_grid), os.cpu_count() or 1)
+    workers = min(plan.max_parallel, len(plan.n_grid), _usable_cpus())
     if clock_factory is not None or workers == 1:
         for n in plan.n_grid:
             try:

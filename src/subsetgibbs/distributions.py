@@ -11,6 +11,7 @@ results.  A data subset is the sorted ``int64`` array of its indices, as
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +28,24 @@ __all__ = [
 ]
 
 
+def _checked_seed(seed) -> int:
+    """The seed as an int; raises unless it is a 64-bit unsigned integer.
+
+    ``operator.index`` accepts Python and NumPy integers and rejects
+    floats, so a seed of 1.7 is an error rather than seed 1.
+    """
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise InvalidParameterError(f"seed must be an integer, got {seed!r}") from None
+    if not (0 <= value < 2**64):
+        raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return value
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Create a deterministic generator from a 64-bit unsigned seed."""
-    if not (0 <= int(seed) < 2**64):
-        raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return np.random.default_rng(int(seed))
+    return np.random.default_rng(_checked_seed(seed))
 
 
 def spawn_seed(master_seed: int, index: int) -> int:

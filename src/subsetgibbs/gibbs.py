@@ -16,11 +16,12 @@ every block from its conjugate full conditional given that subset:
        Cholesky factor of Psi'Psi / sigma2 + I / sigma2_eta.
     3. xi restricted to the subset: independent normals
     4. beta: p-dimensional normal
-    5. the four variances: inverse gamma under an IG(1, 1) prior each,
-       unless SamplerConfig.fixed_variances pins all four
+    5. the four variances: inverse gamma under an IG(1, 1) prior each;
+       skipped when SamplerConfig.fixed_variances pins all four
     6. prediction-set components outside the subset: prior refresh
        (``draw_inactive_prediction_components``) or carry-over, per
-       SamplerConfig.prediction_refresh
+       SamplerConfig.prediction_refresh; both read the subset's
+       prediction indices off one N-length mask of the prediction set
     7. per-index predictions over the prediction set, computed and
        accumulated on kept sweeps only; the kernel product there is a
        tridiagonal solve whenever the prediction set qualifies for the
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import lapack
@@ -54,10 +55,8 @@ from .errors import InvalidParameterError, NumericalError
 from .model import (
     REFRESH_PRIOR,
     BandedKernel,
-    BasisConfig,
     ChainState,
     DatasetView,
-    FixedVariances,
     SamplerConfig,
     banded_kernel,
     kernel_matrix,
@@ -74,7 +73,6 @@ __all__ = [
     "update_beta",
     "update_variances",
     "draw_inactive_prediction_components",
-    "predict_mu",
     "run_chain",
 ]
 
@@ -267,9 +265,8 @@ def update_beta(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray,
     return _sample_mvn_precision(chol, linear, rng)
 
 
-def update_variances(residual: Optional[np.ndarray], eta_delta: np.ndarray,
-                     xi_delta: np.ndarray, beta: np.ndarray, rng: np.random.Generator,
-                     *, fixed: Optional[FixedVariances] = None):
+def update_variances(residual: np.ndarray, eta_delta: np.ndarray, xi_delta: np.ndarray,
+                     beta: np.ndarray, rng: np.random.Generator):
     """Draw the four variance components from their inverse-gamma conditionals.
 
     With the IG(1, 1) prior on each component the conditionals are
@@ -279,12 +276,8 @@ def update_variances(residual: Optional[np.ndarray], eta_delta: np.ndarray,
         sigma2_xi   ~ IG(1 + n/2, 1 + xi'xi / 2)
         sigma2_beta ~ IG(1 + p/2, 1 + beta'beta / 2)
 
-    where ``residual = y - X beta - Psi eta - xi`` on the subset.  With
-    ``fixed`` the pinned values are returned and no randomness is
-    consumed; ``residual`` may then be None.
+    where ``residual = y - X beta - Psi eta - xi`` on the subset.
     """
-    if fixed is not None:
-        return fixed.sigma2, fixed.sigma2_eta, fixed.sigma2_xi, fixed.sigma2_beta
     shape = 1.0 + eta_delta.shape[0] / 2.0
     return (1.0 / rng.gamma(shape, 1.0 / (1.0 + 0.5 * float(residual @ residual))),
             1.0 / rng.gamma(shape, 1.0 / (1.0 + 0.5 * float(eta_delta @ eta_delta))),
@@ -293,54 +286,23 @@ def update_variances(residual: Optional[np.ndarray], eta_delta: np.ndarray,
                             1.0 / (1.0 + 0.5 * float(beta @ beta))))
 
 
-def draw_inactive_prediction_components(prediction_set: np.ndarray, active: np.ndarray,
-                                        sigma2_eta: float, sigma2_xi: float,
-                                        rng: np.random.Generator):
-    """Prior draws of (eta_i, xi_i) for prediction indices outside the subset.
+def draw_inactive_prediction_components(outside: np.ndarray, sigma2_eta: float,
+                                        sigma2_xi: float, rng: np.random.Generator):
+    """Prior draws of (eta_i, xi_i) for the prediction indices outside the subset.
 
-    ``active`` is the subset as the sorted array of its indices, as
-    ``sample_active_indices`` returns it; the lookup costs O(m log n) for m
-    prediction indices, whatever N is.
     Both vectors are independent normals with mean zero and variances
     ``sigma2_eta`` and ``sigma2_xi``, eta drawn first; the chain passes the
-    previous sweep's variances, honoring the update-order lag.
-    Indices already in the subset are untouched.  Returns the refreshed
-    index set with the two draws (empty arrays when the subset covers the
-    set).
+    previous sweep's variances, honoring the update-order lag.  Returns
+    (eta_draw, xi_draw), one entry per index in ``outside``; an empty
+    ``outside`` consumes no randomness.
     """
     if sigma2_eta <= 0.0 or sigma2_xi <= 0.0:
         raise InvalidParameterError("variances must be strictly positive")
-    position = np.minimum(np.searchsorted(active, prediction_set), active.size - 1)
-    outside = prediction_set[active[position] != prediction_set]
     if outside.size == 0:
-        return outside, np.empty(0), np.empty(0)
-    eta_draw = np.sqrt(sigma2_eta) * rng.standard_normal(outside.size)
-    xi_draw = np.sqrt(sigma2_xi) * rng.standard_normal(outside.size)
-    return outside, eta_draw, xi_draw
-
-
-def _predict(x_pred: np.ndarray, beta: np.ndarray, psi_eta: np.ndarray,
-             xi: np.ndarray) -> np.ndarray:
-    # the prediction rule, shared by predict_mu and the chain; psi_eta is
-    # Psi eta over the prediction set, Psi dense or a BandedKernel
-    return x_pred @ beta + psi_eta + xi
-
-
-def predict_mu(state: ChainState, data: DatasetView, basis: BasisConfig,
-               prediction_set: Sequence[int]) -> np.ndarray:
-    """Per-index prediction over the prediction set.
-
-    For each i in the set: ``x_i' beta + sum_{j in set} K(c_i, c_j) eta_j
-    + xi_i``; components of eta outside the set are masked out, matching
-    the sampler's prediction rule.
-    """
-    pred = np.asarray(prediction_set, dtype=np.int64)
-    if pred.ndim != 1 or pred.size < 1:
-        raise InvalidParameterError("prediction_set must be a nonempty 1-d index list")
-    if pred[0] < 0 or pred[-1] >= data.n_obs or np.any(np.diff(pred) <= 0):
-        raise InvalidParameterError("prediction_set must be sorted, unique and in range")
-    psi_pred = _kernel_operator(data.index_coords[pred], basis)
-    return _predict(data.x[pred], state.beta, psi_pred @ state.eta[pred], state.xi[pred])
+        return np.empty(0), np.empty(0)
+    eta_draw = math.sqrt(sigma2_eta) * rng.standard_normal(outside.size)
+    xi_draw = math.sqrt(sigma2_xi) * rng.standard_normal(outside.size)
+    return eta_draw, xi_draw
 
 
 def run_chain(data: DatasetView, config: SamplerConfig, n: int,
@@ -391,13 +353,12 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     psi_pred = _kernel_operator(data.index_coords[pred], config.basis)
     x_pred = data.x[pred]
 
+    # The prior refresh draws for the prediction indices the subset misses.
     # Under carry, a sweep changes eta and xi only on its subset, so the
     # prediction set's (Psi eta, xi) stays valid until a subset meets the
     # set; under prior refresh it is recomputed on every kept sweep.
-    in_pred = None
-    if not refresh_prior:
-        in_pred = np.zeros(N, dtype=bool)
-        in_pred[pred] = True
+    in_pred = np.zeros(N, dtype=bool)
+    in_pred[pred] = True
     pred_parts = None
 
     m = pred.size
@@ -445,18 +406,25 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
         beta = update_beta(state, y_delta, x_delta, psi_eta, xi_delta, chol_beta, rng)
         state.beta = beta
 
-        residual = y_delta - x_delta @ beta - psi_eta - xi_delta if fixed is None else None
-        (state.sigma2, state.sigma2_eta,
-         state.sigma2_xi, state.sigma2_beta) = update_variances(
-            residual, eta_delta, xi_delta, beta, rng, fixed=fixed)
+        if fixed is None:
+            (state.sigma2, state.sigma2_eta,
+             state.sigma2_xi, state.sigma2_beta) = update_variances(
+                y_delta - x_delta @ beta - psi_eta - xi_delta, eta_delta, xi_delta, beta, rng)
 
         if refresh_prior:
-            outside, eta_outside, xi_outside = draw_inactive_prediction_components(
-                pred, active, prev_sigma2_eta, prev_sigma2_xi, rng)
+            hits = active[in_pred[active]]
+            outside = pred
+            if hits.size:
+                # the set without the subset's own indices, read off the mask
+                in_pred[hits] = False
+                outside = pred[in_pred[pred]]
+                in_pred[hits] = True
+            eta_outside, xi_outside = draw_inactive_prediction_components(
+                outside, prev_sigma2_eta, prev_sigma2_xi, rng)
             state.eta[outside] = eta_outside
             state.xi[outside] = xi_outside
-
-        if in_pred is None or (pred_parts is not None and in_pred[active].any()):
+            pred_parts = None
+        elif pred_parts is not None and in_pred[active].any():
             pred_parts = None
 
         if collect_trace:
@@ -467,7 +435,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
         if g > config.burn_in:
             if pred_parts is None:
                 pred_parts = (psi_pred @ state.eta[pred], state.xi[pred])
-            mu_g = _predict(x_pred, state.beta, *pred_parts)
+            mu_g = x_pred @ state.beta + pred_parts[0] + pred_parts[1]
             kept += 1
             delta_mu = mu_g - mu_mean
             mu_mean += delta_mu / kept

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import lapack
 
+from .distributions import _checked_seed
 from .errors import InvalidParameterError, NumericalError
 
 __all__ = [
@@ -226,8 +227,7 @@ class SamplerConfig:
                 f"prediction_refresh must be '{REFRESH_PRIOR}' or '{REFRESH_CARRY}', "
                 f"got {self.prediction_refresh!r}"
             )
-        if not (0 <= int(self.seed) < 2**64):
-            raise InvalidParameterError("seed must be a 64-bit unsigned integer")
+        _checked_seed(self.seed)
 
 
 def _pairwise_distance(coords_a: np.ndarray, coords_b: np.ndarray, metric: str) -> np.ndarray:

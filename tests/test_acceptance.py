@@ -163,10 +163,9 @@ def test_criterion_2_conjugate_full_conditionals():
     _assert_moments("variances", draws, ig_mean, ig_var)
 
     rng = sg.make_rng(105)
-    active = np.array([0])
     pred = np.arange(1, 21)
     collected = np.array([
-        np.concatenate(draw_inactive_prediction_components(pred, active, 1.6, 0.9, rng)[1:])
+        np.concatenate(draw_inactive_prediction_components(pred, 1.6, 0.9, rng))
         for _ in range(DRAWS)
     ])
     _assert_moments("inactive prediction components", collected,

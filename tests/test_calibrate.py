@@ -197,7 +197,8 @@ class TestRunSweep:
         for n, out in report.per_n:
             np.testing.assert_array_equal(out.mu_hat, clean.output_for(n).mu_hat)
 
-    def test_worker_count_clamped_to_cores(self, monkeypatch):
+    @staticmethod
+    def pool_sizes(monkeypatch):
         seen = []
 
         class RecordingPool(calibrate.concurrent.futures.ProcessPoolExecutor):
@@ -205,12 +206,24 @@ class TestRunSweep:
                 seen.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(calibrate.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(calibrate.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         data, config = sweep_inputs()
         run_sweep(data, config, SweepPlan(n_grid=(5, 10, 15), budget_seconds=60.0,
                                           max_parallel=8))
-        assert seen == [2]
+        return seen
+
+    def test_worker_count_clamped_to_cores(self, monkeypatch):
+        # the CPUs the process may use, not the machine's count: under
+        # taskset -c 0,1 on a larger machine only two chains run at once
+        monkeypatch.setattr(calibrate.os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(calibrate.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert self.pool_sizes(monkeypatch) == [2]
+
+    def test_worker_count_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(calibrate.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(calibrate.os, "cpu_count", lambda: 2)
+        assert self.pool_sizes(monkeypatch) == [2]
 
     def test_fake_clock_controls_selection(self):
         data, config = sweep_inputs()

@@ -58,6 +58,18 @@ class TestSampleActiveIndices:
         np.testing.assert_array_equal(active, repeat)
 
 
+class TestMakeRng:
+    @pytest.mark.parametrize("seed", [1.7, 2.9, 2.0, "3"])
+    def test_rejects_non_integer_seeds(self, seed):
+        # int() would truncate 1.7 to seed 1 and give its stream
+        with pytest.raises(InvalidParameterError, match="integer"):
+            make_rng(seed)
+
+    def test_numpy_integer_seed_gives_the_int_stream(self):
+        assert make_rng(np.uint64(7)).random() == make_rng(7).random()
+        assert make_rng(np.int32(7)).random() == make_rng(7).random()
+
+
 class TestSpawnSeed:
     def test_deterministic_and_distinct(self):
         seeds = [spawn_seed(99, i) for i in range(16)]

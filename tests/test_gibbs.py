@@ -325,13 +325,17 @@ class TestUpdateVariances:
         assert draws.mean() == pytest.approx(
             expected_mean, abs=3.0 * np.sqrt(expected_var / count))
 
-    def test_fixed_components_pass_through_without_randomness(self):
-        fixed = FixedVariances.all_of(0.3, 0.4, 0.5, 0.6)
-        rng = make_rng(9)
-        before = rng.bit_generator.state["state"]["state"]
-        out = update_variances(None, np.zeros(2), np.zeros(2), np.zeros(2), rng, fixed=fixed)
-        assert out == (0.3, 0.4, 0.5, 0.6)
-        assert rng.bit_generator.state["state"]["state"] == before
+    def test_fixed_components_pass_through_without_randomness(self, monkeypatch):
+        # a pinned chain skips the variance step, so it draws nothing for
+        # it, and its trace holds the pins at every sweep
+        calls = count_calls(monkeypatch, ["update_variances"])
+        pins = (0.3, 0.4, 0.5, 0.6)
+        for policy in ("carry", "prior"):
+            config = small_config(12, iterations=25, burn_in=5, prediction_refresh=policy,
+                                  fixed_variances=FixedVariances.all_of(*pins))
+            out = run_chain(small_dataset(), config, 4, collect_trace=True)
+            np.testing.assert_array_equal(out.trace[:, -4:], np.tile(pins, (25, 1)))
+        assert calls["update_variances"] == 0
 
     def test_beta_prior_recovery(self):
         # beta = 0 with p=2 gives sigma2_beta ~ IG(2, 1)
@@ -344,19 +348,19 @@ class TestUpdateVariances:
 
 class TestDrawInactivePredictionComponents:
     def test_empty_intersection_leaves_stream_untouched(self):
+        # a subset that covers the prediction set leaves nothing outside it
         rng = make_rng(4)
-        outside, eta, xi = draw_inactive_prediction_components(
-            np.array([0, 1]), np.array([0, 1, 2]), 1.0, 1.0, rng)
-        assert outside.size == 0 and eta.size == 0 and xi.size == 0
+        eta, xi = draw_inactive_prediction_components(
+            np.empty(0, dtype=np.int64), 1.0, 1.0, rng)
+        assert eta.size == 0 and xi.size == 0
         assert make_rng(4).standard_normal() == rng.standard_normal()
 
     def test_prior_moments(self):
-        active = np.array([0])
-        pred = np.arange(1, 201)
+        outside = np.arange(1, 201)
         rng = make_rng(10)
         eta_all, xi_all = [], []
         for _ in range(5000):
-            _, eta, xi = draw_inactive_prediction_components(pred, active, 1.0, 4.0, rng)
+            eta, xi = draw_inactive_prediction_components(outside, 1.0, 4.0, rng)
             eta_all.append(eta)
             xi_all.append(xi)
         eta_all = np.concatenate(eta_all)
@@ -367,11 +371,10 @@ class TestDrawInactivePredictionComponents:
         assert abs(eta_all.mean()) < 0.01
 
     def test_draws_independent_across_indices(self):
-        active = np.array([0])
-        pred = np.array([1, 2])
+        outside = np.array([1, 2])
         rng = make_rng(21)
         draws = np.array([
-            draw_inactive_prediction_components(pred, active, 1.0, 1.0, rng)[1]
+            draw_inactive_prediction_components(outside, 1.0, 1.0, rng)[0]
             for _ in range(100_000)
         ])
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
@@ -381,16 +384,32 @@ class TestDrawInactivePredictionComponents:
         # the chain passes the previous sweep's variances; the draw scales
         # with exactly the variances it is given
         rng_a, rng_b = make_rng(3), make_rng(3)
-        _, eta_a, _ = draw_inactive_prediction_components(
-            np.array([1]), np.array([0]), 9.0, 9.0, rng_a)
+        eta_a, _ = draw_inactive_prediction_components(np.array([1]), 9.0, 9.0, rng_a)
         z = rng_b.standard_normal(1)
         np.testing.assert_allclose(eta_a, 3.0 * z)
 
-    def test_outside_indices_before_between_and_after_subset(self):
-        outside, eta, xi = draw_inactive_prediction_components(
-            np.array([0, 2, 3, 6, 9]), np.array([2, 5, 6]), 1.0, 1.0, make_rng(8))
-        np.testing.assert_array_equal(outside, [0, 3, 9])
-        assert eta.size == 3 and xi.size == 3
+    def test_outside_indices_before_between_and_after_subset(self, monkeypatch):
+        # the chain hands the helper exactly the prediction indices its
+        # subset misses, wherever they fall relative to the subset
+        record = record_draws(monkeypatch)
+        pred = np.array([0, 2, 3, 6, 9, 11])
+        config = small_config(12, iterations=60, burn_in=0, prediction_set=pred,
+                              prediction_refresh="prior")
+        run_chain(small_dataset(), config, 4)
+        assert len(record["refresh"]) == len(record["subsets"]) == config.iterations
+        seen = set()
+        for active, (outside, eta, xi) in zip(record["subsets"], record["refresh"]):
+            np.testing.assert_array_equal(outside, np.setdiff1d(pred, active))
+            assert eta.size == xi.size == outside.size
+            seen.update(place for place, where in (
+                ("before", outside < active[0]),
+                ("between", (outside > active[0]) & (outside < active[-1])),
+                ("after", outside > active[-1])) if where.any())
+            seen.add("hit" if outside.size < pred.size else "miss")
+        assert seen == {"before", "between", "after", "hit", "miss"}
+        # a subset that covers the set leaves nothing to draw
+        run_chain(small_dataset(), config, 12)
+        assert all(outside.size == 0 for outside, _, _ in record["refresh"][60:])
 
 
 class TestSampleMvnPrecision:
@@ -524,12 +543,11 @@ def record_prediction_products(monkeypatch):
 
     The prediction kernel is the first one the chain builds.  Each product
     with it is recorded as the number of subsets drawn so far, which is the
-    1-based sweep index.  ``state`` is the chain's state, caught as the
-    first argument of the xi update.
+    1-based sweep index.
     """
-    record = {"subsets": [], "products": [], "kernels": [], "state": None}
+    record = {"subsets": [], "products": [], "kernels": []}
     draw, kernel_operator = gibbs.sample_active_indices, gibbs._kernel_operator
-    matmul, update_xi = BandedKernel.__matmul__, gibbs.update_xi_active
+    matmul = BandedKernel.__matmul__
 
     def drawing(n, N, rng):
         active = draw(n, N, rng)
@@ -545,37 +563,69 @@ def record_prediction_products(monkeypatch):
             record["products"].append(len(record["subsets"]))
         return matmul(kernel, v)
 
-    def updating_xi(state, *args, **kwargs):
-        record["state"] = state
-        return update_xi(state, *args, **kwargs)
-
     monkeypatch.setattr(gibbs, "sample_active_indices", drawing)
     monkeypatch.setattr(gibbs, "_kernel_operator", building)
     monkeypatch.setattr(BandedKernel, "__matmul__", multiplying)
-    monkeypatch.setattr(gibbs, "update_xi_active", updating_xi)
     return record
+
+
+def record_draws(monkeypatch):
+    """Record each sweep's subset and block draws through the chain's stage hooks.
+
+    ``refresh`` holds the prior refresh's (outside, eta draw, xi draw) per
+    sweep and stays empty under carry.
+    """
+    record = {"subsets": [], "eta": [], "xi": [], "beta": [], "refresh": []}
+    hooks = {
+        "sample_active_indices": ("subsets", lambda args, result: result.copy()),
+        "update_eta_active": ("eta", lambda args, result: result[0].copy()),
+        "update_xi_active": ("xi", lambda args, result: result.copy()),
+        "update_beta": ("beta", lambda args, result: result.copy()),
+        "draw_inactive_prediction_components": (
+            "refresh", lambda args, result: (args[0].copy(), *result)),
+    }
+
+    def recording(func, name, keep):
+        def wrapper(*args):
+            result = func(*args)
+            record[name].append(keep(args, result))
+            return result
+        return wrapper
+
+    for attr, (name, keep) in hooks.items():
+        monkeypatch.setattr(gibbs, attr, recording(getattr(gibbs, attr), name, keep))
+    return record
+
+
+def replay(record, N):
+    """The chain's (beta, eta, xi) after each sweep, rebuilt from the recorded draws.
+
+    Yields the same eta and xi arrays each time, updated in place.
+    """
+    eta, xi = np.zeros(N), np.zeros(N)
+    refresh = record["refresh"] or [None] * len(record["subsets"])
+    for active, eta_draw, xi_draw, beta, prior_draws in zip(
+            record["subsets"], record["eta"], record["xi"], record["beta"], refresh):
+        eta[active] = eta_draw
+        xi[active] = xi_draw
+        if prior_draws is not None:
+            outside, eta_outside, xi_outside = prior_draws
+            eta[outside] = eta_outside
+            xi[outside] = xi_outside
+        yield beta, eta, xi
 
 
 class TestRunChain:
     def test_carry_reuses_the_prediction_product_until_a_subset_meets_the_set(
             self, monkeypatch):
-        matmul, predict = BandedKernel.__matmul__, gibbs._predict
+        matmul = BandedKernel.__matmul__
         record = record_prediction_products(monkeypatch)
+        draws = record_draws(monkeypatch)
         pred = np.array([5, 30, 55])
-        checked = []
-
-        def predicting(x_pred, beta, psi_eta, xi):
-            # a reused product must equal a fresh one, bit for bit
-            state = record["state"]
-            np.testing.assert_array_equal(psi_eta, matmul(record["kernels"][0], state.eta[pred]))
-            np.testing.assert_array_equal(xi, state.xi[pred])
-            checked.append(True)
-            return predict(x_pred, beta, psi_eta, xi)
-
-        monkeypatch.setattr(gibbs, "_predict", predicting)
+        data = small_dataset(N=60)
         config = small_config(60, iterations=120, burn_in=20, prediction_set=pred,
                               prediction_refresh="carry")
-        out = run_chain(small_dataset(N=60), config, 4)
+        out = run_chain(data, config, 4)
 
         expected, stale = [], True
         for g, active in enumerate(record["subsets"], start=1):
@@ -585,7 +635,56 @@ class TestRunChain:
                 stale = False
         assert record["products"] == expected
         assert expected[0] == config.burn_in + 1
-        assert 1 < len(expected) < out.iterations_kept == len(checked)
+        assert 1 < len(expected) < out.iterations_kept
+
+        # a reused product equals a fresh one bit for bit: a fresh product
+        # on every kept sweep reproduces the chain's running moments exactly
+        kernel, x_pred = record["kernels"][0], data.x[pred]
+        mean, m2, kept = np.zeros(pred.size), np.zeros(pred.size), 0
+        for g, (beta, eta, xi) in enumerate(replay(draws, data.n_obs), start=1):
+            if g > config.burn_in:
+                mu_g = x_pred @ beta + matmul(kernel, eta[pred]) + xi[pred]
+                kept += 1
+                delta = mu_g - mean
+                mean += delta / kept
+                m2 += delta * (mu_g - mean)
+        assert kept == out.iterations_kept
+        np.testing.assert_array_equal(out.mu_hat, mean)
+        np.testing.assert_array_equal(out.mu_var, m2 / (kept - 1))
+
+    @pytest.mark.parametrize("policy", ["carry", "prior"])
+    @pytest.mark.parametrize("layout", ["sorted", "unsorted", "greatcircle"])
+    def test_mu_hat_averages_the_recorded_draws(self, monkeypatch, layout, policy):
+        # each kept sweep predicts x_i'beta + sum_j K(c_i, c_j) eta_j + xi_i
+        # over the prediction set, with K the dense kernel there, from that
+        # sweep's draws; mu_hat and mu_var are their mean and variance
+        N = 40
+        rng = np.random.default_rng(6)
+        coords = {
+            "sorted": np.arange(N, dtype=float),
+            "unsorted": rng.permutation(N).astype(float),
+            "greatcircle": np.column_stack([rng.uniform(-60, 60, N),
+                                            rng.uniform(-180, 180, N)]),
+        }[layout]
+        basis = BasisConfig(rho=0.3, metric="greatcircle" if layout == "greatcircle" else "abs")
+        data = DatasetView(y=rng.normal(size=N),
+                           x=np.column_stack([np.ones(N), rng.normal(size=(N, 2))]),
+                           index_coords=coords)
+        pred = np.array([1, 7, 8, 20, 33])
+        assert (banded_kernel(coords[pred], basis) is None) == (layout == "greatcircle")
+        config = small_config(N, iterations=80, burn_in=20, prediction_set=pred, basis=basis,
+                              prediction_refresh=policy)
+        record = record_draws(monkeypatch)
+        out = run_chain(data, config, 6)
+
+        hits = [np.isin(active, pred).any() for active in record["subsets"][config.burn_in:]]
+        assert any(hits) and not all(hits)
+        psi = kernel_matrix(coords[pred], coords[pred], basis)
+        mu = np.array([data.x[pred] @ beta + psi @ eta[pred] + xi[pred]
+                       for g, (beta, eta, xi) in enumerate(replay(record, N), start=1)
+                       if g > config.burn_in])
+        np.testing.assert_allclose(out.mu_hat, mu.mean(axis=0), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(out.mu_var, mu.var(axis=0, ddof=1), rtol=1e-8, atol=1e-12)
 
     def test_prior_refresh_multiplies_once_per_kept_sweep(self, monkeypatch):
         record = record_prediction_products(monkeypatch)

@@ -1,4 +1,4 @@
-"""Type invariants, kernel construction and the prediction formula."""
+"""Type invariants and kernel construction."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,12 @@ import pytest
 import subsetgibbs
 from subsetgibbs import (
     BasisConfig,
-    ChainState,
     DatasetView,
     FixedVariances,
     InvalidParameterError,
     SamplerConfig,
     kernel_matrix,
     make_rng,
-    predict_mu,
 )
 from subsetgibbs.distributions import sample_active_indices
 from subsetgibbs.model import _BANDED_MIN_RHO_GAP, BandedKernel, banded_kernel
@@ -75,6 +73,12 @@ class TestSamplerConfig:
             SamplerConfig(iterations=10, burn_in=0, prediction_set=[0],
                           basis=BasisConfig(rho=0.3), seed=0,
                           prediction_refresh="hold")
+
+    @pytest.mark.parametrize("seed", [1.7, 2**64, -1])
+    def test_rejects_seed_that_is_not_a_64_bit_unsigned_integer(self, seed):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            SamplerConfig(iterations=10, burn_in=0, prediction_set=[0],
+                          basis=BasisConfig(rho=0.3), seed=seed)
 
 
 class TestFixedVariances:
@@ -211,79 +215,3 @@ class TestBandedKernel:
         latlon = np.array([[0.0, 0.0], [0.0, 90.0], [90.0, 0.0]])
         assert banded_kernel(latlon, BasisConfig(rho=0.3, metric="greatcircle")) is None
 
-
-class TestPredictMu:
-    def state(self, N, p=1, **overrides):
-        state = ChainState.initial(N, p)
-        for key, value in overrides.items():
-            setattr(state, key, value)
-        return state
-
-    def test_zero_state_gives_zero(self):
-        data = make_data(8)
-        out = predict_mu(self.state(8), data, BasisConfig(rho=0.3), [0, 4, 7])
-        np.testing.assert_array_equal(out, np.zeros(3))
-
-    def test_intercept_plus_fine_scale(self):
-        data = make_data(6)
-        state = self.state(6, beta=np.array([2.0]))
-        state.xi = np.full(6, 0.5)
-        out = predict_mu(state, data, BasisConfig(rho=0.3), [1, 3])
-        np.testing.assert_allclose(out, 2.5)
-
-    def test_single_index_basis(self):
-        data = make_data(4)
-        state = self.state(4)
-        state.eta = np.array([1.0, 0.0, 0.0, 0.0])
-        out = predict_mu(state, data, BasisConfig(rho=0.3), [0])
-        np.testing.assert_allclose(out, [1.0])
-
-    def test_masked_eta_outside_prediction_set(self):
-        # eta components not in the prediction set must not contribute
-        data = make_data(5)
-        state = self.state(5)
-        state.eta = np.array([0.0, 5.0, 0.0, 5.0, 0.0])
-        out = predict_mu(state, data, BasisConfig(rho=0.3), [0, 2, 4])
-        np.testing.assert_array_equal(out, np.zeros(3))
-
-    def test_linear_superposition(self):
-        data = make_data(10)
-        basis = BasisConfig(rho=0.7)
-        rng = np.random.default_rng(3)
-        pred = [1, 4, 6, 9]
-        s1 = self.state(10, beta=rng.normal(size=1))
-        s1.eta = rng.normal(size=10)
-        s1.xi = rng.normal(size=10)
-        s2 = self.state(10, beta=rng.normal(size=1))
-        s2.eta = rng.normal(size=10)
-        s2.xi = rng.normal(size=10)
-        combined = self.state(10, beta=s1.beta + s2.beta)
-        combined.eta = s1.eta + s2.eta
-        combined.xi = s1.xi + s2.xi
-        np.testing.assert_allclose(
-            predict_mu(combined, data, basis, pred),
-            predict_mu(s1, data, basis, pred) + predict_mu(s2, data, basis, pred),
-            rtol=1e-12,
-        )
-
-    def test_banded_prediction_matches_dense_kernel(self):
-        # unsorted coordinates take the banded path through a permutation
-        rng = np.random.default_rng(4)
-        _, coords = sorted_and_shuffled_coords(12, 0.6, seed=4)
-        data = DatasetView(y=rng.normal(size=12), x=rng.normal(size=(12, 2)),
-                           index_coords=coords)
-        basis = BasisConfig(rho=0.6)
-        pred = np.array([0, 2, 3, 7, 11])
-        state = self.state(12, beta=rng.normal(size=2))
-        state.eta = rng.normal(size=12)
-        state.xi = rng.normal(size=12)
-        assert banded_kernel(coords[pred], basis) is not None
-        psi = kernel_matrix(coords[pred], coords[pred], basis)
-        expected = data.x[pred] @ state.beta + psi @ state.eta[pred] + state.xi[pred]
-        np.testing.assert_allclose(predict_mu(state, data, basis, pred), expected,
-                                   rtol=1e-10, atol=1e-12)
-
-    def test_rejects_out_of_range_indices(self):
-        data = make_data(4)
-        with pytest.raises(InvalidParameterError):
-            predict_mu(self.state(4), data, BasisConfig(rho=0.3), [2, 9])
