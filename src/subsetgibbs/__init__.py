@@ -14,8 +14,6 @@ from .calibrate import (
     pairwise_difference,
     run_sweep,
     select_budget_n,
-    write_report_csv,
-    write_summary_json,
 )
 from .distributions import (
     MlbParams,
@@ -73,6 +71,4 @@ __all__ = [
     "select_budget_n",
     "spawn_seed",
     "split_holdout",
-    "write_report_csv",
-    "write_summary_json",
 ]

@@ -7,22 +7,22 @@ point whose measured time lands closest to the budget without exceeding
 it; when nothing fits, the cheapest point is returned and the report is
 flagged.  The squared distance between consecutive prediction vectors is
 reported as a diminishing-returns diagnostic; no changepoint detection is
-applied to it.
+applied to it.  The sweep returns a ``CalibrationReport`` and writes no
+file; ``cli`` serializes it.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import json
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .distributions import spawn_seed
 from .errors import InvalidParameterError, NumericalError
-from .gibbs import ChainOutput, Clock, run_chain
+from .gibbs import ChainOutput, run_chain
 from .model import DatasetView, SamplerConfig
 
 __all__ = [
@@ -31,15 +31,7 @@ __all__ = [
     "pairwise_difference",
     "select_budget_n",
     "run_sweep",
-    "write_report_csv",
-    "write_summary_json",
 ]
-
-
-def _write_json(path, document: dict) -> None:
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 @dataclass(frozen=True)
@@ -76,8 +68,6 @@ class CalibrationReport:
     selected_n: int
     pairwise_diffs: List[Tuple[int, float]]
     budget_met: bool
-    budget_seconds: float
-    used_cpu_time: bool
     failures: List[Tuple[int, str]]
 
     def output_for(self, n: int) -> ChainOutput:
@@ -122,10 +112,10 @@ def select_budget_n(timings: Sequence[Tuple[int, float]], budget_seconds: float)
     return selected[0], False
 
 
-def _run_sweep_task(args) -> Tuple[int, ChainOutput]:
+def _run_sweep_task(args) -> ChainOutput:
     # module-level so ProcessPoolExecutor can pickle it
     data, config, n = args
-    return n, run_chain(data, config, n)
+    return run_chain(data, config, n)
 
 
 def _describe_failure(exc: Exception) -> str:
@@ -144,8 +134,7 @@ def _usable_cpus() -> int:
 
 
 def run_sweep(data: DatasetView, config: SamplerConfig, plan: SweepPlan,
-              *, use_cpu_time: bool = False,
-              clock_factory: Optional[Callable[[int], Clock]] = None) -> CalibrationReport:
+              *, use_cpu_time: bool = False) -> CalibrationReport:
     """Run one chain per grid point and assemble the calibration report.
 
     The chain for grid index i uses seed ``spawn_seed(config.seed, i)``,
@@ -157,9 +146,6 @@ def run_sweep(data: DatasetView, config: SamplerConfig, plan: SweepPlan,
     continues.
 
     Selection uses wall time unless ``use_cpu_time`` is set.
-    ``clock_factory(n)`` injects a fake time source per grid point (used
-    by tests); it forces sequential execution because callables do not
-    survive pickling.
     """
     if plan.n_grid[-1] > data.n_obs:
         raise InvalidParameterError(
@@ -173,11 +159,10 @@ def run_sweep(data: DatasetView, config: SamplerConfig, plan: SweepPlan,
     failures: List[Tuple[int, str]] = []
 
     workers = min(plan.max_parallel, len(plan.n_grid), _usable_cpus())
-    if clock_factory is not None or workers == 1:
+    if workers == 1:
         for n in plan.n_grid:
             try:
-                clock = clock_factory(n) if clock_factory is not None else None
-                results[n] = run_chain(data, configs[n], n, clock=clock)
+                results[n] = run_chain(data, configs[n], n)
             except Exception as exc:  # one grid point's failure must not lose the rest
                 failures.append((n, _describe_failure(exc)))
     else:
@@ -189,8 +174,7 @@ def run_sweep(data: DatasetView, config: SamplerConfig, plan: SweepPlan,
             for future in concurrent.futures.as_completed(futures):
                 n = futures[future]
                 try:
-                    _, output = future.result()
-                    results[n] = output
+                    results[n] = future.result()
                 except Exception as exc:  # BrokenProcessPool and MemoryError included
                     failures.append((n, _describe_failure(exc)))
     failures.sort(key=lambda pair: pair[0])
@@ -219,54 +203,6 @@ def run_sweep(data: DatasetView, config: SamplerConfig, plan: SweepPlan,
         selected_n=selected_n,
         pairwise_diffs=diffs,
         budget_met=met,
-        budget_seconds=plan.budget_seconds,
-        used_cpu_time=use_cpu_time,
         failures=failures,
     )
 
-
-def _format_float(value: float) -> str:
-    # shortest round-trip decimal form keeps files byte-stable across runs
-    return repr(float(value))
-
-
-def _write_rows(path, header: List[str], rows) -> None:
-    # what csv.writer writes for fields without commas, quotes or line
-    # breaks (every field here is a number or empty), in one write call
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    with open(path, "w", newline="") as handle:
-        handle.write("\r\n".join(lines) + "\r\n")
-
-
-def write_report_csv(report: CalibrationReport, path) -> None:
-    """One row per completed grid point: n, wall s, CPU s, diff to next.
-
-    ``diff_to_next`` is empty on the last row (and wherever a neighbor
-    failed).
-    """
-    diff_by_n = dict(report.pairwise_diffs)
-
-    def diff_text(n: int) -> str:
-        diff = diff_by_n.get(n)
-        return "" if diff is None or np.isnan(diff) else _format_float(diff)
-
-    _write_rows(path, ["n", "wall_seconds", "cpu_seconds", "diff_to_next"],
-                ((n, _format_float(out.elapsed_wall_seconds),
-                  _format_float(out.elapsed_cpu_seconds), diff_text(n))
-                 for n, out in report.per_n))
-
-
-def write_summary_json(report: CalibrationReport, path) -> None:
-    """Flat machine-readable summary of the sweep outcome and of the clock that chose n."""
-    _write_json(path, {
-        "selected_n": report.selected_n,
-        "budget_met": report.budget_met,
-        "budget_seconds": report.budget_seconds,
-        "used_cpu_time": report.used_cpu_time,
-        "grid": ",".join(str(n) for n, _ in report.per_n),
-        "failed_grid": ",".join(str(n) for n, _ in report.failures),
-        "failures": [{"n": n, "message": message} for n, message in report.failures],
-        "selected_wall_seconds": report.output_for(report.selected_n).elapsed_wall_seconds,
-        "selected_cpu_seconds": report.output_for(report.selected_n).elapsed_cpu_seconds,
-    })

@@ -11,10 +11,15 @@ data.csv         index,y[,x1..xp][,coord]   (1-based contiguous index;
                  missing covariates mean a lone intercept, missing coord
                  defaults to the index)
 truth.csv        index,mu
-predictions.csv  index,mu_hat,var_hat
+predictions.csv  index,mu_hat,var_hat   (fit; calibrate writes one
+                 predictions_n{n}.csv per completed grid point)
 report.csv       n,wall_seconds,cpu_seconds,diff_to_next
 trace.csv        iteration,beta_1..beta_p,sigma2,sigma2_eta,sigma2_xi,sigma2_beta
-summary.json / metrics.json / timing.json: flat key-value documents.
+metrics.json / timing.json: flat key-value documents.
+summary.json     key-value document whose ``failures`` key holds one
+                 {"n", "message"} object per failed grid point.
+
+This module writes every output file; the library returns values only.
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .calibrate import (SweepPlan, _format_float, _write_json, _write_rows, run_sweep,
-                        write_report_csv, write_summary_json)
+from .calibrate import CalibrationReport, SweepPlan, run_sweep
 from .errors import InvalidParameterError, NumericalError
 from .gibbs import run_chain
 from .model import (
@@ -49,6 +53,26 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+
+def _format_float(value: float) -> str:
+    # shortest round-trip decimal form keeps files byte-stable across runs
+    return repr(float(value))
+
+
+def _write_rows(path, header: List[str], rows) -> None:
+    # what csv.writer writes for fields without commas, quotes or line
+    # breaks (every field here is a number or empty), in one write call
+    lines = [",".join(header)]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    with open(path, "w", newline="") as handle:
+        handle.write("\r\n".join(lines) + "\r\n")
+
+
+def _write_json(path, document: dict) -> None:
+    with open(path, "w") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def write_manifest(output_dir: Path, command: str, argv: Sequence[str],
@@ -178,6 +202,21 @@ def _write_predictions(path, out) -> None:
                     map(_format_float, out.mu_var.tolist())))
 
 
+def _write_report_csv(path, report: CalibrationReport) -> None:
+    # one row per completed grid point; diff_to_next is empty on the last
+    # row and wherever a neighbor failed
+    diff_by_n = dict(report.pairwise_diffs)
+
+    def diff_text(n: int) -> str:
+        diff = diff_by_n.get(n)
+        return "" if diff is None or np.isnan(diff) else _format_float(diff)
+
+    _write_rows(path, ["n", "wall_seconds", "cpu_seconds", "diff_to_next"],
+                ((n, _format_float(out.elapsed_wall_seconds),
+                  _format_float(out.elapsed_cpu_seconds), diff_text(n))
+                 for n, out in report.per_n))
+
+
 def cmd_simulate(args) -> int:
     config = Ar1Config(N=args.N, phi=args.phi, noise_var=args.noise_var,
                        seed=args.seed, prediction_count=args.pred_count)
@@ -234,8 +273,19 @@ def cmd_calibrate(args) -> int:
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     report = run_sweep(data, config, plan, use_cpu_time=args.use_cpu_time)
-    write_report_csv(report, output_dir / "report.csv")
-    write_summary_json(report, output_dir / "summary.json")
+    _write_report_csv(output_dir / "report.csv", report)
+    selected = report.output_for(report.selected_n)
+    _write_json(output_dir / "summary.json", {
+        "selected_n": report.selected_n,
+        "budget_met": report.budget_met,
+        "budget_seconds": plan.budget_seconds,
+        "used_cpu_time": args.use_cpu_time,
+        "grid": ",".join(str(n) for n, _ in report.per_n),
+        "failed_grid": ",".join(str(n) for n, _ in report.failures),
+        "failures": [{"n": n, "message": message} for n, message in report.failures],
+        "selected_wall_seconds": selected.elapsed_wall_seconds,
+        "selected_cpu_seconds": selected.elapsed_cpu_seconds,
+    })
     for n, out in report.per_n:
         _write_predictions(output_dir / f"predictions_n{n}.csv", out)
     write_manifest(output_dir, "calibrate", args.raw_argv, args.seed, args.data)

@@ -106,7 +106,7 @@ class ChainOutput:
     trace: Optional[np.ndarray] = None
 
 
-def _cholesky_with_jitter(precision: np.ndarray, *, n: int, iteration: Optional[int]):
+def _cholesky_with_jitter(precision: np.ndarray):
     """Lower Cholesky factor by LAPACK's dpotrf, jittered on failure.
 
     Each failure counts one jitter event and adds 1e-10 * trace/dim, then
@@ -125,10 +125,7 @@ def _cholesky_with_jitter(precision: np.ndarray, *, n: int, iteration: Optional[
         lower, info = lapack.dpotrf(attempt, lower=1)
         if info == 0:
             return lower, jitter_events
-    raise NumericalError(
-        "precision matrix not positive definite after jitter",
-        n=n, iteration=iteration,
-    )
+    raise NumericalError("precision matrix not positive definite after jitter")
 
 
 def _sample_mvn_precision(chol: np.ndarray, linear: np.ndarray,
@@ -148,7 +145,7 @@ def _kernel_operator(coords: np.ndarray, basis):
     return banded if banded is not None else kernel_matrix(coords, coords, basis)
 
 
-def _beta_factor(state: ChainState, xtx: np.ndarray, *, n: int, iteration: Optional[int]):
+def _beta_factor(state: ChainState, xtx: np.ndarray):
     """Lower Cholesky factor of the beta block's precision X'X/sigma2 + I/sigma2_beta.
 
     Returns (lower, jitter_events), as :func:`_cholesky_with_jitter` does.
@@ -156,7 +153,7 @@ def _beta_factor(state: ChainState, xtx: np.ndarray, *, n: int, iteration: Optio
     precision = xtx / state.sigma2
     # ravel() of the fresh contiguous array is a view: this adds to its diagonal
     precision.ravel()[::precision.shape[0] + 1] += 1.0 / state.sigma2_beta
-    return _cholesky_with_jitter(precision, n=n, iteration=iteration)
+    return _cholesky_with_jitter(precision)
 
 
 def _banded_eta_factor(kernel: BandedKernel, sigma2: float, sigma2_eta: float):
@@ -181,8 +178,7 @@ def _banded_eta_factor(kernel: BandedKernel, sigma2: float, sigma2_eta: float):
     return factor if info == 0 else None
 
 
-def _factor_eta_precision(psi_delta, sigma2: float, sigma2_eta: float,
-                          *, n: int, iteration: Optional[int]):
+def _factor_eta_precision(psi_delta, sigma2: float, sigma2_eta: float):
     """Factor the eta block's precision for the kernel at hand.
 
     Returns (psi_delta, factor, jitter_events).  A BandedKernel yields the
@@ -199,8 +195,8 @@ def _factor_eta_precision(psi_delta, sigma2: float, sigma2_eta: float,
             return psi_delta, factor, 0
         psi_delta = kernel_matrix(psi_delta.coords, psi_delta.coords, psi_delta.basis)
         jitter_events = 1
-    precision = psi_delta.T @ psi_delta / sigma2 + np.eye(n) / sigma2_eta
-    lower, jitter = _cholesky_with_jitter(precision, n=n, iteration=iteration)
+    precision = psi_delta.T @ psi_delta / sigma2 + np.eye(psi_delta.shape[0]) / sigma2_eta
+    lower, jitter = _cholesky_with_jitter(precision)
     return psi_delta, lower, jitter_events + jitter
 
 
@@ -330,8 +326,9 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     Raises
     ------
     NumericalError
-        If a precision Cholesky fails even after jitter; the failing
-        sweep index and n are attached.
+        If a factorization fails (a precision Cholesky even after
+        jitter, or the prediction set's tridiagonal kernel inverse); n
+        and the failing sweep index are attached.
     """
     n = int(n)
     N = data.n_obs
@@ -376,70 +373,73 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     memoize = n == N or (N <= _DESIGN_CACHE_LIMIT and math.comb(N, n) <= _DESIGN_CACHE_LIMIT)
     design_cache = {} if fixed is not None and memoize else None
 
-    for g in range(1, config.iterations + 1):
-        active = sample_active_indices(n, N, rng)
-        design = None if design_cache is None else design_cache.get(active.tobytes())
-        if design is None:
-            x_delta = data.x[active]
-            psi_delta, chol_eta, jitter = _factor_eta_precision(
-                _kernel_operator(data.index_coords[active], config.basis),
-                state.sigma2, state.sigma2_eta, n=n, iteration=g)
-            chol_beta, jitter_beta = _beta_factor(state, x_delta.T @ x_delta,
-                                                  n=n, iteration=g)
-            jitter_events += jitter + jitter_beta
-            design = (x_delta, psi_delta, chol_eta, chol_beta)
-            if design_cache is not None:
-                design_cache[active.tobytes()] = design
-        x_delta, psi_delta, chol_eta, chol_beta = design
-        y_delta = data.y[active]
+    # every NumericalError a sweep raises gets its context here, once
+    try:
+        for g in range(1, config.iterations + 1):
+            active = sample_active_indices(n, N, rng)
+            design = None if design_cache is None else design_cache.get(active.tobytes())
+            if design is None:
+                x_delta = data.x[active]
+                psi_delta, chol_eta, jitter = _factor_eta_precision(
+                    _kernel_operator(data.index_coords[active], config.basis),
+                    state.sigma2, state.sigma2_eta)
+                chol_beta, jitter_beta = _beta_factor(state, x_delta.T @ x_delta)
+                jitter_events += jitter + jitter_beta
+                design = (x_delta, psi_delta, chol_eta, chol_beta)
+                if design_cache is not None:
+                    design_cache[active.tobytes()] = design
+            x_delta, psi_delta, chol_eta, chol_beta = design
+            y_delta = data.y[active]
 
-        prev_sigma2_eta = state.sigma2_eta
-        prev_sigma2_xi = state.sigma2_xi
+            prev_sigma2_eta = state.sigma2_eta
+            prev_sigma2_xi = state.sigma2_xi
 
-        eta_delta, psi_eta = update_eta_active(
-            state, y_delta, x_delta, psi_delta, state.xi[active], chol_eta, rng)
-        state.eta[active] = eta_delta
+            eta_delta, psi_eta = update_eta_active(
+                state, y_delta, x_delta, psi_delta, state.xi[active], chol_eta, rng)
+            state.eta[active] = eta_delta
 
-        xi_delta = update_xi_active(state, y_delta, x_delta, psi_eta, rng)
-        state.xi[active] = xi_delta
+            xi_delta = update_xi_active(state, y_delta, x_delta, psi_eta, rng)
+            state.xi[active] = xi_delta
 
-        beta = update_beta(state, y_delta, x_delta, psi_eta, xi_delta, chol_beta, rng)
-        state.beta = beta
+            beta = update_beta(state, y_delta, x_delta, psi_eta, xi_delta, chol_beta, rng)
+            state.beta = beta
 
-        if fixed is None:
-            (state.sigma2, state.sigma2_eta,
-             state.sigma2_xi, state.sigma2_beta) = update_variances(
-                y_delta - x_delta @ beta - psi_eta - xi_delta, eta_delta, xi_delta, beta, rng)
+            if fixed is None:
+                (state.sigma2, state.sigma2_eta,
+                 state.sigma2_xi, state.sigma2_beta) = update_variances(
+                    y_delta - x_delta @ beta - psi_eta - xi_delta, eta_delta, xi_delta, beta, rng)
 
-        if refresh_prior:
-            hits = active[in_pred[active]]
-            outside = pred
-            if hits.size:
-                # the set without the subset's own indices, read off the mask
-                in_pred[hits] = False
-                outside = pred[in_pred[pred]]
-                in_pred[hits] = True
-            eta_outside, xi_outside = draw_inactive_prediction_components(
-                outside, prev_sigma2_eta, prev_sigma2_xi, rng)
-            state.eta[outside] = eta_outside
-            state.xi[outside] = xi_outside
-            pred_parts = None
-        elif pred_parts is not None and in_pred[active].any():
-            pred_parts = None
+            if refresh_prior:
+                hits = active[in_pred[active]]
+                outside = pred
+                if hits.size:
+                    # the set without the subset's own indices, read off the mask
+                    in_pred[hits] = False
+                    outside = pred[in_pred[pred]]
+                    in_pred[hits] = True
+                eta_outside, xi_outside = draw_inactive_prediction_components(
+                    outside, prev_sigma2_eta, prev_sigma2_xi, rng)
+                state.eta[outside] = eta_outside
+                state.xi[outside] = xi_outside
+                pred_parts = None
+            elif pred_parts is not None and in_pred[active].any():
+                pred_parts = None
 
-        if collect_trace:
-            trace[g - 1, :-4] = state.beta
-            trace[g - 1, -4:] = (state.sigma2, state.sigma2_eta,
-                                 state.sigma2_xi, state.sigma2_beta)
+            if collect_trace:
+                trace[g - 1, :-4] = state.beta
+                trace[g - 1, -4:] = (state.sigma2, state.sigma2_eta,
+                                     state.sigma2_xi, state.sigma2_beta)
 
-        if g > config.burn_in:
-            if pred_parts is None:
-                pred_parts = (psi_pred @ state.eta[pred], state.xi[pred])
-            mu_g = x_pred @ state.beta + pred_parts[0] + pred_parts[1]
-            kept += 1
-            delta_mu = mu_g - mu_mean
-            mu_mean += delta_mu / kept
-            mu_m2 += delta_mu * (mu_g - mu_mean)
+            if g > config.burn_in:
+                if pred_parts is None:
+                    pred_parts = (psi_pred @ state.eta[pred], state.xi[pred])
+                mu_g = x_pred @ state.beta + pred_parts[0] + pred_parts[1]
+                kept += 1
+                delta_mu = mu_g - mu_mean
+                mu_mean += delta_mu / kept
+                mu_m2 += delta_mu * (mu_g - mu_mean)
+    except NumericalError as exc:
+        raise NumericalError(str(exc), n=n, iteration=g) from exc
 
     mu_var = mu_m2 / (kept - 1) if kept > 1 else np.full(m, np.nan)
     return ChainOutput(

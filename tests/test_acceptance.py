@@ -121,8 +121,7 @@ def test_criterion_2_conjugate_full_conditionals():
     residual = y - x @ state.beta - state.xi
     precision = psi.T @ psi / state.sigma2 + np.eye(4) / state.sigma2_eta
     cov = np.linalg.inv(precision)
-    _, chol_eta, _ = _factor_eta_precision(psi, state.sigma2, state.sigma2_eta,
-                                           n=4, iteration=1)
+    _, chol_eta, _ = _factor_eta_precision(psi, state.sigma2, state.sigma2_eta)
     draws = np.array([update_eta_active(state, y, x, psi, state.xi, chol_eta, rng)[0]
                       for _ in range(DRAWS)])
     _assert_moments("eta", draws, cov @ psi.T @ residual / state.sigma2, np.diag(cov))
@@ -138,7 +137,7 @@ def test_criterion_2_conjugate_full_conditionals():
     rng = sg.make_rng(103)
     residual_b = y - psi @ state.eta - state.xi
     cov_b = np.linalg.inv(x.T @ x / state.sigma2 + np.eye(1) / state.sigma2_beta)
-    chol_beta, _ = _beta_factor(state, x.T @ x, n=4, iteration=1)
+    chol_beta, _ = _beta_factor(state, x.T @ x)
     draws = np.array([update_beta(state, y, x, psi @ state.eta, state.xi, chol_beta, rng)
                       for _ in range(DRAWS)])
     _assert_moments("beta", draws, cov_b @ x.T @ residual_b / state.sigma2,
@@ -324,7 +323,7 @@ def test_criterion_4c_elbow_colocation(simulation_study):
 # criterion 5: budget selection
 # --------------------------------------------------------------------------
 
-def test_criterion_5_budget_selection(simulation_study):
+def test_criterion_5_budget_selection(simulation_study, scripted_timings):
     # scripted reference timings: n=162 lands exactly on the budget
     times = [(100, 250.0), (162, 300.0), (175, 331.0)]
     selected, met = sg.select_budget_n(times, 300.0)
@@ -337,15 +336,9 @@ def test_criterion_5_budget_selection(simulation_study):
     config = sg.SamplerConfig(iterations=50, burn_in=10,
                               prediction_set=np.arange(0, 300, 30),
                               basis=sg.BasisConfig(rho=0.3), seed=3)
-    scripted = {100: 250.0, 162: 300.0, 175: 331.0}
-
-    def clock_factory(n):
-        ticker = iter([0.0, scripted[n]])
-        return sg.Clock(wall=lambda: next(ticker), cpu=lambda: 0.0)
-
+    scripted_timings({100: 250.0, 162: 300.0, 175: 331.0})
     fake_report = sg.run_sweep(
-        data, config, sg.SweepPlan(n_grid=(100, 162, 175), budget_seconds=300.0),
-        clock_factory=clock_factory)
+        data, config, sg.SweepPlan(n_grid=(100, 162, 175), budget_seconds=300.0))
     sweep_ok = fake_report.selected_n == 162 and fake_report.budget_met
 
     # with real timings the ceiling rule must hold at any feasible budget

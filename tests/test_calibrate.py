@@ -1,7 +1,5 @@
-"""Budget selection rules, sweep determinism and report serialization."""
+"""Budget selection rules, sweep determinism and failure handling."""
 
-import csv
-import json
 import multiprocessing
 
 import numpy as np
@@ -12,7 +10,6 @@ from hypothesis import strategies as st
 import subsetgibbs.calibrate as calibrate
 from subsetgibbs import (
     BasisConfig,
-    Clock,
     DatasetView,
     InvalidParameterError,
     SamplerConfig,
@@ -20,8 +17,6 @@ from subsetgibbs import (
     pairwise_difference,
     run_sweep,
     select_budget_n,
-    write_report_csv,
-    write_summary_json,
 )
 
 
@@ -198,7 +193,8 @@ class TestRunSweep:
             np.testing.assert_array_equal(out.mu_hat, clean.output_for(n).mu_hat)
 
     @staticmethod
-    def pool_sizes(monkeypatch):
+    def record_pools(monkeypatch):
+        # the worker count of every pool run_sweep creates, in order
         seen = []
 
         class RecordingPool(calibrate.concurrent.futures.ProcessPoolExecutor):
@@ -207,6 +203,10 @@ class TestRunSweep:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(calibrate.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return seen
+
+    def pool_sizes(self, monkeypatch):
+        seen = self.record_pools(monkeypatch)
         data, config = sweep_inputs()
         run_sweep(data, config, SweepPlan(n_grid=(5, 10, 15), budget_seconds=60.0,
                                           max_parallel=8))
@@ -225,65 +225,27 @@ class TestRunSweep:
         monkeypatch.setattr(calibrate.os, "cpu_count", lambda: 2)
         assert self.pool_sizes(monkeypatch) == [2]
 
-    def test_fake_clock_controls_selection(self):
+    def test_fake_clock_controls_selection(self, monkeypatch, scripted_timings):
+        # the scripted timings reach the selection through a process pool
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers see the patched chain only when forked")
+        monkeypatch.setattr(calibrate.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        pools = self.record_pools(monkeypatch)
+        scripted_timings({5: 250.0, 10: 300.0, 15: 331.0})
         data, config = sweep_inputs()
-        scripted = {5: 250.0, 10: 300.0, 15: 331.0}
-
-        def clock_factory(n):
-            ticker = iter([0.0, scripted[n]])
-            return Clock(wall=lambda: next(ticker), cpu=lambda: 0.0)
-
         plan = SweepPlan(n_grid=(5, 10, 15), budget_seconds=300.0, max_parallel=4)
-        report = run_sweep(data, config, plan, clock_factory=clock_factory)
+        report = run_sweep(data, config, plan)
+        assert pools == [3]
         assert report.selected_n == 10
         assert report.budget_met
         assert report.output_for(10).elapsed_wall_seconds == 300.0
 
-    def test_cpu_time_selection_flag(self, tmp_path):
+    def test_cpu_time_selection_flag(self, scripted_timings):
+        # by wall time nothing fits the budget; by CPU time n = 10 does
+        scripted_timings(wall={5: 1000.0, 10: 1000.0}, cpu={5: 100.0, 10: 40.0})
         data, config = sweep_inputs()
-
-        def clock_factory(n):
-            wall = iter([0.0, 1000.0])
-            cpu = iter([0.0, {5: 100.0, 10: 40.0}[n]])
-            return Clock(wall=lambda: next(wall), cpu=lambda: next(cpu))
-
         plan = SweepPlan(n_grid=(5, 10), budget_seconds=50.0)
-        report = run_sweep(data, config, plan, use_cpu_time=True,
-                           clock_factory=clock_factory)
+        report = run_sweep(data, config, plan, use_cpu_time=True)
         assert report.selected_n == 10
-        assert report.used_cpu_time
-        write_summary_json(report, tmp_path / "summary.json")
-        assert json.loads((tmp_path / "summary.json").read_text())["used_cpu_time"] is True
-
-
-class TestReportSerialization:
-    def test_csv_and_summary_round_trip(self, tmp_path):
-        data, config = sweep_inputs()
-        scripted = {5: 10.0, 10: 20.0, 15: 45.0}
-
-        def clock_factory(n):
-            ticker = iter([0.0, scripted[n]])
-            return Clock(wall=lambda: next(ticker), cpu=lambda: 0.0)
-
-        report = run_sweep(data, config,
-                           SweepPlan(n_grid=(5, 10, 15), budget_seconds=30.0),
-                           clock_factory=clock_factory)
-        csv_path = tmp_path / "report.csv"
-        json_path = tmp_path / "summary.json"
-        write_report_csv(report, csv_path)
-        write_summary_json(report, json_path)
-
-        with open(csv_path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["n", "wall_seconds", "cpu_seconds", "diff_to_next"]
-        assert len(rows) == 4
-        assert rows[1][0] == "5" and float(rows[1][1]) == 10.0
-        assert rows[3][3] == ""  # last row has no next neighbor
-        diffs = dict(report.pairwise_diffs)
-        assert float(rows[1][3]) == diffs[5]
-
-        summary = json.loads(json_path.read_text())
-        assert summary["selected_n"] == 10
-        assert summary["budget_met"] is True
-        assert summary["grid"] == "5,10,15"
-        assert summary["used_cpu_time"] is False
+        assert report.budget_met

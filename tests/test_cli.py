@@ -1,12 +1,13 @@
 """Command behavior: formats, determinism, validation and exit codes."""
 
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subsetgibbs import NumericalError, __version__
+from subsetgibbs import NumericalError, __version__, pairwise_difference
 from subsetgibbs.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -288,6 +289,50 @@ class TestCalibrate:
         assert [row.split(",")[0] for row in lines[1:]] == ["4", "8", "12"]
         for n in (4, 8, 12):
             assert (out / f"predictions_n{n}.csv").exists()
+
+    def test_report_and_summary_round_trip(self, tmp_path, scripted_timings):
+        scripted_timings({4: 10.0, 8: 20.0, 12: 45.0})
+        sim = simulate(tmp_path, N=200, pred_count=20)
+        out = tmp_path / "cal"
+        code = run(["calibrate", "--data", str(sim / "data.csv"),
+                    "--n-grid", "4:12:4", "--budget-seconds", "30",
+                    "--iterations", "60", "--burn-in", "10", "--pred-count", "20",
+                    "--seed", "2", "--output-dir", str(out)])
+        assert code == EXIT_OK
+
+        with open(out / "report.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["n", "wall_seconds", "cpu_seconds", "diff_to_next"]
+        assert len(rows) == 4
+        assert rows[1][0] == "4" and float(rows[1][1]) == 10.0
+        assert rows[3][3] == ""  # last row has no next neighbor
+        mu_4, mu_8 = (np.loadtxt(out / f"predictions_n{n}.csv", delimiter=",",
+                                 skiprows=1, usecols=1) for n in (4, 8))
+        assert float(rows[1][3]) == pairwise_difference(mu_4, mu_8)
+
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["selected_n"] == 8
+        assert summary["budget_met"] is True
+        assert summary["budget_seconds"] == 30.0
+        assert summary["grid"] == "4,8,12"
+        assert summary["used_cpu_time"] is False
+        assert summary["selected_wall_seconds"] == 20.0
+
+    def test_use_cpu_time_selects_on_cpu_seconds(self, tmp_path, scripted_timings):
+        # by wall time nothing fits the budget; by CPU time n = 8 does
+        scripted_timings(wall={4: 1000.0, 8: 1000.0}, cpu={4: 100.0, 8: 40.0})
+        sim = simulate(tmp_path, N=200, pred_count=20)
+        out = tmp_path / "cal"
+        code = run(["calibrate", "--data", str(sim / "data.csv"),
+                    "--n-grid", "4,8", "--budget-seconds", "50", "--use-cpu-time",
+                    "--iterations", "60", "--burn-in", "10", "--pred-count", "20",
+                    "--seed", "2", "--output-dir", str(out)])
+        assert code == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["used_cpu_time"] is True
+        assert summary["selected_n"] == 8
+        assert summary["budget_met"] is True
+        assert summary["selected_cpu_seconds"] == 40.0
 
     def test_failure_messages_reach_the_summary(self, tmp_path, monkeypatch):
         import subsetgibbs.calibrate as calibrate

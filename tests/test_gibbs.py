@@ -58,14 +58,13 @@ def moments(draw_one, count, seed=0):
 
 def eta_sampler(state, y, x, psi, xi):
     """The chain's eta call on a fixed subset: factor once, then draw eta."""
-    psi, chol, _ = _factor_eta_precision(psi, state.sigma2, state.sigma2_eta,
-                                         n=y.shape[0], iteration=1)
+    psi, chol, _ = _factor_eta_precision(psi, state.sigma2, state.sigma2_eta)
     return lambda rng: update_eta_active(state, y, x, psi, xi, chol, rng)[0]
 
 
 def beta_sampler(state, y, x, psi_eta, xi):
     """The chain's beta call on a fixed subset: factor once, then draw beta."""
-    chol, _ = _beta_factor(state, x.T @ x, n=y.shape[0], iteration=1)
+    chol, _ = _beta_factor(state, x.T @ x)
     return lambda rng: update_beta(state, y, x, psi_eta, xi, chol, rng)
 
 
@@ -128,8 +127,7 @@ def eta_law(state, y, x, psi, xi):
     with covariance A A'.
     """
     n = y.shape[0]
-    psi, chol, _ = _factor_eta_precision(psi, state.sigma2, state.sigma2_eta,
-                                         n=n, iteration=1)
+    psi, chol, _ = _factor_eta_precision(psi, state.sigma2, state.sigma2_eta)
     mean, product_mean = update_eta_active(state, y, x, psi, xi, chol,
                                            FixedNormals(np.zeros(n)))
     columns, product_columns = [], []
@@ -413,15 +411,34 @@ class TestDrawInactivePredictionComponents:
 
 
 class TestSampleMvnPrecision:
-    def test_indefinite_matrix_raises_with_context(self):
+    def test_indefinite_matrix_raises(self):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(NumericalError, match="not positive definite after jitter"):
+            _cholesky_with_jitter(indefinite)
+
+    def test_chain_attaches_subset_size_and_sweep_to_a_failure(self, monkeypatch):
+        # the chain, not the factorization helper, names n and the sweep
+        real = gibbs._cholesky_with_jitter
+        calls = []
+
+        def failing_at_sweep_3(precision):
+            # the eta block takes the banded path on these coordinates, so
+            # the beta factor is the one dense Cholesky of each sweep
+            calls.append(None)
+            if len(calls) == 3:
+                raise NumericalError("synthetic failure")
+            return real(precision)
+
+        monkeypatch.setattr(gibbs, "_cholesky_with_jitter", failing_at_sweep_3)
+        data = small_dataset()
         with pytest.raises(NumericalError) as err:
-            _cholesky_with_jitter(indefinite, n=7, iteration=3)
-        assert "n=7" in str(err.value) and "iteration=3" in str(err.value)
+            run_chain(data, small_config(data.n_obs), 5)
+        assert str(err.value) == "synthetic failure [n=5] [iteration=3]"
+        assert (err.value.n, err.value.iteration) == (5, 3)
 
     def test_singular_matrix_recovers_with_jitter(self):
         singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-        chol, jitter = _cholesky_with_jitter(singular, n=2, iteration=1)
+        chol, jitter = _cholesky_with_jitter(singular)
         draw = _sample_mvn_precision(chol, np.ones(2), make_rng(0))
         assert jitter >= 1
         assert np.all(np.isfinite(chol)) and np.all(np.isfinite(draw))
@@ -429,7 +446,7 @@ class TestSampleMvnPrecision:
     def test_one_failure_counts_one_event_and_factors_the_jittered_matrix(self):
         # singular with trace 5, so the first jitter is 1e-10 * 5 / 2
         singular = np.array([[4.0, 2.0], [2.0, 1.0]])
-        lower, jitter = _cholesky_with_jitter(singular, n=2, iteration=1)
+        lower, jitter = _cholesky_with_jitter(singular)
         assert jitter == 1
         np.testing.assert_array_equal(lower, np.tril(lower))
         np.testing.assert_allclose(lower @ lower.T, singular + 2.5e-10 * np.eye(2),
@@ -442,7 +459,7 @@ class TestBetaFactor:
         rng = np.random.default_rng(p)
         x = rng.normal(size=(10, p))
         state = fixed_state(10, p, sigma2=0.7, sigma2_beta=1.9)
-        lower, jitter = _beta_factor(state, x.T @ x, n=10, iteration=1)
+        lower, jitter = _beta_factor(state, x.T @ x)
         expected = np.linalg.cholesky(x.T @ x / 0.7 + np.eye(p) / 1.9)
         assert jitter == 0
         np.testing.assert_allclose(lower, expected, rtol=1e-14, atol=0.0)
@@ -451,7 +468,7 @@ class TestBetaFactor:
         # a flat beta prior (1/sigma2_beta = 0) on collinear columns
         state = fixed_state(4, 2, sigma2_beta=np.inf)
         xtx = np.ones((4, 2)).T @ np.ones((4, 2))
-        lower, jitter = _beta_factor(state, xtx, n=4, iteration=2)
+        lower, jitter = _beta_factor(state, xtx)
         assert jitter >= 1
         assert np.all(np.isfinite(lower))
 
