@@ -25,7 +25,6 @@ from .errors import InvalidParameterError, NumericalError
 from .gibbs import ChainOutput, Clock, run_chain
 from .model import (
     BasisConfig,
-    ChainState,
     DatasetView,
     FixedVariances,
     SamplerConfig,
@@ -48,7 +47,6 @@ __all__ = [
     "BasisConfig",
     "CalibrationReport",
     "ChainOutput",
-    "ChainState",
     "Clock",
     "DatasetView",
     "FixedVariances",

@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .distributions import spawn_seed
+from .distributions import _checked_int, spawn_seed
 from .errors import InvalidParameterError, NumericalError
 from .gibbs import ChainOutput, run_chain
 from .model import DatasetView, SamplerConfig
@@ -43,7 +43,7 @@ class SweepPlan:
     max_parallel: int = 1
 
     def __post_init__(self):
-        grid = tuple(int(v) for v in self.n_grid)
+        grid = tuple(_checked_int(v, "n_grid entry") for v in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
         if len(grid) == 0:
             raise InvalidParameterError("n_grid must be nonempty")
@@ -51,7 +51,7 @@ class SweepPlan:
             raise InvalidParameterError("n_grid must be strictly increasing and >= 1")
         if not (self.budget_seconds > 0.0):
             raise InvalidParameterError(f"budget_seconds must be > 0, got {self.budget_seconds}")
-        if self.max_parallel < 1:
+        if _checked_int(self.max_parallel, "max_parallel") < 1:
             raise InvalidParameterError(f"max_parallel must be >= 1, got {self.max_parallel}")
 
 

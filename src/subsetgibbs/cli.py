@@ -195,9 +195,9 @@ def _sampler_config(args, N: int) -> SamplerConfig:
     )
 
 
-def _write_predictions(path, out) -> None:
+def _write_predictions(path, prediction_set: np.ndarray, out) -> None:
     _write_rows(path, ["index", "mu_hat", "var_hat"],
-                zip((out.prediction_indices + 1).tolist(),
+                zip((prediction_set + 1).tolist(),
                     map(_format_float, out.mu_hat.tolist()),
                     map(_format_float, out.mu_var.tolist())))
 
@@ -241,24 +241,25 @@ def cmd_fit(args) -> int:
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     out = run_chain(data, config, args.n, collect_trace=True)
-    _write_predictions(output_dir / "predictions.csv", out)
+    _write_predictions(output_dir / "predictions.csv", config.prediction_set, out)
     p = data.n_covariates
     beta_names = [f"beta_{j + 1}" for j in range(p)]
     header = ["iteration"] + beta_names + ["sigma2", "sigma2_eta", "sigma2_xi", "sigma2_beta"]
     _write_rows(output_dir / "trace.csv", header,
                 ((g + 1, *map(_format_float, row)) for g, row in enumerate(out.trace.tolist())))
+    kept = config.iterations - config.burn_in
     _write_json(output_dir / "timing.json", {
         "wall_seconds": out.elapsed_wall_seconds,
         "cpu_seconds": out.elapsed_cpu_seconds,
-        "n": out.n_used,
+        "n": args.n,
         "iterations": config.iterations,
         "burn_in": config.burn_in,
-        "iterations_kept": out.iterations_kept,
+        "iterations_kept": kept,
         "jitter_events": out.jitter_events,
     })
     write_manifest(output_dir, "fit", args.raw_argv, args.seed, args.data)
     print(f"fit n={args.n}: wall {out.elapsed_wall_seconds:.2f}s, "
-          f"cpu {out.elapsed_cpu_seconds:.2f}s, kept {out.iterations_kept} iterations")
+          f"cpu {out.elapsed_cpu_seconds:.2f}s, kept {kept} iterations")
     return EXIT_OK
 
 
@@ -287,7 +288,7 @@ def cmd_calibrate(args) -> int:
         "selected_cpu_seconds": selected.elapsed_cpu_seconds,
     })
     for n, out in report.per_n:
-        _write_predictions(output_dir / f"predictions_n{n}.csv", out)
+        _write_predictions(output_dir / f"predictions_n{n}.csv", config.prediction_set, out)
     write_manifest(output_dir, "calibrate", args.raw_argv, args.seed, args.data)
     met = "within budget" if report.budget_met else "over budget (flagged)"
     print(f"selected n={report.selected_n} ({met}); report at {output_dir / 'report.csv'}")

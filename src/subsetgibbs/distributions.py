@@ -28,16 +28,21 @@ __all__ = [
 ]
 
 
-def _checked_seed(seed) -> int:
-    """The seed as an int; raises unless it is a 64-bit unsigned integer.
+def _checked_int(value, name: str) -> int:
+    """``value`` as an int; raises InvalidParameterError unless it is an integer.
 
     ``operator.index`` accepts Python and NumPy integers and rejects
-    floats, so a seed of 1.7 is an error rather than seed 1.
+    floats, 2.0 included, so a count of 2.7 is an error rather than 2.
     """
     try:
-        value = operator.index(seed)
+        return operator.index(value)
     except TypeError:
-        raise InvalidParameterError(f"seed must be an integer, got {seed!r}") from None
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _checked_seed(seed) -> int:
+    """The seed as an int; raises unless it is a 64-bit unsigned integer."""
+    value = _checked_int(seed, "seed")
     if not (0 <= value < 2**64):
         raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return value
@@ -55,9 +60,11 @@ def spawn_seed(master_seed: int, index: int) -> int:
     sweep's per-task streams do not depend on scheduling order or on the
     number of workers.
     """
+    master_seed = _checked_seed(master_seed)
+    index = _checked_int(index, "spawn index")
     if index < 0:
         raise InvalidParameterError(f"spawn index must be nonnegative, got {index}")
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
+    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -68,8 +75,8 @@ def sample_active_indices(n: int, N: int, rng: np.random.Generator) -> np.ndarra
     draws with Floyd's algorithm over a hash set unless n exceeds N/50 of
     a population above 10,000, so the cost follows n, not N.
     """
-    n = int(n)
-    N = int(N)
+    n = _checked_int(n, "subset size n")
+    N = _checked_int(N, "population size N")
     if not (1 <= n <= N):
         raise InvalidParameterError(f"subset size must satisfy 1 <= n <= N, got n={n}, N={N}")
     active = rng.choice(N, n, replace=False, shuffle=False)

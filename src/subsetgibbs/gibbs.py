@@ -34,9 +34,13 @@ previous sweep's variances, and step 6's prior refresh also uses the
 previous sweep's variances even though step 5 has already produced new
 ones.
 
-Steps 2-4 take what ``run_chain`` computes once per sweep, or memoizes
-under pinned variances: the factors of the eta and beta precisions, and
-the Psi eta that step 2 returns.  Every dense Cholesky factor comes from
+Each step is a conditional draw that takes values, not a chain state:
+the residual it conditions on and the variances it needs.  ``run_chain``
+holds beta, eta, xi and the four variances as locals and computes
+fit = y - X beta on the subset once per sweep; step 2 takes fit - xi,
+step 3 takes fit - Psi eta, and step 4 takes y - Psi eta - xi.  The
+factors of the eta and beta precisions are computed once per sweep, or
+memoized under pinned variances.  Every dense Cholesky factor comes from
 ``_cholesky_with_jitter``.
 """
 
@@ -50,13 +54,13 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import lapack
 
-from .distributions import make_rng, sample_active_indices
+from .distributions import _checked_int, make_rng, sample_active_indices
 from .errors import InvalidParameterError, NumericalError
 from .model import (
     REFRESH_PRIOR,
     BandedKernel,
-    ChainState,
     DatasetView,
+    FixedVariances,
     SamplerConfig,
     banded_kernel,
     kernel_matrix,
@@ -87,21 +91,19 @@ class Clock:
 
 @dataclass
 class ChainOutput:
-    """Result of one chain: predictions, timings and bookkeeping.
+    """Result of one chain: predictions, timings and numerical events.
 
     ``mu_hat`` is the running mean of the per-sweep predictions over the
-    kept iterations and ``mu_var`` the matching sample variance (NaN when
-    only one sweep is kept).  ``trace``, when requested, holds one row per
-    sweep: beta components followed by the four variances.
+    kept iterations, in the order of ``config.prediction_set``, and
+    ``mu_var`` the matching sample variance (NaN when only one sweep is
+    kept).  ``trace``, when requested, holds one row per sweep: beta
+    components followed by the four variances.
     """
 
     mu_hat: np.ndarray
     mu_var: np.ndarray
-    prediction_indices: np.ndarray
     elapsed_cpu_seconds: float
     elapsed_wall_seconds: float
-    n_used: int
-    iterations_kept: int
     jitter_events: int = 0
     trace: Optional[np.ndarray] = None
 
@@ -145,14 +147,14 @@ def _kernel_operator(coords: np.ndarray, basis):
     return banded if banded is not None else kernel_matrix(coords, coords, basis)
 
 
-def _beta_factor(state: ChainState, xtx: np.ndarray):
+def _beta_factor(xtx: np.ndarray, sigma2: float, sigma2_beta: float):
     """Lower Cholesky factor of the beta block's precision X'X/sigma2 + I/sigma2_beta.
 
     Returns (lower, jitter_events), as :func:`_cholesky_with_jitter` does.
     """
-    precision = xtx / state.sigma2
+    precision = xtx / sigma2
     # ravel() of the fresh contiguous array is a view: this adds to its diagonal
-    precision.ravel()[::precision.shape[0] + 1] += 1.0 / state.sigma2_beta
+    precision.ravel()[::precision.shape[0] + 1] += 1.0 / sigma2_beta
     return _cholesky_with_jitter(precision)
 
 
@@ -200,14 +202,14 @@ def _factor_eta_precision(psi_delta, sigma2: float, sigma2_eta: float):
     return psi_delta, lower, jitter_events + jitter
 
 
-def update_eta_active(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray,
-                      psi_delta, xi_delta: np.ndarray, chol: np.ndarray,
+def update_eta_active(residual: np.ndarray, psi_delta, chol: np.ndarray, sigma2: float,
                       rng: np.random.Generator):
     """Draw the subset's basis coefficients from their full conditional.
 
-    The conditional is normal with covariance
-    ``((1/sigma2) Psi'Psi + (1/sigma2_eta) I)^-1`` and mean
-    ``(Psi'Psi + (sigma2/sigma2_eta) I)^-1 Psi'(y - X beta - xi)``.
+    ``residual`` is y - X beta - xi on the subset.  The conditional is
+    normal with covariance ``((1/sigma2) Psi'Psi + (1/sigma2_eta) I)^-1``
+    and mean ``(Psi'Psi + (sigma2/sigma2_eta) I)^-1 Psi' residual``;
+    sigma2_eta enters only through the factor.
 
     ``psi_delta`` and ``chol`` are the kernel and the factor that
     :func:`_factor_eta_precision` returns: the dense kernel matrix with
@@ -216,48 +218,44 @@ def update_eta_active(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarra
     N(M^-1 r / sigma2, M^-1) with M = I/sigma2 + T^2/sigma2_eta = U'U, as
     v = M^-1 (r / sigma2 + U'z), and sets eta = T v.  Returns (eta, Psi eta).
     """
-    n = y_delta.shape[0]
-    residual = y_delta - x_delta @ state.beta - xi_delta
     if isinstance(psi_delta, BandedKernel):
-        z = rng.standard_normal(n)
-        rhs = psi_delta.to_sorted(residual) / state.sigma2
+        z = rng.standard_normal(residual.shape[0])
+        rhs = psi_delta.to_sorted(residual) / sigma2
         rhs += chol[2] * z
         rhs[1:] += chol[1, 1:] * z[:-1]
         rhs[2:] += chol[0, 2:] * z[:-2]
         product, _ = lapack.dpbtrs(chol, rhs)
         draw = psi_delta.from_sorted(psi_delta.sorted_inverse_matvec(product))
         return draw, psi_delta.from_sorted(product)
-    linear = psi_delta.T @ residual / state.sigma2
+    linear = psi_delta.T @ residual / sigma2
     draw = _sample_mvn_precision(chol, linear, rng)
     return draw, psi_delta @ draw
 
 
-def update_xi_active(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray,
-                     psi_eta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def update_xi_active(residual: np.ndarray, sigma2: float, sigma2_xi: float,
+                     rng: np.random.Generator) -> np.ndarray:
     """Draw the subset's fine-scale effects: independent normals.
 
-    Mean ``(s_xi / (s + s_xi)) * (y - X beta - Psi eta)`` and common
-    variance ``s * s_xi / (s + s_xi)`` with s = sigma2, s_xi = sigma2_xi;
-    ``psi_eta`` is Psi eta on the subset.
+    ``residual`` is y - X beta - Psi eta on the subset.  Mean
+    ``(s_xi / (s + s_xi)) * residual`` and common variance
+    ``s * s_xi / (s + s_xi)`` with s = sigma2, s_xi = sigma2_xi.
     """
-    shrink = state.sigma2_xi / (state.sigma2 + state.sigma2_xi)
-    mean = shrink * (y_delta - x_delta @ state.beta - psi_eta)
-    variance = state.sigma2 * state.sigma2_xi / (state.sigma2 + state.sigma2_xi)
+    mean = sigma2_xi / (sigma2 + sigma2_xi) * residual
+    variance = sigma2 * sigma2_xi / (sigma2 + sigma2_xi)
     return mean + math.sqrt(variance) * rng.standard_normal(mean.shape[0])
 
 
-def update_beta(state: ChainState, y_delta: np.ndarray, x_delta: np.ndarray,
-                psi_eta: np.ndarray, xi_delta: np.ndarray, chol: np.ndarray,
+def update_beta(x_delta: np.ndarray, residual: np.ndarray, chol: np.ndarray, sigma2: float,
                 rng: np.random.Generator) -> np.ndarray:
     """Draw the regression coefficients from their full conditional.
 
-    Normal with covariance ``((1/sigma2) X'X + (1/sigma2_beta) I_p)^-1``
-    and mean ``(X'X + (sigma2/sigma2_beta) I_p)^-1 X'(y - Psi eta - xi)``.
-    ``psi_eta`` is Psi eta on the subset and ``chol`` the lower Cholesky
-    factor of that precision, as :func:`_beta_factor` returns it.
+    ``residual`` is y - Psi eta - xi on the subset.  Normal with covariance
+    ``((1/sigma2) X'X + (1/sigma2_beta) I_p)^-1`` and mean
+    ``(X'X + (sigma2/sigma2_beta) I_p)^-1 X' residual``; ``chol`` is the
+    lower Cholesky factor of that precision, as :func:`_beta_factor`
+    returns it.
     """
-    residual = y_delta - psi_eta - xi_delta
-    linear = x_delta.T @ residual / state.sigma2
+    linear = x_delta.T @ residual / sigma2
     return _sample_mvn_precision(chol, linear, rng)
 
 
@@ -330,7 +328,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
         jitter, or the prediction set's tridiagonal kernel inverse); n
         and the failing sweep index are attached.
     """
-    n = int(n)
+    n = _checked_int(n, "subset size n")
     N = data.n_obs
     if not (1 <= n <= N):
         raise InvalidParameterError(f"subset size must satisfy 1 <= n <= N, got n={n}, N={N}")
@@ -343,7 +341,14 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
 
     rng = make_rng(config.seed)
     fixed = config.fixed_variances
-    state = ChainState.initial(N, data.n_covariates, fixed)
+    # zero effects; unit variances unless pinned, so that the first sweep
+    # already conditions on the pins
+    start = fixed or FixedVariances(1.0, 1.0, 1.0, 1.0)
+    sigma2, sigma2_eta = start.sigma2, start.sigma2_eta
+    sigma2_xi, sigma2_beta = start.sigma2_xi, start.sigma2_beta
+    beta = np.zeros(data.n_covariates)
+    eta = np.zeros(N)
+    xi = np.zeros(N)
     refresh_prior = config.prediction_refresh == REFRESH_PRIOR
 
     # prediction design is fixed across sweeps
@@ -382,31 +387,30 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
                 x_delta = data.x[active]
                 psi_delta, chol_eta, jitter = _factor_eta_precision(
                     _kernel_operator(data.index_coords[active], config.basis),
-                    state.sigma2, state.sigma2_eta)
-                chol_beta, jitter_beta = _beta_factor(state, x_delta.T @ x_delta)
+                    sigma2, sigma2_eta)
+                chol_beta, jitter_beta = _beta_factor(x_delta.T @ x_delta, sigma2, sigma2_beta)
                 jitter_events += jitter + jitter_beta
                 design = (x_delta, psi_delta, chol_eta, chol_beta)
                 if design_cache is not None:
                     design_cache[active.tobytes()] = design
             x_delta, psi_delta, chol_eta, chol_beta = design
             y_delta = data.y[active]
+            fit = y_delta - x_delta @ beta
 
-            prev_sigma2_eta = state.sigma2_eta
-            prev_sigma2_xi = state.sigma2_xi
+            prev_sigma2_eta = sigma2_eta
+            prev_sigma2_xi = sigma2_xi
 
             eta_delta, psi_eta = update_eta_active(
-                state, y_delta, x_delta, psi_delta, state.xi[active], chol_eta, rng)
-            state.eta[active] = eta_delta
+                fit - xi[active], psi_delta, chol_eta, sigma2, rng)
+            eta[active] = eta_delta
 
-            xi_delta = update_xi_active(state, y_delta, x_delta, psi_eta, rng)
-            state.xi[active] = xi_delta
+            xi_delta = update_xi_active(fit - psi_eta, sigma2, sigma2_xi, rng)
+            xi[active] = xi_delta
 
-            beta = update_beta(state, y_delta, x_delta, psi_eta, xi_delta, chol_beta, rng)
-            state.beta = beta
+            beta = update_beta(x_delta, y_delta - psi_eta - xi_delta, chol_beta, sigma2, rng)
 
             if fixed is None:
-                (state.sigma2, state.sigma2_eta,
-                 state.sigma2_xi, state.sigma2_beta) = update_variances(
+                sigma2, sigma2_eta, sigma2_xi, sigma2_beta = update_variances(
                     y_delta - x_delta @ beta - psi_eta - xi_delta, eta_delta, xi_delta, beta, rng)
 
             if refresh_prior:
@@ -419,21 +423,20 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
                     in_pred[hits] = True
                 eta_outside, xi_outside = draw_inactive_prediction_components(
                     outside, prev_sigma2_eta, prev_sigma2_xi, rng)
-                state.eta[outside] = eta_outside
-                state.xi[outside] = xi_outside
+                eta[outside] = eta_outside
+                xi[outside] = xi_outside
                 pred_parts = None
             elif pred_parts is not None and in_pred[active].any():
                 pred_parts = None
 
             if collect_trace:
-                trace[g - 1, :-4] = state.beta
-                trace[g - 1, -4:] = (state.sigma2, state.sigma2_eta,
-                                     state.sigma2_xi, state.sigma2_beta)
+                trace[g - 1, :-4] = beta
+                trace[g - 1, -4:] = (sigma2, sigma2_eta, sigma2_xi, sigma2_beta)
 
             if g > config.burn_in:
                 if pred_parts is None:
-                    pred_parts = (psi_pred @ state.eta[pred], state.xi[pred])
-                mu_g = x_pred @ state.beta + pred_parts[0] + pred_parts[1]
+                    pred_parts = (psi_pred @ eta[pred], xi[pred])
+                mu_g = x_pred @ beta + pred_parts[0] + pred_parts[1]
                 kept += 1
                 delta_mu = mu_g - mu_mean
                 mu_mean += delta_mu / kept
@@ -445,11 +448,8 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     return ChainOutput(
         mu_hat=mu_mean,
         mu_var=mu_var,
-        prediction_indices=pred.copy(),
         elapsed_cpu_seconds=clock.cpu() - cpu_start,
         elapsed_wall_seconds=clock.wall() - wall_start,
-        n_used=n,
-        iterations_kept=kept,
         jitter_events=jitter_events,
         trace=trace,
     )

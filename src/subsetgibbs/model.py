@@ -7,8 +7,10 @@ The observation model for an active index i is
 where K is an exponential kernel over the row coordinates and the sum
 ranges over whichever index set is in play (the current subset for the
 likelihood, the prediction set for prediction).  This module owns the
-value types and the kernel (dense, or banded through its tridiagonal
-inverse for the absolute-difference metric); the sampler and the
+immutable inputs of a fit (the dataset, the basis, the variance pins and
+the sampler configuration) and the kernel (dense, or banded through its
+tridiagonal inverse for the absolute-difference metric).  The sampled
+quantities are ``gibbs.run_chain``'s own locals; the sampler and the
 prediction rule live in ``gibbs``.
 """
 
@@ -20,13 +22,12 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import lapack
 
-from .distributions import _checked_seed
+from .distributions import _checked_int, _checked_seed
 from .errors import InvalidParameterError, NumericalError
 
 __all__ = [
     "DatasetView",
     "BasisConfig",
-    "ChainState",
     "FixedVariances",
     "SamplerConfig",
     "kernel_matrix",
@@ -118,41 +119,6 @@ class BasisConfig:
             )
 
 
-@dataclass
-class ChainState:
-    """Current values of the sampled quantities for one chain.
-
-    Mutable by design: exactly one chain owns a state instance and
-    updates it in place between iterations.
-    """
-
-    beta: np.ndarray
-    eta: np.ndarray
-    xi: np.ndarray
-    sigma2: float
-    sigma2_eta: float
-    sigma2_xi: float
-    sigma2_beta: float
-
-    @staticmethod
-    def initial(n_obs: int, n_covariates: int, fixed: Optional["FixedVariances"] = None) -> "ChainState":
-        """Neutral starting point: zero effects, unit variances.
-
-        Pinned variances, when given, replace the unit ones so the first
-        iteration already conditions on them.
-        """
-        fixed = fixed or FixedVariances(1.0, 1.0, 1.0, 1.0)
-        return ChainState(
-            beta=np.zeros(n_covariates),
-            eta=np.zeros(n_obs),
-            xi=np.zeros(n_obs),
-            sigma2=fixed.sigma2,
-            sigma2_eta=fixed.sigma2_eta,
-            sigma2_xi=fixed.sigma2_xi,
-            sigma2_beta=fixed.sigma2_beta,
-        )
-
-
 @dataclass(frozen=True)
 class FixedVariances:
     """Values for all four variance components, pinned together.
@@ -209,17 +175,22 @@ class SamplerConfig:
     prediction_refresh: str = REFRESH_CARRY
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "prediction_set", np.asarray(self.prediction_set, dtype=np.int64)
-        )
-        if self.iterations < 1 or not (0 <= self.burn_in < self.iterations):
+        iterations = _checked_int(self.iterations, "iterations")
+        burn_in = _checked_int(self.burn_in, "burn_in")
+        if iterations < 1 or not (0 <= burn_in < iterations):
             raise InvalidParameterError(
-                f"need 0 <= burn_in < iterations, got burn_in={self.burn_in}, "
-                f"iterations={self.iterations}"
+                f"need 0 <= burn_in < iterations, got burn_in={burn_in}, "
+                f"iterations={iterations}"
             )
-        a = self.prediction_set
+        a = np.asarray(self.prediction_set)
         if a.ndim != 1 or a.size < 1:
             raise InvalidParameterError("prediction_set must be a nonempty 1-d index list")
+        # the array form of _checked_int: integer dtypes only, so 0.5 is no index
+        if a.dtype.kind not in "iu":
+            raise InvalidParameterError(
+                f"prediction_set must hold integers, got dtype {a.dtype}")
+        a = a.astype(np.int64, copy=False)
+        object.__setattr__(self, "prediction_set", a)
         if np.any(np.diff(a) <= 0) or a[0] < 0:
             raise InvalidParameterError("prediction_set must be sorted, unique and nonnegative")
         if self.prediction_refresh not in (REFRESH_PRIOR, REFRESH_CARRY):

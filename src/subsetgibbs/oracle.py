@@ -27,6 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy import stats
 
+from .distributions import _checked_int
 from .errors import InvalidParameterError
 from .model import BasisConfig, DatasetView, kernel_matrix
 
@@ -65,9 +66,9 @@ class TinyModelSpec:
     rho: float = 0.3
 
     def __post_init__(self):
-        if not (1 <= self.N <= 4):
+        if not (1 <= _checked_int(self.N, "N") <= 4):
             raise InvalidParameterError(f"N must be in [1, 4], got {self.N}")
-        if not (1 <= self.n <= self.N):
+        if not (1 <= _checked_int(self.n, "n") <= self.N):
             raise InvalidParameterError(f"n must be in [1, N], got n={self.n}, N={self.N}")
         if math.comb(self.N, self.n) > 6:
             raise InvalidParameterError("subset enumeration capped at 6 masks")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .distributions import make_rng, sample_active_indices
+from .distributions import _checked_int, make_rng, sample_active_indices
 from .errors import InvalidParameterError
 from .model import DatasetView
 
@@ -41,7 +41,7 @@ class Ar1Config:
     prediction_count: int = 1
 
     def __post_init__(self):
-        if self.N < 1:
+        if _checked_int(self.N, "N") < 1:
             raise InvalidParameterError(f"N must be >= 1, got {self.N}")
         if not (self.noise_var > 0.0) or not np.isfinite(self.noise_var):
             raise InvalidParameterError(f"noise_var must be > 0, got {self.noise_var}")
@@ -50,7 +50,7 @@ class Ar1Config:
                 f"|phi| = {abs(self.phi)} >= 1: the latent path is nonstationary",
                 stacklevel=2,
             )
-        if not (1 <= self.prediction_count <= self.N):
+        if not (1 <= _checked_int(self.prediction_count, "prediction_count") <= self.N):
             raise InvalidParameterError(
                 f"prediction_count must be in [1, N], got {self.prediction_count} with N={self.N}"
             )
@@ -82,6 +82,7 @@ def ar1_path(start: float, phi: float, innovations: np.ndarray) -> np.ndarray:
 
 def equally_spaced_indices(count: int, N: int) -> np.ndarray:
     """``count`` distinct evenly spaced 0-based indices over range(N)."""
+    count, N = _checked_int(count, "count"), _checked_int(N, "N")
     if not (1 <= count <= N):
         raise InvalidParameterError(f"count must be in [1, N], got {count} with N={N}")
     return (np.arange(count, dtype=np.int64) * N) // count

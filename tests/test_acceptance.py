@@ -111,37 +111,36 @@ def test_criterion_2_conjugate_full_conditionals():
     psi = sg.kernel_matrix(coords, coords, sg.BasisConfig(rho=0.4))
     x = np.ones((4, 1))
     y = rng_fix.normal(size=4)
-    state = sg.ChainState.initial(4, 1)
-    state.sigma2, state.sigma2_eta, state.sigma2_xi, state.sigma2_beta = 0.7, 2.3, 1.1, 3.0
-    state.beta = np.array([0.4])
-    state.xi = rng_fix.normal(size=4) * 0.3
-    state.eta = rng_fix.normal(size=4) * 0.5
+    sigma2, sigma2_eta, sigma2_xi, sigma2_beta = 0.7, 2.3, 1.1, 3.0
+    beta = np.array([0.4])
+    xi = rng_fix.normal(size=4) * 0.3
+    eta = rng_fix.normal(size=4) * 0.5
 
     rng = sg.make_rng(101)
-    residual = y - x @ state.beta - state.xi
-    precision = psi.T @ psi / state.sigma2 + np.eye(4) / state.sigma2_eta
+    residual = y - x @ beta - xi
+    precision = psi.T @ psi / sigma2 + np.eye(4) / sigma2_eta
     cov = np.linalg.inv(precision)
-    _, chol_eta, _ = _factor_eta_precision(psi, state.sigma2, state.sigma2_eta)
-    draws = np.array([update_eta_active(state, y, x, psi, state.xi, chol_eta, rng)[0]
+    _, chol_eta, _ = _factor_eta_precision(psi, sigma2, sigma2_eta)
+    draws = np.array([update_eta_active(residual, psi, chol_eta, sigma2, rng)[0]
                       for _ in range(DRAWS)])
-    _assert_moments("eta", draws, cov @ psi.T @ residual / state.sigma2, np.diag(cov))
+    _assert_moments("eta", draws, cov @ psi.T @ residual / sigma2, np.diag(cov))
 
     rng = sg.make_rng(102)
-    shrink = state.sigma2_xi / (state.sigma2 + state.sigma2_xi)
-    xi_mean = shrink * (y - x @ state.beta - psi @ state.eta)
-    xi_var = state.sigma2 * state.sigma2_xi / (state.sigma2 + state.sigma2_xi)
-    draws = np.array([update_xi_active(state, y, x, psi @ state.eta, rng)
+    residual_xi = y - x @ beta - psi @ eta
+    shrink = sigma2_xi / (sigma2 + sigma2_xi)
+    xi_mean = shrink * residual_xi
+    xi_var = sigma2 * sigma2_xi / (sigma2 + sigma2_xi)
+    draws = np.array([update_xi_active(residual_xi, sigma2, sigma2_xi, rng)
                       for _ in range(DRAWS)])
     _assert_moments("xi", draws, xi_mean, xi_var)
 
     rng = sg.make_rng(103)
-    residual_b = y - psi @ state.eta - state.xi
-    cov_b = np.linalg.inv(x.T @ x / state.sigma2 + np.eye(1) / state.sigma2_beta)
-    chol_beta, _ = _beta_factor(state, x.T @ x)
-    draws = np.array([update_beta(state, y, x, psi @ state.eta, state.xi, chol_beta, rng)
+    residual_b = y - psi @ eta - xi
+    cov_b = np.linalg.inv(x.T @ x / sigma2 + np.eye(1) / sigma2_beta)
+    chol_beta, _ = _beta_factor(x.T @ x, sigma2, sigma2_beta)
+    draws = np.array([update_beta(x, residual_b, chol_beta, sigma2, rng)
                       for _ in range(DRAWS)])
-    _assert_moments("beta", draws, cov_b @ x.T @ residual_b / state.sigma2,
-                    np.diag(cov_b))
+    _assert_moments("beta", draws, cov_b @ x.T @ residual_b / sigma2, np.diag(cov_b))
 
     # variance components: 10 active points make every conditional
     # IG(6, .) whose first two moments are finite

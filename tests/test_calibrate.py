@@ -125,6 +125,18 @@ class TestSweepPlan:
         with pytest.raises(InvalidParameterError):
             SweepPlan(n_grid=(5,), budget_seconds=0.0)
 
+    @pytest.mark.parametrize("fields", [dict(n_grid=(2.5, 4.9)), dict(n_grid=(2.0, 4)),
+                                        dict(n_grid=(2, 4), max_parallel=2.5)])
+    def test_rejects_non_integer_sizes_and_workers(self, fields):
+        # int() would turn the grid (2.5, 4.9) into (2, 4)
+        with pytest.raises(InvalidParameterError, match="integer"):
+            SweepPlan(budget_seconds=10.0, **fields)
+
+    def test_numpy_integer_grid_becomes_ints(self):
+        plan = SweepPlan(n_grid=np.array([2, 4]), budget_seconds=10.0,
+                         max_parallel=np.int64(2))
+        assert plan.n_grid == (2, 4) and all(type(n) is int for n in plan.n_grid)
+
 
 class TestRunSweep:
     def test_singleton_grid(self):

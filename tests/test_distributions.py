@@ -29,6 +29,17 @@ class TestSampleActiveIndices:
         with pytest.raises(InvalidParameterError):
             sample_active_indices(6, 5, rng)
 
+    @pytest.mark.parametrize("n, N", [(2.9, 10), (2, 10.5), (2.0, 10), (2, 10.0)])
+    def test_rejects_non_integer_sizes(self, n, N):
+        # int() would truncate 2.9 of 10.5 to a draw of 2 of 10
+        with pytest.raises(InvalidParameterError, match="integer"):
+            sample_active_indices(n, N, make_rng(0))
+
+    def test_numpy_integer_sizes_give_the_int_draw(self):
+        np.testing.assert_array_equal(
+            sample_active_indices(np.int32(3), np.uint64(10), make_rng(4)),
+            sample_active_indices(3, 10, make_rng(4)))
+
     def test_single_draw_inclusion_frequency(self):
         rng = make_rng(2024)
         counts = np.zeros(3)
@@ -79,6 +90,15 @@ class TestSpawnSeed:
     def test_rejects_negative_index(self):
         with pytest.raises(InvalidParameterError):
             spawn_seed(1, -1)
+
+    @pytest.mark.parametrize("master_seed, index", [(7.9, 0), (7.0, 0), (7, 0.5), (7, 1.0)])
+    def test_rejects_non_integer_arguments(self, master_seed, index):
+        # int() would make spawn_seed(7.9, 0) equal spawn_seed(7, 0)
+        with pytest.raises(InvalidParameterError, match="integer"):
+            spawn_seed(master_seed, index)
+
+    def test_numpy_integer_arguments_give_the_int_seed(self):
+        assert spawn_seed(np.uint64(7), np.int64(3)) == spawn_seed(7, 3)
 
 
 class TestMlbLogDensity:

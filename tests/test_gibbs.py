@@ -13,9 +13,9 @@ import pytest
 import subsetgibbs.gibbs as gibbs
 from subsetgibbs import (
     BasisConfig,
-    ChainState,
     DatasetView,
     FixedVariances,
+    InvalidParameterError,
     NumericalError,
     SamplerConfig,
     kernel_matrix,
@@ -36,55 +36,36 @@ from subsetgibbs.gibbs import (
 from subsetgibbs.model import _BANDED_MIN_RHO_GAP, BandedKernel, banded_kernel
 
 
-def fixed_state(N, p=1, sigma2=1.0, sigma2_eta=1.0, sigma2_xi=1.0, sigma2_beta=1.0,
-                beta=None, eta=None, xi=None):
-    state = ChainState.initial(N, p)
-    state.sigma2, state.sigma2_eta = sigma2, sigma2_eta
-    state.sigma2_xi, state.sigma2_beta = sigma2_xi, sigma2_beta
-    if beta is not None:
-        state.beta = np.asarray(beta, dtype=float)
-    if eta is not None:
-        state.eta = np.asarray(eta, dtype=float)
-    if xi is not None:
-        state.xi = np.asarray(xi, dtype=float)
-    return state
-
-
 def moments(draw_one, count, seed=0):
     rng = make_rng(seed)
     draws = np.array([draw_one(rng) for _ in range(count)])
     return draws.mean(axis=0), draws.var(axis=0, ddof=1), draws
 
 
-def eta_sampler(state, y, x, psi, xi):
+def eta_sampler(residual, psi, sigma2=1.0, sigma2_eta=1.0):
     """The chain's eta call on a fixed subset: factor once, then draw eta."""
-    psi, chol, _ = _factor_eta_precision(psi, state.sigma2, state.sigma2_eta)
-    return lambda rng: update_eta_active(state, y, x, psi, xi, chol, rng)[0]
+    psi, chol, _ = _factor_eta_precision(psi, sigma2, sigma2_eta)
+    return lambda rng: update_eta_active(residual, psi, chol, sigma2, rng)[0]
 
 
-def beta_sampler(state, y, x, psi_eta, xi):
+def beta_sampler(x, residual, sigma2=1.0, sigma2_beta=1.0):
     """The chain's beta call on a fixed subset: factor once, then draw beta."""
-    chol, _ = _beta_factor(state, x.T @ x)
-    return lambda rng: update_beta(state, y, x, psi_eta, xi, chol, rng)
+    chol, _ = _beta_factor(x.T @ x, sigma2, sigma2_beta)
+    return lambda rng: update_beta(x, residual, chol, sigma2, rng)
 
 
 class TestUpdateEtaActive:
     def test_scalar_half_shrinkage(self):
         # n=1, Psi=[1], unit variances: mean r/2, variance 1/2
         r = 1.8
-        state = fixed_state(1)
-        y = np.array([r])
-        x = np.zeros((1, 1))
-        draw = eta_sampler(state, y, x, np.eye(1), np.zeros(1))
+        draw = eta_sampler(np.array([r]), np.eye(1))
         mean, var, _ = moments(lambda rng: draw(rng)[0], 100_000)
         assert mean == pytest.approx(r / 2.0, abs=3.0 * np.sqrt(0.5 / 100_000))
         assert var == pytest.approx(0.5, rel=0.02)
 
     def test_flat_prior_limit_recovers_residual(self):
-        state = fixed_state(3, sigma2_eta=1e12)
         y = np.array([0.5, -1.0, 2.0])
-        x = np.zeros((3, 1))
-        mean, var, _ = moments(eta_sampler(state, y, x, np.eye(3), np.zeros(3)), 50_000)
+        mean, var, _ = moments(eta_sampler(y, np.eye(3), sigma2_eta=1e12), 50_000)
         np.testing.assert_allclose(mean, y, atol=3.0 * np.sqrt(1.0 / 50_000) + 1e-9)
         np.testing.assert_allclose(var, 1.0, rtol=0.03)
 
@@ -94,16 +75,13 @@ class TestUpdateEtaActive:
         coords = np.array([0.0, 1.0, 2.5, 4.0])
         psi = kernel_matrix(coords, coords, BasisConfig(rho=0.4))
         sigma2, sigma2_eta = 0.7, 2.3
-        state = fixed_state(4, sigma2=sigma2, sigma2_eta=sigma2_eta,
-                            beta=[0.4], xi=np.array([0.1, -0.2, 0.3, 0.0]))
         y = np.array([1.0, -0.5, 0.8, 0.2])
-        x = np.ones((4, 1))
-        residual = y - x @ state.beta - state.xi
+        residual = y - 0.4 - np.array([0.1, -0.2, 0.3, 0.0])
         precision = psi.T @ psi / sigma2 + np.eye(4) / sigma2_eta
         cov = np.linalg.inv(precision)
         expected_mean = cov @ psi.T @ residual / sigma2
         count = 100_000
-        mean, var, _ = moments(eta_sampler(state, y, x, psi, state.xi), count)
+        mean, var, _ = moments(eta_sampler(residual, psi, sigma2, sigma2_eta), count)
         assert np.all(np.abs(mean - expected_mean) < 3.0 * np.sqrt(np.diag(cov) / count))
         np.testing.assert_allclose(var, np.diag(cov), rtol=0.03)
 
@@ -119,20 +97,20 @@ class FixedNormals:
         return self.z.copy()
 
 
-def eta_law(state, y, x, psi, xi):
+def eta_law(residual, psi, sigma2, sigma2_eta):
     """Exact mean and covariance of update_eta_active's draw and of Psi eta.
 
     The draw is affine in the standard normals z: the draw at z = 0 is the
     mean, and the draws at the unit vectors give the columns of a factor A
     with covariance A A'.
     """
-    n = y.shape[0]
-    psi, chol, _ = _factor_eta_precision(psi, state.sigma2, state.sigma2_eta)
-    mean, product_mean = update_eta_active(state, y, x, psi, xi, chol,
+    n = residual.shape[0]
+    psi, chol, _ = _factor_eta_precision(psi, sigma2, sigma2_eta)
+    mean, product_mean = update_eta_active(residual, psi, chol, sigma2,
                                            FixedNormals(np.zeros(n)))
     columns, product_columns = [], []
     for k in range(n):
-        draw, product = update_eta_active(state, y, x, psi, xi, chol,
+        draw, product = update_eta_active(residual, psi, chol, sigma2,
                                           FixedNormals(np.eye(n)[k]))
         columns.append(draw - mean)
         product_columns.append(product - product_mean)
@@ -181,25 +159,20 @@ class TestBandedEtaDraw:
         banded = banded_kernel(coords, basis)
         assert isinstance(banded, BandedKernel)
         dense = kernel_matrix(coords, coords, basis)
-        state = fixed_state(n, sigma2=0.7, sigma2_eta=2.3, beta=[0.4])
         y = rng.normal(size=n)
-        x = np.ones((n, 1))
-        xi = 0.3 * rng.normal(size=n)
-        for got, want in zip(eta_law(state, y, x, banded, xi),
-                             eta_law(state, y, x, dense, xi)):
+        residual = y - 0.4 - 0.3 * rng.normal(size=n)
+        for got, want in zip(eta_law(residual, banded, 0.7, 2.3),
+                             eta_law(residual, dense, 0.7, 2.3)):
             assert max_relative_error(got, want) < 1e-9
 
     def test_dense_law_is_the_closed_form(self):
         # anchors eta_law's dense side to the stated conditional
         coords = np.array([0.0, 1.0, 2.5, 4.0])
         psi = kernel_matrix(coords, coords, BasisConfig(rho=0.4))
-        state = fixed_state(4, sigma2=0.7, sigma2_eta=2.3, beta=[0.4])
-        y = np.array([1.0, -0.5, 0.8, 0.2])
-        xi = np.array([0.1, -0.2, 0.3, 0.0])
-        x = np.ones((4, 1))
+        residual = np.array([1.0, -0.5, 0.8, 0.2]) - 0.4 - np.array([0.1, -0.2, 0.3, 0.0])
         cov = np.linalg.inv(psi.T @ psi / 0.7 + np.eye(4) / 2.3)
-        mean = cov @ psi.T @ (y - 0.4 - xi) / 0.7
-        got_mean, got_cov, product_mean, product_cov = eta_law(state, y, x, psi, xi)
+        mean = cov @ psi.T @ residual / 0.7
+        got_mean, got_cov, product_mean, product_cov = eta_law(residual, psi, 0.7, 2.3)
         np.testing.assert_allclose(got_mean, mean, rtol=1e-12)
         np.testing.assert_allclose(got_cov, cov, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(product_mean, psi @ mean, rtol=1e-12)
@@ -214,12 +187,11 @@ class TestBandedEtaDraw:
         psi = kernel_matrix(coords, coords, basis)
         rng_fix = np.random.default_rng(5)
         y = rng_fix.normal(size=4)
-        x = np.ones((4, 1))
-        state = fixed_state(4, sigma2=0.7, sigma2_eta=2.3, sigma2_xi=1.1, sigma2_beta=3.0,
-                            beta=[0.4], xi=rng_fix.normal(size=4) * 0.3)
-        cov = np.linalg.inv(psi.T @ psi / state.sigma2 + np.eye(4) / state.sigma2_eta)
-        mean = cov @ psi.T @ (y - x @ state.beta - state.xi) / state.sigma2
-        draw = eta_sampler(state, y, x, banded, state.xi)
+        residual = y - 0.4 - rng_fix.normal(size=4) * 0.3
+        sigma2, sigma2_eta = 0.7, 2.3
+        cov = np.linalg.inv(psi.T @ psi / sigma2 + np.eye(4) / sigma2_eta)
+        mean = cov @ psi.T @ residual / sigma2
+        draw = eta_sampler(residual, banded, sigma2, sigma2_eta)
         rng = make_rng(101)
         draws = np.array([draw(rng) for _ in range(100_000)])
         assert_moments_within_3se(draws, mean, np.diag(cov))
@@ -227,34 +199,27 @@ class TestBandedEtaDraw:
 
 class TestUpdateXiActive:
     def test_equal_variances_split_residual(self):
-        state = fixed_state(2, sigma2=0.8, sigma2_xi=0.8)
-        y = np.array([2.0, -1.0])
-        x = np.zeros((2, 1))
+        residual = np.array([2.0, -1.0])
         count = 100_000
-        mean, var, _ = moments(
-            lambda rng: update_xi_active(state, y, x, np.zeros(2), rng), count)
-        np.testing.assert_allclose(mean, y / 2.0, atol=3.0 * np.sqrt(0.4 / count))
+        mean, var, _ = moments(lambda rng: update_xi_active(residual, 0.8, 0.8, rng), count)
+        np.testing.assert_allclose(mean, residual / 2.0, atol=3.0 * np.sqrt(0.4 / count))
         np.testing.assert_allclose(var, 0.4, rtol=0.03)
 
     def test_vanishing_variance_shrinks_away(self):
-        state = fixed_state(2, sigma2_xi=1e-14)
-        y = np.array([2.0, -1.0])
-        draws = update_xi_active(state, y, np.zeros((2, 1)), np.zeros(2), make_rng(0))
+        draws = update_xi_active(np.array([2.0, -1.0]), 1.0, 1e-14, make_rng(0))
         np.testing.assert_allclose(draws, 0.0, atol=1e-5)
 
     def test_matches_closed_form_on_fixed_subset(self):
         coords = np.arange(5.0)
         psi = kernel_matrix(coords, coords, BasisConfig(rho=0.3))
-        state = fixed_state(5, sigma2=0.5, sigma2_xi=1.5, beta=[0.2],
-                            eta=np.array([0.3, -0.1, 0.6, 0.0, -0.4]))
+        eta = np.array([0.3, -0.1, 0.6, 0.0, -0.4])
         y = np.array([0.9, -0.3, 1.2, 0.1, -0.6])
-        x = np.ones((5, 1))
+        residual = y - 0.2 - psi @ eta
         shrink = 1.5 / (0.5 + 1.5)
-        expected_mean = shrink * (y - x @ state.beta - psi @ state.eta)
+        expected_mean = shrink * residual
         expected_var = 0.5 * 1.5 / 2.0
         count = 100_000
-        mean, var, _ = moments(
-            lambda rng: update_xi_active(state, y, x, psi @ state.eta, rng), count)
+        mean, var, _ = moments(lambda rng: update_xi_active(residual, 0.5, 1.5, rng), count)
         np.testing.assert_allclose(
             mean, expected_mean, atol=3.0 * np.sqrt(expected_var / count))
         np.testing.assert_allclose(var, expected_var, rtol=0.03)
@@ -263,21 +228,15 @@ class TestUpdateXiActive:
 class TestUpdateBeta:
     def test_scalar_plug_in(self):
         # p=1, X=[1], unit variances, residual 2: mean 1, variance 1/2
-        state = fixed_state(1)
-        y = np.array([2.0])
-        x = np.ones((1, 1))
         count = 100_000
-        draw = beta_sampler(state, y, x, np.zeros(1), np.zeros(1))
+        draw = beta_sampler(np.ones((1, 1)), np.array([2.0]))
         mean, var, _ = moments(lambda rng: draw(rng)[0], count)
         assert mean == pytest.approx(1.0, abs=3.0 * np.sqrt(0.5 / count))
         assert var == pytest.approx(0.5, rel=0.02)
 
     def test_zero_design_recovers_prior(self):
-        state = fixed_state(3, sigma2_beta=2.5)
-        y = np.array([1.0, 2.0, 3.0])
-        x = np.zeros((3, 1))
         count = 100_000
-        draw = beta_sampler(state, y, x, np.zeros(3), np.zeros(3))
+        draw = beta_sampler(np.zeros((3, 1)), np.array([1.0, 2.0, 3.0]), sigma2_beta=2.5)
         mean, var, _ = moments(lambda rng: draw(rng)[0], count)
         assert mean == pytest.approx(0.0, abs=3.0 * np.sqrt(2.5 / count))
         assert var == pytest.approx(2.5, rel=0.02)
@@ -285,16 +244,14 @@ class TestUpdateBeta:
     def test_matches_two_dimensional_closed_form(self):
         rng0 = np.random.default_rng(8)
         x = rng0.normal(size=(6, 2))
-        psi = np.eye(6)
         sigma2, sigma2_beta = 0.9, 3.0
-        state = fixed_state(6, p=2, sigma2=sigma2, sigma2_beta=sigma2_beta,
-                            eta=rng0.normal(size=6), xi=rng0.normal(size=6))
+        eta, xi = rng0.normal(size=6), rng0.normal(size=6)
         y = rng0.normal(size=6)
-        residual = y - psi @ state.eta - state.xi
+        residual = y - eta - xi
         cov = np.linalg.inv(x.T @ x / sigma2 + np.eye(2) / sigma2_beta)
         expected_mean = cov @ x.T @ residual / sigma2
         count = 100_000
-        mean, var, _ = moments(beta_sampler(state, y, x, psi @ state.eta, state.xi), count)
+        mean, var, _ = moments(beta_sampler(x, residual, sigma2, sigma2_beta), count)
         assert np.all(np.abs(mean - expected_mean) < 3.0 * np.sqrt(np.diag(cov) / count))
         np.testing.assert_allclose(var, np.diag(cov), rtol=0.03)
 
@@ -458,17 +415,15 @@ class TestBetaFactor:
     def test_is_the_cholesky_factor_of_the_precision(self, p):
         rng = np.random.default_rng(p)
         x = rng.normal(size=(10, p))
-        state = fixed_state(10, p, sigma2=0.7, sigma2_beta=1.9)
-        lower, jitter = _beta_factor(state, x.T @ x)
+        lower, jitter = _beta_factor(x.T @ x, 0.7, 1.9)
         expected = np.linalg.cholesky(x.T @ x / 0.7 + np.eye(p) / 1.9)
         assert jitter == 0
         np.testing.assert_allclose(lower, expected, rtol=1e-14, atol=0.0)
 
     def test_singular_precision_falls_back_to_jitter(self):
         # a flat beta prior (1/sigma2_beta = 0) on collinear columns
-        state = fixed_state(4, 2, sigma2_beta=np.inf)
         xtx = np.ones((4, 2)).T @ np.ones((4, 2))
-        lower, jitter = _beta_factor(state, xtx)
+        lower, jitter = _beta_factor(xtx, 1.0, np.inf)
         assert jitter >= 1
         assert np.all(np.isfinite(lower))
 
@@ -587,30 +542,36 @@ def record_prediction_products(monkeypatch):
 
 
 def record_draws(monkeypatch):
-    """Record each sweep's subset and block draws through the chain's stage hooks.
+    """Record each sweep's subset, block draws and block residuals through the
+    chain's stage hooks.
 
-    ``refresh`` holds the prior refresh's (outside, eta draw, xi draw) per
-    sweep and stays empty under carry.
+    ``psi_eta`` holds the eta step's Psi eta, and ``eta_residual``,
+    ``xi_residual`` and ``beta_residual`` the residual each block step was
+    given.  ``refresh`` holds the prior refresh's (outside, eta draw, xi
+    draw) per sweep and stays empty under carry.
     """
-    record = {"subsets": [], "eta": [], "xi": [], "beta": [], "refresh": []}
+    record = {name: [] for name in ("subsets", "eta", "psi_eta", "xi", "beta", "refresh",
+                                    "eta_residual", "xi_residual", "beta_residual")}
     hooks = {
-        "sample_active_indices": ("subsets", lambda args, result: result.copy()),
-        "update_eta_active": ("eta", lambda args, result: result[0].copy()),
-        "update_xi_active": ("xi", lambda args, result: result.copy()),
-        "update_beta": ("beta", lambda args, result: result.copy()),
-        "draw_inactive_prediction_components": (
-            "refresh", lambda args, result: (args[0].copy(), *result)),
+        "sample_active_indices": lambda args, result: {"subsets": result},
+        "update_eta_active": lambda args, result: {
+            "eta": result[0], "psi_eta": result[1], "eta_residual": args[0]},
+        "update_xi_active": lambda args, result: {"xi": result, "xi_residual": args[0]},
+        "update_beta": lambda args, result: {"beta": result, "beta_residual": args[1]},
+        "draw_inactive_prediction_components": lambda args, result: {
+            "refresh": (args[0].copy(), *result)},
     }
 
-    def recording(func, name, keep):
+    def recording(func, keep):
         def wrapper(*args):
             result = func(*args)
-            record[name].append(keep(args, result))
+            for name, value in keep(args, result).items():
+                record[name].append(value.copy() if isinstance(value, np.ndarray) else value)
             return result
         return wrapper
 
-    for attr, (name, keep) in hooks.items():
-        monkeypatch.setattr(gibbs, attr, recording(getattr(gibbs, attr), name, keep))
+    for attr, keep in hooks.items():
+        monkeypatch.setattr(gibbs, attr, recording(getattr(gibbs, attr), keep))
     return record
 
 
@@ -652,7 +613,7 @@ class TestRunChain:
                 stale = False
         assert record["products"] == expected
         assert expected[0] == config.burn_in + 1
-        assert 1 < len(expected) < out.iterations_kept
+        assert 1 < len(expected) < config.iterations - config.burn_in
 
         # a reused product equals a fresh one bit for bit: a fresh product
         # on every kept sweep reproduces the chain's running moments exactly
@@ -665,7 +626,7 @@ class TestRunChain:
                 delta = mu_g - mean
                 mean += delta / kept
                 m2 += delta * (mu_g - mean)
-        assert kept == out.iterations_kept
+        assert kept == config.iterations - config.burn_in
         np.testing.assert_array_equal(out.mu_hat, mean)
         np.testing.assert_array_equal(out.mu_var, m2 / (kept - 1))
 
@@ -702,6 +663,44 @@ class TestRunChain:
                        if g > config.burn_in])
         np.testing.assert_allclose(out.mu_hat, mu.mean(axis=0), rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(out.mu_var, mu.var(axis=0, ddof=1), rtol=1e-8, atol=1e-12)
+
+    @pytest.mark.parametrize("policy", ["carry", "prior"])
+    def test_each_block_gets_its_residual_on_a_subset(self, monkeypatch, policy):
+        # at n < N the eta step conditions on the xi that earlier sweeps
+        # left at the subset (prior-refreshed values included), the xi step
+        # on this sweep's Psi eta, and the beta step on this sweep's xi
+        N = 40
+        rng = np.random.default_rng(9)
+        data = DatasetView(y=rng.normal(size=N),
+                           x=np.column_stack([np.ones(N), rng.normal(size=N)]),
+                           index_coords=np.arange(N, dtype=float))
+        config = small_config(N, iterations=60, burn_in=0,
+                              prediction_set=np.array([1, 7, 8, 20, 33]),
+                              prediction_refresh=policy)
+        record = record_draws(monkeypatch)
+        run_chain(data, config, 6)
+
+        close = dict(rtol=1e-12, atol=1e-12)
+        beta, xi = np.zeros(2), np.zeros(N)
+        from_prior = np.zeros(N, dtype=bool)
+        prior_values_used = 0
+        for g, (_, _, next_xi) in enumerate(replay(record, N)):
+            active = record["subsets"][g]
+            y, x = data.y[active], data.x[active]
+            psi_eta, xi_delta = record["psi_eta"][g], record["xi"][g]
+            np.testing.assert_allclose(record["eta_residual"][g],
+                                       y - x @ beta - xi[active], **close)
+            np.testing.assert_allclose(record["xi_residual"][g],
+                                       y - x @ beta - psi_eta, **close)
+            np.testing.assert_allclose(record["beta_residual"][g],
+                                       y - psi_eta - xi_delta, **close)
+            prior_values_used += int(from_prior[active].sum())
+            from_prior[active] = False
+            if record["refresh"]:
+                from_prior[record["refresh"][g][0]] = True
+            beta, xi = record["beta"][g], next_xi.copy()
+        assert len(record["subsets"]) == config.iterations
+        assert (prior_values_used > 0) == (policy == "prior")
 
     def test_prior_refresh_multiplies_once_per_kept_sweep(self, monkeypatch):
         record = record_prediction_products(monkeypatch)
@@ -753,7 +752,6 @@ class TestRunChain:
         last_two = run_chain(data, SamplerConfig(iterations=5, burn_in=3, **base), 4)
         np.testing.assert_allclose(
             last_two.mu_hat, 0.5 * (only_4th.mu_hat + only_5th.mu_hat), rtol=1e-12)
-        assert only_5th.iterations_kept == 1
         assert np.isnan(only_5th.mu_var).all()
 
     def test_same_seed_bit_identical(self):
@@ -840,6 +838,17 @@ class TestRunChain:
         for n in (0, 7):
             with pytest.raises(Exception):
                 run_chain(data, config, n)
+
+    @pytest.mark.parametrize("n", [2.7, 2.0])
+    def test_rejects_non_integer_subset_size(self, n):
+        # int() would run 2.7 as n = 2
+        with pytest.raises(InvalidParameterError, match="integer"):
+            run_chain(small_dataset(N=6), small_config(6), n)
+
+    def test_numpy_integer_subset_size_gives_the_int_chain(self):
+        data, config = small_dataset(N=6), small_config(6)
+        np.testing.assert_array_equal(run_chain(data, config, np.int64(2)).mu_hat,
+                                      run_chain(data, config, 2).mu_hat)
 
     def test_subset_draws_consume_no_data_values(self, monkeypatch):
         recorded = []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import subsetgibbs
+import subsetgibbs.oracle
 from subsetgibbs import (
     BasisConfig,
     DatasetView,
@@ -27,7 +28,10 @@ def make_data(N=10, p=1, seed=0):
 
 
 def test_every_exported_name_imports():
-    missing = [name for name in subsetgibbs.__all__ if not hasattr(subsetgibbs, name)]
+    modules = [subsetgibbs, subsetgibbs.model, subsetgibbs.gibbs, subsetgibbs.calibrate,
+               subsetgibbs.distributions, subsetgibbs.simdata, subsetgibbs.oracle]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
 
 
@@ -79,6 +83,31 @@ class TestSamplerConfig:
         with pytest.raises(InvalidParameterError, match="seed"):
             SamplerConfig(iterations=10, burn_in=0, prediction_set=[0],
                           basis=BasisConfig(rho=0.3), seed=seed)
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", 20.0), ("iterations", 20.5), ("burn_in", 5.5), ("burn_in", 5.0),
+        ("prediction_set", [0.5, 3.2]), ("prediction_set", [0.0, 3.0])])
+    def test_rejects_non_integer_counts_and_indices(self, field, value):
+        # int() would keep 15 of 20 sweeps at burn_in=5.5 and predict at
+        # [0, 3] for [0.5, 3.2]
+        fields = dict(iterations=20, burn_in=5, prediction_set=[0, 3],
+                      basis=BasisConfig(rho=0.3), seed=0)
+        fields[field] = value
+        with pytest.raises(InvalidParameterError, match="integer"):
+            SamplerConfig(**fields)
+
+    def test_accepts_numpy_integers(self):
+        config = SamplerConfig(iterations=np.int64(20), burn_in=np.int32(5),
+                               prediction_set=np.array([0, 3], dtype=np.uint32),
+                               basis=BasisConfig(rho=0.3), seed=np.uint64(0))
+        assert config.prediction_set.dtype == np.int64
+        np.testing.assert_array_equal(config.prediction_set, [0, 3])
+
+    def test_empty_prediction_set_is_reported_as_empty(self):
+        with pytest.raises(InvalidParameterError, match="nonempty"):
+            SamplerConfig(iterations=10, burn_in=0, prediction_set=[],
+                          basis=BasisConfig(rho=0.3), seed=0)
 
 
 class TestFixedVariances:

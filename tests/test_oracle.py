@@ -27,6 +27,12 @@ class TestTinyModelSpec:
         with pytest.raises(InvalidParameterError):
             TinyModelSpec(N=3, n=2, fixed_variances=(1.0, 0.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("N, n", [(3.5, 2), (3, 2.0)])
+    def test_rejects_non_integer_sizes(self, N, n):
+        # N = 3.5 used to fail with a TypeError inside math.comb
+        with pytest.raises(InvalidParameterError, match="integer"):
+            TinyModelSpec(N=N, n=n)
+
 
 class TestEnumerateMasks:
     def test_counts_and_order(self):

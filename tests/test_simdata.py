@@ -67,6 +67,13 @@ class TestGenerateAr1:
         with pytest.raises(InvalidParameterError):
             Ar1Config(N=10, prediction_count=11)
 
+    @pytest.mark.parametrize("fields", [dict(N=100.5), dict(N=100.0),
+                                        dict(N=100, prediction_count=2.5)])
+    def test_rejects_non_integer_sizes(self, fields):
+        # N=100.5 used to pass here and fail inside the generator
+        with pytest.raises(InvalidParameterError, match="integer"):
+            Ar1Config(**fields)
+
     def test_warns_on_nonstationary_phi(self):
         with pytest.warns(UserWarning):
             Ar1Config(N=10, phi=1.01, prediction_count=1)
@@ -93,6 +100,12 @@ class TestEquallySpacedIndices:
             equally_spaced_indices(0, 5)
         with pytest.raises(InvalidParameterError):
             equally_spaced_indices(6, 5)
+
+    @pytest.mark.parametrize("count, N", [(2.5, 10), (2, 10.0)])
+    def test_rejects_non_integer_count_and_size(self, count, N):
+        # (2.5, 10) used to give the float indices [0., 4., 8.]
+        with pytest.raises(InvalidParameterError, match="integer"):
+            equally_spaced_indices(count, N)
 
 
 class TestMetrics:
