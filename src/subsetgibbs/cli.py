@@ -106,11 +106,14 @@ def read_csv(path, required: Sequence[str]) -> dict:
     """Columns of a headed numeric CSV file, by name, as float vectors.
 
     Every field must parse as a float, every row must have one field per
-    header name and no name may repeat; anything else is an
-    InvalidParameterError naming the file.
+    header name and no name may repeat; anything else, a file that is not
+    UTF-8 text included, is an InvalidParameterError naming the file.
     """
-    with open(path) as handle:
-        header = handle.readline().rstrip("\r\n").split(",")
+    with open(path, encoding="utf-8") as handle:
+        try:
+            header = handle.readline().rstrip("\r\n").split(",")
+        except UnicodeDecodeError as exc:
+            raise InvalidParameterError(f"{path}: not UTF-8 text: {exc}") from None
         if len(set(header)) != len(header):
             raise InvalidParameterError(f"{path}: header names a column more than once: {header}")
         if not set(required) <= set(header):

@@ -270,14 +270,23 @@ def update_variances(residual: np.ndarray, eta_delta: np.ndarray, xi_delta: np.n
         sigma2_xi   ~ IG(1 + n/2, 1 + xi'xi / 2)
         sigma2_beta ~ IG(1 + p/2, 1 + beta'beta / 2)
 
-    where ``residual = y - X beta - Psi eta - xi`` on the subset.
+    where ``residual = y - X beta - Psi eta - xi`` on the subset.  A sum
+    of squares that is not finite (overflowing data, or a NaN upstream)
+    would give a zero or NaN gamma scale, so it raises NumericalError
+    before any draw.
     """
+    ss = float(residual @ residual)
+    ss_eta = float(eta_delta @ eta_delta)
+    ss_xi = float(xi_delta @ xi_delta)
+    ss_beta = float(beta @ beta)
+    if not (math.isfinite(ss) and math.isfinite(ss_eta) and math.isfinite(ss_xi)
+            and math.isfinite(ss_beta)):
+        raise NumericalError("variance conditionals have a sum of squares that is not finite")
     shape = 1.0 + eta_delta.shape[0] / 2.0
-    return (1.0 / rng.gamma(shape, 1.0 / (1.0 + 0.5 * float(residual @ residual))),
-            1.0 / rng.gamma(shape, 1.0 / (1.0 + 0.5 * float(eta_delta @ eta_delta))),
-            1.0 / rng.gamma(shape, 1.0 / (1.0 + 0.5 * float(xi_delta @ xi_delta))),
-            1.0 / rng.gamma(1.0 + beta.shape[0] / 2.0,
-                            1.0 / (1.0 + 0.5 * float(beta @ beta))))
+    return (1.0 / rng.gamma(shape, 1.0 / (1.0 + 0.5 * ss)),
+            1.0 / rng.gamma(shape, 1.0 / (1.0 + 0.5 * ss_eta)),
+            1.0 / rng.gamma(shape, 1.0 / (1.0 + 0.5 * ss_xi)),
+            1.0 / rng.gamma(1.0 + beta.shape[0] / 2.0, 1.0 / (1.0 + 0.5 * ss_beta)))
 
 
 def draw_inactive_prediction_components(outside: np.ndarray, sigma2_eta: float,
@@ -288,12 +297,10 @@ def draw_inactive_prediction_components(outside: np.ndarray, sigma2_eta: float,
     ``sigma2_eta`` and ``sigma2_xi``, eta drawn first; the chain passes the
     previous sweep's variances, honoring the update-order lag.  Returns
     (eta_draw, xi_draw), one entry per index in ``outside``; an empty
-    ``outside`` consumes no randomness.
+    ``outside`` draws zero normals, which consumes no randomness.
     """
     if sigma2_eta <= 0.0 or sigma2_xi <= 0.0:
         raise InvalidParameterError("variances must be strictly positive")
-    if outside.size == 0:
-        return np.empty(0), np.empty(0)
     eta_draw = math.sqrt(sigma2_eta) * rng.standard_normal(outside.size)
     xi_draw = math.sqrt(sigma2_xi) * rng.standard_normal(outside.size)
     return eta_draw, xi_draw

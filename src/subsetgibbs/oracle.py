@@ -29,7 +29,7 @@ from scipy import stats
 
 from .distributions import _checked_int
 from .errors import InvalidParameterError
-from .model import BasisConfig, DatasetView, kernel_matrix
+from .model import BasisConfig, DatasetView, FixedVariances, kernel_matrix
 
 __all__ = [
     "TinyModelSpec",
@@ -53,17 +53,19 @@ QUADRATURE_NODES = 48
 
 @dataclass(frozen=True)
 class TinyModelSpec:
-    """An enumerable instance: N <= 4 rows, fixed variances, p = 1.
+    """An enumerable instance: N <= 4 rows, pinned variances, p = 1.
 
-    Rows sit at coordinates 0..N-1 with a unit intercept covariate; the
-    basis kernel is exp(-rho * |i - j|).  ``fixed_variances`` is the
-    tuple (sigma2, sigma2_eta, sigma2_xi, sigma2_beta).
+    Rows sit at coordinates 0..N-1 with a unit intercept covariate.  The
+    variances and the kernel are the sampler's own value types, validated
+    by their constructors: ``fixed_variances`` pins all four components
+    and ``basis`` gives the kernel (exp(-rho * |i - j|) by default), so a
+    chain configured with the same two values runs this very model.
     """
 
     N: int
     n: int
-    fixed_variances: Tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
-    rho: float = 0.3
+    fixed_variances: FixedVariances = FixedVariances(1.0, 1.0, 1.0, 1.0)
+    basis: BasisConfig = BasisConfig(rho=0.3)
 
     def __post_init__(self):
         if not (1 <= _checked_int(self.N, "N") <= 4):
@@ -72,24 +74,11 @@ class TinyModelSpec:
             raise InvalidParameterError(f"n must be in [1, N], got n={self.n}, N={self.N}")
         if math.comb(self.N, self.n) > 6:
             raise InvalidParameterError("subset enumeration capped at 6 masks")
-        if any(v <= 0 for v in self.fixed_variances):
-            raise InvalidParameterError("fixed variances must be strictly positive")
-
-    @property
-    def sigma2(self) -> float:
-        return self.fixed_variances[0]
-
-    @property
-    def sigma2_eta(self) -> float:
-        return self.fixed_variances[1]
-
-    @property
-    def sigma2_xi(self) -> float:
-        return self.fixed_variances[2]
-
-    @property
-    def sigma2_beta(self) -> float:
-        return self.fixed_variances[3]
+        if not isinstance(self.fixed_variances, FixedVariances):
+            raise InvalidParameterError(
+                f"fixed_variances must be a FixedVariances, got {self.fixed_variances!r}")
+        if not isinstance(self.basis, BasisConfig):
+            raise InvalidParameterError(f"basis must be a BasisConfig, got {self.basis!r}")
 
     def dataset(self, y: np.ndarray) -> DatasetView:
         y = np.asarray(y, dtype=float)
@@ -99,12 +88,9 @@ class TinyModelSpec:
             y=y, x=np.ones((self.N, 1)), index_coords=np.arange(self.N, dtype=float)
         )
 
-    def basis(self) -> BasisConfig:
-        return BasisConfig(rho=self.rho)
-
     def full_kernel(self) -> np.ndarray:
         coords = np.arange(self.N, dtype=float)
-        return kernel_matrix(coords, coords, self.basis())
+        return kernel_matrix(coords, coords, self.basis)
 
 
 @dataclass(frozen=True)
@@ -140,9 +126,9 @@ def enumerate_masks(N: int, n: int) -> List[np.ndarray]:
 def _subset_theta_free_cov(spec: TinyModelSpec, mask: np.ndarray) -> np.ndarray:
     # covariance of y_active given beta only: eta, xi and the observation
     # noise are all Gaussian and integrate out in closed form
+    v = spec.fixed_variances
     psi = spec.full_kernel()[np.ix_(mask, mask)]
-    n = mask.size
-    return spec.sigma2_eta * (psi @ psi.T) + (spec.sigma2 + spec.sigma2_xi) * np.eye(n)
+    return v.sigma2_eta * (psi @ psi.T) + (v.sigma2 + v.sigma2_xi) * np.eye(mask.size)
 
 
 def marginal_m(spec: TinyModelSpec, mask: np.ndarray, y: np.ndarray) -> float:
@@ -161,7 +147,7 @@ def marginal_m(spec: TinyModelSpec, mask: np.ndarray, y: np.ndarray) -> float:
     if mask.size < 1 or mask.min() < 0 or mask.max() >= spec.N:
         raise InvalidParameterError("mask must select at least one of the N indices")
     x = np.ones((mask.size, 1))
-    cov = spec.sigma2_beta * (x @ x.T) + _subset_theta_free_cov(spec, mask)
+    cov = spec.fixed_variances.sigma2_beta * (x @ x.T) + _subset_theta_free_cov(spec, mask)
     value = float(stats.multivariate_normal(mean=np.zeros(mask.size), cov=cov).pdf(y[mask]))
     if not np.isfinite(value) or value <= 0.0:
         raise InvalidParameterError("marginal density is not finite and positive")
@@ -198,11 +184,12 @@ def marginal_m_quadrature(spec: TinyModelSpec, mask: np.ndarray, y: np.ndarray,
         )
     psi = spec.full_kernel()[np.ix_(mask, mask)]
     y_active = y[mask]
-    noise_var = spec.sigma2 + spec.sigma2_xi
+    v = spec.fixed_variances
+    noise_var = v.sigma2 + v.sigma2_xi
 
     points, weights = _gauss_hermite_grid(nodes, 1 + n)
-    beta = np.sqrt(spec.sigma2_beta) * points[:, 0]
-    eta = np.sqrt(spec.sigma2_eta) * points[:, 1:]
+    beta = np.sqrt(v.sigma2_beta) * points[:, 0]
+    eta = np.sqrt(v.sigma2_eta) * points[:, 1:]
     means = beta[:, None] + eta @ psi.T
     log_lik = -0.5 * np.sum((y_active[None, :] - means) ** 2, axis=1) / noise_var \
         - 0.5 * n * np.log(2.0 * np.pi * noise_var)
@@ -288,15 +275,16 @@ def _conditional_log_posterior_grid(spec: TinyModelSpec, mask: np.ndarray,
     verifies it cancels under normalization.
     """
     psi = spec.full_kernel()[np.ix_(mask, mask)]
-    noise_var = spec.sigma2 + spec.sigma2_xi
+    v = spec.fixed_variances
+    noise_var = v.sigma2 + v.sigma2_xi
     y_active = y[mask]
     beta = grid_points[:, 0]
     eta = grid_points[:, 1:]
     means = beta[:, None] + eta @ psi.T
     log_unnorm = (
         -0.5 * np.sum((y_active[None, :] - means) ** 2, axis=1) / noise_var
-        - 0.5 * beta**2 / spec.sigma2_beta
-        - 0.5 * np.sum(eta**2, axis=1) / spec.sigma2_eta
+        - 0.5 * beta**2 / v.sigma2_beta
+        - 0.5 * np.sum(eta**2, axis=1) / v.sigma2_eta
     )
     log_unnorm += np.log(marginal_m(spec, np.arange(spec.N), y)) - np.log(marginal_m(spec, mask, y))
     log_norm = np.log(np.sum(np.exp(log_unnorm - log_unnorm.max()))) + log_unnorm.max()
@@ -350,7 +338,7 @@ def beta_posterior_given_mask(spec: TinyModelSpec, mask: np.ndarray,
     cov = _subset_theta_free_cov(spec, mask)
     x = np.ones(mask.size)
     solve = np.linalg.solve(cov, np.column_stack([x, y[mask]]))
-    precision = float(x @ solve[:, 0]) + 1.0 / spec.sigma2_beta
+    precision = float(x @ solve[:, 0]) + 1.0 / spec.fixed_variances.sigma2_beta
     mean = float(x @ solve[:, 1]) / precision
     return mean, 1.0 / precision
 

@@ -58,12 +58,14 @@ class Ar1Config:
 
 @dataclass(frozen=True)
 class SplitDataset:
-    """Training view plus the held-out rows and both index sets."""
+    """The training and held-out rows as two views, with their index sets.
+
+    ``train`` and ``holdout`` are the rows of the source dataset at
+    ``train_indices`` and ``holdout_indices``, which partition range(N).
+    """
 
     train: DatasetView
-    holdout_y: np.ndarray
-    holdout_x: np.ndarray
-    holdout_coords: np.ndarray
+    holdout: DatasetView
     train_indices: np.ndarray
     holdout_indices: np.ndarray
 
@@ -156,16 +158,9 @@ def split_holdout(data: DatasetView, holdout_fraction: float,
         raise InvalidParameterError("holdout would consume the whole dataset")
     holdout_idx = sample_active_indices(k, N, rng)
     train_idx = np.setdiff1d(np.arange(N), holdout_idx, assume_unique=True)
-    train = DatasetView(
-        y=data.y[train_idx],
-        x=data.x[train_idx],
-        index_coords=data.index_coords[train_idx],
-    )
-    return SplitDataset(
-        train=train,
-        holdout_y=data.y[holdout_idx],
-        holdout_x=data.x[holdout_idx],
-        holdout_coords=data.index_coords[holdout_idx],
-        train_indices=train_idx,
-        holdout_indices=holdout_idx,
-    )
+
+    def rows(idx):
+        return DatasetView(y=data.y[idx], x=data.x[idx], index_coords=data.index_coords[idx])
+
+    return SplitDataset(train=rows(train_idx), holdout=rows(holdout_idx),
+                        train_indices=train_idx, holdout_indices=holdout_idx)

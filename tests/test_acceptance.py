@@ -182,14 +182,14 @@ def test_criterion_3_mixture_posterior():
     start = time.perf_counter()
     # small basis/fine-scale variances keep the single sweep per subset
     # close to an exact conditional draw (see notes on one-sweep bias)
-    spec = TinyModelSpec(N=3, n=2, fixed_variances=(1.0, 0.05, 0.05, 1.0))
+    spec = TinyModelSpec(N=3, n=2, fixed_variances=sg.FixedVariances(1.0, 0.05, 0.05, 1.0))
     y = np.array([1.0, -0.5, 0.8])
     data = spec.dataset(y)
     thin, kept_target, bins = 5, 100_000, 50
     config = sg.SamplerConfig(
         iterations=1000 + thin * kept_target, burn_in=1000,
-        prediction_set=np.array([0]), basis=sg.BasisConfig(rho=spec.rho),
-        seed=5, fixed_variances=sg.FixedVariances.all_of(*spec.fixed_variances),
+        prediction_set=np.array([0]), basis=spec.basis,
+        seed=5, fixed_variances=spec.fixed_variances,
         prediction_refresh="prior")
     out = sg.run_chain(data, config, spec.n, collect_trace=True)
     beta = out.trace[config.burn_in::thin, 0]

@@ -30,6 +30,13 @@ def simulate(tmp_path, name="sim", N=400, seed=7, pred_count=40):
     return out
 
 
+def overflowing_data(tmp_path):
+    """50 finite rows of +-1e160, whose squares overflow a float."""
+    data = tmp_path / "data.csv"
+    data.write_text("index,y\n" + "".join(f"{i},{(-1) ** i * 1e160!r}\n" for i in range(1, 51)))
+    return data
+
+
 class TestSimulate:
     def test_writes_both_files_with_headers(self, tmp_path):
         out = simulate(tmp_path)
@@ -160,6 +167,18 @@ class TestFit:
                     "--pred-count", "5", "--output-dir", str(tmp_path / "bad")])
         assert code == EXIT_USAGE
 
+    def test_overflowing_data_is_numerical_error(self, tmp_path, capsys):
+        # squares of 1e160 overflow, which used to end in a ZeroDivisionError
+        # traceback from the variance step
+        data = overflowing_data(tmp_path)
+        with np.errstate(all="ignore"):
+            code = run(["fit", "--data", str(data), "--n", "10", "--iterations", "20",
+                        "--burn-in", "5", "--pred-count", "5",
+                        "--output-dir", str(tmp_path / "o")])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "not finite" in err and "[n=10]" in err and "[iteration=" in err
+
     @pytest.mark.parametrize("equals_form", [False, True], ids=["space", "equals"])
     def test_replay_manifest_reproduces_outputs(self, tmp_path, equals_form):
         sim = simulate(tmp_path)
@@ -172,6 +191,36 @@ class TestFit:
         assert replay_manifest(out / "manifest.json", output_dir=replayed) == EXIT_OK
         assert (out / "predictions.csv").read_bytes() == (replayed / "predictions.csv").read_bytes()
         assert (out / "trace.csv").read_bytes() == (replayed / "trace.csv").read_bytes()
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("role", ["fit", "calibrate", "predictions", "truth", "holdout"])
+    def test_is_usage_error_before_any_directory(self, tmp_path, capsys, role):
+        # a byte-order mark of UTF-16 used to raise UnicodeDecodeError (exit 1)
+        files = {"data": "index,y\n1,0.5\n2,0.1\n",
+                 "predictions": "index,mu_hat,var_hat\n1,0.5,0.0\n",
+                 "truth": "index,mu\n1,0.5\n",
+                 "holdout": "index,y\n1,0.5\n"}
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text(text)
+        broken = paths["data" if role in ("fit", "calibrate") else role]
+        broken.write_bytes(b"\xff\xfe" + broken.read_bytes())
+        out = tmp_path / "o"
+        if role == "fit":
+            argv = ["fit", "--data", str(broken), "--n", "1", "--pred-count", "1"]
+        elif role == "calibrate":
+            argv = ["calibrate", "--data", str(broken), "--n-grid", "1",
+                    "--budget-seconds", "1", "--pred-count", "1"]
+        else:
+            reference = "holdout" if role == "holdout" else "truth"
+            argv = ["score", "--predictions", str(paths["predictions"]),
+                    f"--{reference}", str(paths[reference])]
+        assert run(argv + ["--output-dir", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(broken) in err and "UTF-8" in err
+        assert not out.exists()
 
 
 class TestScore:
@@ -359,6 +408,18 @@ class TestCalibrate:
         assert "precision not positive definite" in failure["message"]
         assert "iteration=3" in failure["message"]
 
+    def test_overflowing_data_fails_every_point_with_context(self, tmp_path, capsys):
+        # each point used to be recorded as a bare ZeroDivisionError
+        with np.errstate(all="ignore"):
+            code = run(["calibrate", "--data", str(overflowing_data(tmp_path)),
+                        "--n-grid", "5,10", "--budget-seconds", "60", "--iterations", "20",
+                        "--burn-in", "5", "--pred-count", "5",
+                        "--output-dir", str(tmp_path / "cal")])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        for n in (5, 10):
+            assert f"n={n}: variance conditionals" in err and f"[n={n}] [iteration=" in err
+
     def test_grid_parsing_rejects_garbage(self, tmp_path):
         sim = simulate(tmp_path, N=100, pred_count=10)
         code = run(["calibrate", "--data", str(sim / "data.csv"),
@@ -383,3 +444,49 @@ class TestCalibrate:
         code = run(["fit", "--data", str(tmp_path / "nope.csv"), "--n", "5",
                     "--pred-count", "5", "--output-dir", str(tmp_path / "o")])
         assert code in (EXIT_USAGE, 4)
+
+
+class TestReplayManifest:
+    """A replay reproduces every data output of each command; timings may differ."""
+
+    def replay(self, tmp_path, out):
+        replayed = tmp_path / "replayed"
+        assert replay_manifest(out / "manifest.json", output_dir=replayed) == EXIT_OK
+        return replayed
+
+    def test_simulate(self, tmp_path):
+        out = simulate(tmp_path)
+        replayed = self.replay(tmp_path, out)
+        for name in ("data.csv", "truth.csv"):
+            assert (out / name).read_bytes() == (replayed / name).read_bytes()
+
+    def test_calibrate(self, tmp_path):
+        sim = simulate(tmp_path, N=200, pred_count=20)
+        out = tmp_path / "cal"
+        assert run(["calibrate", "--data", str(sim / "data.csv"),
+                    "--n-grid", "4:12:4", "--budget-seconds", "60",
+                    "--iterations", "60", "--burn-in", "10", "--pred-count", "20",
+                    "--seed", "2", "--output-dir", str(out)]) == EXIT_OK
+        replayed = self.replay(tmp_path, out)
+        for n in (4, 8, 12):
+            name = f"predictions_n{n}.csv"
+            assert (out / name).read_bytes() == (replayed / name).read_bytes()
+
+        def report_columns(directory):
+            with open(directory / "report.csv", newline="") as handle:
+                return [(row["n"], row["diff_to_next"]) for row in csv.DictReader(handle)]
+
+        assert report_columns(out) == report_columns(replayed)
+        assert len(report_columns(out)) == 3
+
+    def test_score(self, tmp_path):
+        sim = simulate(tmp_path)
+        fit = tmp_path / "fit"
+        assert run(["fit", "--data", str(sim / "data.csv"), "--n", "8",
+                    "--iterations", "60", "--burn-in", "10", "--pred-count", "40",
+                    "--output-dir", str(fit)]) == EXIT_OK
+        out = tmp_path / "score"
+        assert run(["score", "--predictions", str(fit / "predictions.csv"),
+                    "--truth", str(sim / "truth.csv"), "--output-dir", str(out)]) == EXIT_OK
+        replayed = self.replay(tmp_path, out)
+        assert (out / "metrics.json").read_bytes() == (replayed / "metrics.json").read_bytes()

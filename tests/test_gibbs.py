@@ -287,7 +287,7 @@ class TestUpdateVariances:
         pins = (0.3, 0.4, 0.5, 0.6)
         for policy in ("carry", "prior"):
             config = small_config(12, iterations=25, burn_in=5, prediction_refresh=policy,
-                                  fixed_variances=FixedVariances.all_of(*pins))
+                                  fixed_variances=FixedVariances(*pins))
             out = run_chain(small_dataset(), config, 4, collect_trace=True)
             np.testing.assert_array_equal(out.trace[:, -4:], np.tile(pins, (25, 1)))
         assert calls["update_variances"] == 0
@@ -299,6 +299,18 @@ class TestUpdateVariances:
         for _ in range(3):
             rng_b.gamma(1.0 + 1.5, 1.0)
         assert drawn[3] == 1.0 / rng_b.gamma(2.0, 1.0)
+
+    @pytest.mark.parametrize("block", range(4))
+    @pytest.mark.parametrize("bad", [1e160, np.nan])
+    def test_non_finite_sum_of_squares_is_numerical_error(self, block, bad):
+        # 1e160 squared overflows to inf, which made the gamma scale zero
+        # and the reciprocal a ZeroDivisionError; NaN gave NaN variances
+        parts = [np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(1)]
+        parts[block][0] = bad
+        rng = make_rng(0)
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
+            update_variances(*parts, rng)
+        assert make_rng(0).standard_normal() == rng.standard_normal()
 
 
 class TestDrawInactivePredictionComponents:
@@ -718,7 +730,7 @@ class TestRunChain:
         monkeypatch.setattr(math, "comb", lambda N, k: calls.append((N, k)) or comb(N, k))
         N = 100
         config = small_config(N, iterations=5, burn_in=0,
-                              fixed_variances=FixedVariances.all_of(1, 1, 1, 1))
+                              fixed_variances=FixedVariances(1, 1, 1, 1))
         run_chain(small_dataset(N=N), config, N // 2)
         assert all(args[0] != N for args in calls)
 
@@ -770,7 +782,7 @@ class TestRunChain:
 
     def test_design_cache_does_not_change_results(self, monkeypatch):
         data = small_dataset(N=6)
-        config = small_config(6, fixed_variances=FixedVariances.all_of(1, 1, 1, 1))
+        config = small_config(6, fixed_variances=FixedVariances(1, 1, 1, 1))
         cached = run_chain(data, config, 2, collect_trace=True)
         monkeypatch.setattr(gibbs, "_DESIGN_CACHE_LIMIT", 0)
         uncached = run_chain(data, config, 2, collect_trace=True)
@@ -817,7 +829,7 @@ class TestRunChain:
         # jitter, and counts one jitter event per failed factorization
         data = small_dataset(N=N)
         config = small_config(N, iterations=25, burn_in=5,
-                              fixed_variances=fixed and FixedVariances.all_of(*fixed))
+                              fixed_variances=fixed and FixedVariances(*fixed))
         with monkeypatch.context() as patch:
             patch.setattr(gibbs, "banded_kernel", lambda coords_, basis_: None)
             dense = run_chain(data, config, n, collect_trace=True)
@@ -909,7 +921,7 @@ class TestRunChain:
         config = small_config(6, iterations=4000, burn_in=0,
                               prediction_set=np.array([5]),
                               prediction_refresh="prior",
-                              fixed_variances=FixedVariances.all_of(1, 1, 1, 1))
+                              fixed_variances=FixedVariances(1, 1, 1, 1))
         out = run_chain(data, config, 3, collect_trace=True)
         beta_var = out.trace[:, 0].var(ddof=1)
         # per-sweep prediction variance at the untouched index is the
@@ -959,7 +971,7 @@ class TestRunChain:
         config = SamplerConfig(
             iterations=20_000, burn_in=500, prediction_set=np.array([0]),
             basis=basis, seed=17,
-            fixed_variances=FixedVariances.all_of(*variances))
+            fixed_variances=FixedVariances(*variances))
         out = run_chain(data, config, N, collect_trace=True)
         beta_draws = out.trace[500:, 0]
 

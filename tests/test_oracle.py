@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from subsetgibbs import InvalidParameterError
+from subsetgibbs import BasisConfig, FixedVariances, InvalidParameterError
 from subsetgibbs.oracle import (
     TinyModelSpec,
     beta_mixture_cdf,
@@ -24,8 +24,26 @@ class TestTinyModelSpec:
             TinyModelSpec(N=5, n=1)
         with pytest.raises(InvalidParameterError):
             TinyModelSpec(N=4, n=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_rejects_bad_pins_at_construction(self, bad):
         with pytest.raises(InvalidParameterError):
-            TinyModelSpec(N=3, n=2, fixed_variances=(1.0, 0.0, 1.0, 1.0))
+            TinyModelSpec(N=3, n=2, fixed_variances=FixedVariances(1.0, bad, 1.0, 1.0))
+
+    @pytest.mark.parametrize("pins", [(1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
+    def test_rejects_pins_that_are_not_fixed_variances(self, pins):
+        # a tuple used to pass and fail later inside the oracles
+        with pytest.raises(InvalidParameterError, match="FixedVariances"):
+            TinyModelSpec(N=3, n=2, fixed_variances=pins)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan])
+    def test_rejects_bad_rho_at_construction(self, rho):
+        with pytest.raises(InvalidParameterError, match="rho"):
+            TinyModelSpec(N=3, n=2, basis=BasisConfig(rho=rho))
+
+    def test_rejects_basis_that_is_not_a_basis_config(self):
+        with pytest.raises(InvalidParameterError, match="BasisConfig"):
+            TinyModelSpec(N=3, n=2, basis=0.3)
 
     @pytest.mark.parametrize("N, n", [(3.5, 2), (3, 2.0)])
     def test_rejects_non_integer_sizes(self, N, n):
@@ -139,7 +157,7 @@ class TestPosteriorEquivalence:
 
 class TestBetaMixture:
     def test_mask_posterior_matches_direct_formula(self):
-        spec = TinyModelSpec(N=3, n=2, fixed_variances=(0.5, 1.5, 0.25, 2.0))
+        spec = TinyModelSpec(N=3, n=2, fixed_variances=FixedVariances(0.5, 1.5, 0.25, 2.0))
         y = np.array([1.0, -0.5, 0.8])
         mask = enumerate_masks(3, 2)[1]
         mean, var = beta_posterior_given_mask(spec, mask, y)

@@ -148,7 +148,7 @@ class TestSplitHoldout:
 
     def test_sizes_and_partition(self):
         split = split_holdout(self.data(), 0.2, make_rng(1))
-        assert split.holdout_y.size == 20
+        assert split.holdout.n_obs == 20
         assert split.train.n_obs == 80
         merged = np.concatenate([split.train_indices, split.holdout_indices])
         np.testing.assert_array_equal(np.sort(merged), np.arange(100))
@@ -156,9 +156,11 @@ class TestSplitHoldout:
     def test_rows_survive_the_split(self):
         data = self.data(30)
         split = split_holdout(data, 0.3, make_rng(2))
-        np.testing.assert_array_equal(split.holdout_y, data.y[split.holdout_indices])
-        np.testing.assert_array_equal(split.holdout_x, data.x[split.holdout_indices])
-        np.testing.assert_array_equal(split.train.y, data.y[split.train_indices])
+        for view, idx in ((split.holdout, split.holdout_indices),
+                          (split.train, split.train_indices)):
+            np.testing.assert_array_equal(view.y, data.y[idx])
+            np.testing.assert_array_equal(view.x, data.x[idx])
+            np.testing.assert_array_equal(view.index_coords, data.index_coords[idx])
 
     def test_deterministic_under_seed(self):
         a = split_holdout(self.data(), 0.25, make_rng(9))
