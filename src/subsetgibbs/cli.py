@@ -199,10 +199,12 @@ def _sampler_config(args, N: int) -> SamplerConfig:
 
 
 def _write_predictions(path, prediction_set: np.ndarray, out) -> None:
-    _write_rows(path, ["index", "mu_hat", "var_hat"],
-                zip((prediction_set + 1).tolist(),
-                    map(_format_float, out.mu_hat.tolist()),
-                    map(_format_float, out.mu_var.tolist())))
+    # the bytes _write_rows writes for these rows ({!r} of a float is
+    # _format_float), formatted by one str.format per row
+    rows = map("{},{!r},{!r}\r\n".format, (prediction_set + 1).tolist(),
+               out.mu_hat.tolist(), out.mu_var.tolist())
+    with open(path, "w", newline="") as handle:
+        handle.write("index,mu_hat,var_hat\r\n" + "".join(rows))
 
 
 def _write_report_csv(path, report: CalibrationReport) -> None:

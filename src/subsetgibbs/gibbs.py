@@ -34,9 +34,27 @@ previous sweep's variances, and step 6's prior refresh also uses the
 previous sweep's variances even though step 5 has already produced new
 ones.
 
+How many variates a sweep draws depends on n, p, the pins, the refresh
+policy and its subset, never on the chain's values: the subset draw, then
+2n + p standard normals for eta, xi and beta, then four standard-gamma
+draws for the variances (``Generator.gamma(shape, scale)`` is
+``scale * standard_gamma(shape)`` on the same variates), then two normals
+per prediction index the prior refresh redraws.  ``run_chain`` therefore
+works in blocks of sweeps.  A block first draws every variate its sweeps
+use, sweep by sweep in exactly that order, so the stream is the one a
+sweep-at-a-time chain would draw.  It then builds what depends on its
+subsets alone in one vectorized pass over the (B, n) stack of subsets: the
+gathers of y and x, and, for every subset whose sorted scalar coordinates
+qualify, T and the band of T^2 (``model.banded_kernels``).  Its sweeps do
+only the work that depends on the chain's state.  A subset that does not
+qualify (great-circle, unsorted or too-close coordinates) gets its kernel
+in its own sweep, as ``_kernel_operator`` builds it.  ``_sweeps_per_block``
+caps a block at ``_BLOCK_ENTRIES`` subset entries, so its stacks stay small.
+
 Each step is a conditional draw that takes values, not a chain state:
-the residual it conditions on and the variances it needs.  ``run_chain``
-holds beta, eta, xi and the four variances as locals and computes
+the residual it conditions on, the variances it needs and its standard
+normals (standard-gamma draws for the variances).  ``run_chain`` holds
+beta, eta, xi and the four variances as locals and computes
 fit = y - X beta on the subset once per sweep; step 2 takes fit - xi,
 step 3 takes fit - Psi eta, and step 4 takes y - Psi eta - xi.  The
 factors of the eta and beta precisions are computed once per sweep, or
@@ -63,11 +81,16 @@ from .model import (
     FixedVariances,
     SamplerConfig,
     banded_kernel,
+    banded_kernels,
     kernel_matrix,
 )
 
 # subsets are enumerable below this count, so their designs are memoized
 _DESIGN_CACHE_LIMIT = 64
+
+# subset entries per block of sweeps, at most (see _sweeps_per_block); the
+# block's stacks take about 100 bytes per entry
+_BLOCK_ENTRIES = 4096
 
 __all__ = [
     "Clock",
@@ -76,6 +99,7 @@ __all__ = [
     "update_xi_active",
     "update_beta",
     "update_variances",
+    "variance_shapes",
     "draw_inactive_prediction_components",
     "run_chain",
 ]
@@ -131,14 +155,24 @@ def _cholesky_with_jitter(precision: np.ndarray):
 
 
 def _sample_mvn_precision(chol: np.ndarray, linear: np.ndarray,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Draw from N(P^-1 h, P^-1) given the lower Cholesky factor of P and h."""
+                          normals: np.ndarray) -> np.ndarray:
+    """Draw from N(P^-1 h, P^-1) given the lower Cholesky factor of P, h and
+    one standard normal per dimension."""
     # LAPACK directly: the scipy.linalg wrappers cost more than the
     # solves themselves at the small sizes most sweeps use
     mean, _ = lapack.dpotrs(chol, linear, lower=1)
-    z = rng.standard_normal(chol.shape[0])
-    noise, _ = lapack.dtrtrs(chol, z, lower=1, trans=1)
+    noise, _ = lapack.dtrtrs(chol, normals, lower=1, trans=1)
     return mean + noise
+
+
+def _sweeps_per_block(n: int, refreshed: int) -> int:
+    """Sweeps per block: as many as keep it within ``_BLOCK_ENTRIES`` entries.
+
+    A sweep counts its n subset entries plus two for each of the
+    ``refreshed`` prediction indices whose prior-refresh normals the block
+    draws ahead.
+    """
+    return max(1, _BLOCK_ENTRIES // (n + 2 * refreshed))
 
 
 def _kernel_operator(coords: np.ndarray, basis):
@@ -161,20 +195,12 @@ def _beta_factor(xtx: np.ndarray, sigma2: float, sigma2_beta: float):
 def _banded_eta_factor(kernel: BandedKernel, sigma2: float, sigma2_eta: float):
     """Upper band Cholesky factor of M = I/sigma2 + T^2/sigma2_eta.
 
-    M is pentadiagonal; it is stored and factored in LAPACK's upper band
-    layout (row 2 the diagonal, rows 1 and 0 the first and second
-    superdiagonals).  Returns None when the factorization fails.
+    M is pentadiagonal; it is built from the kernel's band of T^2 in
+    LAPACK's upper band layout (row 2 the diagonal, rows 1 and 0 the first
+    and second superdiagonals).  Returns None when the factorization fails.
     """
-    d, e = kernel.diag, kernel.off
-    e2 = e * e
     # Fortran order, so LAPACK factors the band in place without a copy
-    band = np.zeros((d.shape[0], 3)).T
-    band[2] = d * d
-    band[2, :-1] += e2
-    band[2, 1:] += e2
-    band[1, 1:] = e * (d[:-1] + d[1:])
-    band[0, 2:] = e[:-1] * e[1:]
-    band /= sigma2_eta
+    band = (kernel.square_band / sigma2_eta).T
     band[2] += 1.0 / sigma2
     factor, info = lapack.dpbtrf(band, overwrite_ab=1)
     return factor if info == 0 else None
@@ -203,7 +229,7 @@ def _factor_eta_precision(psi_delta, sigma2: float, sigma2_eta: float):
 
 
 def update_eta_active(residual: np.ndarray, psi_delta, chol: np.ndarray, sigma2: float,
-                      rng: np.random.Generator):
+                      normals: np.ndarray):
     """Draw the subset's basis coefficients from their full conditional.
 
     ``residual`` is y - X beta - xi on the subset.  The conditional is
@@ -214,12 +240,13 @@ def update_eta_active(residual: np.ndarray, psi_delta, chol: np.ndarray, sigma2:
     ``psi_delta`` and ``chol`` are the kernel and the factor that
     :func:`_factor_eta_precision` returns: the dense kernel matrix with
     the lower Cholesky factor of the precision, or a ``BandedKernel`` with
-    U in band storage.  The banded draw takes v = Psi eta from
-    N(M^-1 r / sigma2, M^-1) with M = I/sigma2 + T^2/sigma2_eta = U'U, as
-    v = M^-1 (r / sigma2 + U'z), and sets eta = T v.  Returns (eta, Psi eta).
+    U in band storage.  ``normals`` holds n standard normals z.  The
+    banded draw takes v = Psi eta from N(M^-1 r / sigma2, M^-1) with
+    M = I/sigma2 + T^2/sigma2_eta = U'U, as v = M^-1 (r / sigma2 + U'z), and
+    sets eta = T v.  Returns (eta, Psi eta).
     """
     if isinstance(psi_delta, BandedKernel):
-        z = rng.standard_normal(residual.shape[0])
+        z = normals
         rhs = psi_delta.to_sorted(residual) / sigma2
         rhs += chol[2] * z
         rhs[1:] += chol[1, 1:] * z[:-1]
@@ -228,39 +255,43 @@ def update_eta_active(residual: np.ndarray, psi_delta, chol: np.ndarray, sigma2:
         draw = psi_delta.from_sorted(psi_delta.sorted_inverse_matvec(product))
         return draw, psi_delta.from_sorted(product)
     linear = psi_delta.T @ residual / sigma2
-    draw = _sample_mvn_precision(chol, linear, rng)
+    draw = _sample_mvn_precision(chol, linear, normals)
     return draw, psi_delta @ draw
 
 
 def update_xi_active(residual: np.ndarray, sigma2: float, sigma2_xi: float,
-                     rng: np.random.Generator) -> np.ndarray:
+                     normals: np.ndarray) -> np.ndarray:
     """Draw the subset's fine-scale effects: independent normals.
 
-    ``residual`` is y - X beta - Psi eta on the subset.  Mean
-    ``(s_xi / (s + s_xi)) * residual`` and common variance
-    ``s * s_xi / (s + s_xi)`` with s = sigma2, s_xi = sigma2_xi.
+    ``residual`` is y - X beta - Psi eta on the subset and ``normals`` one
+    standard normal per entry.  Mean ``(s_xi / (s + s_xi)) * residual`` and
+    common variance ``s * s_xi / (s + s_xi)`` with s = sigma2,
+    s_xi = sigma2_xi.  A variance that is not finite (the product
+    overflows once both variances pass about 1e154) raises NumericalError.
     """
     mean = sigma2_xi / (sigma2 + sigma2_xi) * residual
     variance = sigma2 * sigma2_xi / (sigma2 + sigma2_xi)
-    return mean + math.sqrt(variance) * rng.standard_normal(mean.shape[0])
+    if not math.isfinite(variance):
+        raise NumericalError("xi conditional variance is not finite")
+    return mean + math.sqrt(variance) * normals
 
 
 def update_beta(x_delta: np.ndarray, residual: np.ndarray, chol: np.ndarray, sigma2: float,
-                rng: np.random.Generator) -> np.ndarray:
+                normals: np.ndarray) -> np.ndarray:
     """Draw the regression coefficients from their full conditional.
 
     ``residual`` is y - Psi eta - xi on the subset.  Normal with covariance
     ``((1/sigma2) X'X + (1/sigma2_beta) I_p)^-1`` and mean
     ``(X'X + (sigma2/sigma2_beta) I_p)^-1 X' residual``; ``chol`` is the
     lower Cholesky factor of that precision, as :func:`_beta_factor`
-    returns it.
+    returns it, and ``normals`` holds p standard normals.
     """
     linear = x_delta.T @ residual / sigma2
-    return _sample_mvn_precision(chol, linear, rng)
+    return _sample_mvn_precision(chol, linear, normals)
 
 
 def update_variances(residual: np.ndarray, eta_delta: np.ndarray, xi_delta: np.ndarray,
-                     beta: np.ndarray, rng: np.random.Generator):
+                     beta: np.ndarray, gammas):
     """Draw the four variance components from their inverse-gamma conditionals.
 
     With the IG(1, 1) prior on each component the conditionals are
@@ -270,10 +301,13 @@ def update_variances(residual: np.ndarray, eta_delta: np.ndarray, xi_delta: np.n
         sigma2_xi   ~ IG(1 + n/2, 1 + xi'xi / 2)
         sigma2_beta ~ IG(1 + p/2, 1 + beta'beta / 2)
 
-    where ``residual = y - X beta - Psi eta - xi`` on the subset.  A sum
-    of squares that is not finite (overflowing data, or a NaN upstream)
-    would give a zero or NaN gamma scale, so it raises NumericalError
-    before any draw.
+    where ``residual = y - X beta - Psi eta - xi`` on the subset.
+    ``gammas`` holds four standard-gamma draws, in that order, with the
+    shapes above (see :func:`variance_shapes`); each variance is
+    1 / (scale * draw), which is what ``Generator.gamma(shape, scale)``
+    makes of the same variates.  A sum of squares that is not finite
+    (overflowing data, or a NaN upstream) would give a zero or NaN gamma
+    scale, so it raises NumericalError.
     """
     ss = float(residual @ residual)
     ss_eta = float(eta_delta @ eta_delta)
@@ -282,27 +316,32 @@ def update_variances(residual: np.ndarray, eta_delta: np.ndarray, xi_delta: np.n
     if not (math.isfinite(ss) and math.isfinite(ss_eta) and math.isfinite(ss_xi)
             and math.isfinite(ss_beta)):
         raise NumericalError("variance conditionals have a sum of squares that is not finite")
-    shape = 1.0 + eta_delta.shape[0] / 2.0
-    return (1.0 / rng.gamma(shape, 1.0 / (1.0 + 0.5 * ss)),
-            1.0 / rng.gamma(shape, 1.0 / (1.0 + 0.5 * ss_eta)),
-            1.0 / rng.gamma(shape, 1.0 / (1.0 + 0.5 * ss_xi)),
-            1.0 / rng.gamma(1.0 + beta.shape[0] / 2.0, 1.0 / (1.0 + 0.5 * ss_beta)))
+    gamma, gamma_eta, gamma_xi, gamma_beta = gammas
+    return (1.0 / ((1.0 / (1.0 + 0.5 * ss)) * gamma),
+            1.0 / ((1.0 / (1.0 + 0.5 * ss_eta)) * gamma_eta),
+            1.0 / ((1.0 / (1.0 + 0.5 * ss_xi)) * gamma_xi),
+            1.0 / ((1.0 / (1.0 + 0.5 * ss_beta)) * gamma_beta))
+
+
+def variance_shapes(n: int, p: int) -> np.ndarray:
+    """Shapes of the four standard-gamma draws :func:`update_variances` takes."""
+    return np.array([1.0 + n / 2.0] * 3 + [1.0 + p / 2.0])
 
 
 def draw_inactive_prediction_components(outside: np.ndarray, sigma2_eta: float,
-                                        sigma2_xi: float, rng: np.random.Generator):
+                                        sigma2_xi: float, normals: np.ndarray):
     """Prior draws of (eta_i, xi_i) for the prediction indices outside the subset.
 
     Both vectors are independent normals with mean zero and variances
-    ``sigma2_eta`` and ``sigma2_xi``, eta drawn first; the chain passes the
+    ``sigma2_eta`` and ``sigma2_xi``; ``normals`` holds two standard
+    normals per index in ``outside``, eta's first.  The chain passes the
     previous sweep's variances, honoring the update-order lag.  Returns
-    (eta_draw, xi_draw), one entry per index in ``outside``; an empty
-    ``outside`` draws zero normals, which consumes no randomness.
+    (eta_draw, xi_draw), one entry per index in ``outside``.
     """
     if sigma2_eta <= 0.0 or sigma2_xi <= 0.0:
         raise InvalidParameterError("variances must be strictly positive")
-    eta_draw = math.sqrt(sigma2_eta) * rng.standard_normal(outside.size)
-    xi_draw = math.sqrt(sigma2_xi) * rng.standard_normal(outside.size)
+    eta_draw = math.sqrt(sigma2_eta) * normals[:outside.size]
+    xi_draw = math.sqrt(sigma2_xi) * normals[outside.size:]
     return eta_draw, xi_draw
 
 
@@ -348,12 +387,13 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
 
     rng = make_rng(config.seed)
     fixed = config.fixed_variances
+    p = data.n_covariates
     # zero effects; unit variances unless pinned, so that the first sweep
     # already conditions on the pins
     start = fixed or FixedVariances(1.0, 1.0, 1.0, 1.0)
     sigma2, sigma2_eta = start.sigma2, start.sigma2_eta
     sigma2_xi, sigma2_beta = start.sigma2_xi, start.sigma2_beta
-    beta = np.zeros(data.n_covariates)
+    beta = np.zeros(p)
     eta = np.zeros(N)
     xi = np.zeros(N)
     refresh_prior = config.prediction_refresh == REFRESH_PRIOR
@@ -375,7 +415,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     mu_mean = np.zeros(m)
     mu_m2 = np.zeros(m)
     jitter_events = 0
-    trace = np.empty((config.iterations, data.n_covariates + 4)) if collect_trace else None
+    trace = np.empty((config.iterations, p + 4)) if collect_trace else None
 
     # Pinned variances leave each subset's design and precision factors
     # (banded or dense) constant, so with an enumerable subset space they are
@@ -385,69 +425,100 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     memoize = n == N or (N <= _DESIGN_CACHE_LIMIT and math.comb(N, n) <= _DESIGN_CACHE_LIMIT)
     design_cache = {} if fixed is not None and memoize else None
 
+    # blocks of sweeps: variates first, in sweep order, then the subsets'
+    # designs, then the sweeps (see the module docstring)
+    shapes = variance_shapes(n, p)
+    sweeps_per_block = _sweeps_per_block(n, m if refresh_prior else 0)
+    g = 0
     # every NumericalError a sweep raises gets its context here, once
     try:
-        for g in range(1, config.iterations + 1):
-            active = sample_active_indices(n, N, rng)
-            design = None if design_cache is None else design_cache.get(active.tobytes())
-            if design is None:
-                x_delta = data.x[active]
-                psi_delta, chol_eta, jitter = _factor_eta_precision(
-                    _kernel_operator(data.index_coords[active], config.basis),
-                    sigma2, sigma2_eta)
-                chol_beta, jitter_beta = _beta_factor(x_delta.T @ x_delta, sigma2, sigma2_beta)
-                jitter_events += jitter + jitter_beta
-                design = (x_delta, psi_delta, chol_eta, chol_beta)
-                if design_cache is not None:
-                    design_cache[active.tobytes()] = design
-            x_delta, psi_delta, chol_eta, chol_beta = design
-            y_delta = data.y[active]
-            fit = y_delta - x_delta @ beta
+        while g < config.iterations:
+            size = min(sweeps_per_block, config.iterations - g)
+            actives = np.empty((size, n), dtype=np.int64)
+            normals = np.empty((size, 2 * n + p))
+            gammas, refresh = [], []
+            for b in range(size):
+                actives[b] = active = sample_active_indices(n, N, rng)
+                # eta's, xi's and beta's normals: consecutive draws
+                rng.standard_normal(out=normals[b])
+                if fixed is None:
+                    gammas.append(rng.standard_gamma(shapes).tolist())
+                if refresh_prior:
+                    hits = active[in_pred[active]]
+                    outside = pred
+                    if hits.size:
+                        # the set without the subset's own indices, read off the mask
+                        in_pred[hits] = False
+                        outside = pred[in_pred[pred]]
+                        in_pred[hits] = True
+                    refresh.append((outside, rng.standard_normal(2 * outside.size)))
+            kernels = banded_kernels(data.index_coords[actives], config.basis)
+            x_block = data.x[actives]
+            y_block = data.y[actives]
+            meets = in_pred[actives].any(axis=1).tolist()
 
-            prev_sigma2_eta = sigma2_eta
-            prev_sigma2_xi = sigma2_xi
+            for b in range(size):
+                g += 1
+                active = actives[b]
+                design = None if design_cache is None else design_cache.get(active.tobytes())
+                if design is None:
+                    x_delta = x_block[b]
+                    psi_delta = kernels[b]
+                    if psi_delta is None:
+                        psi_delta = _kernel_operator(data.index_coords[active], config.basis)
+                    psi_delta, chol_eta, jitter = _factor_eta_precision(
+                        psi_delta, sigma2, sigma2_eta)
+                    chol_beta, jitter_beta = _beta_factor(
+                        x_delta.T @ x_delta, sigma2, sigma2_beta)
+                    jitter_events += jitter + jitter_beta
+                    design = (x_delta, psi_delta, chol_eta, chol_beta)
+                    if design_cache is not None:
+                        design_cache[active.tobytes()] = design
+                x_delta, psi_delta, chol_eta, chol_beta = design
+                y_delta = y_block[b]
+                z = normals[b]
+                fit = y_delta - x_delta @ beta
 
-            eta_delta, psi_eta = update_eta_active(
-                fit - xi[active], psi_delta, chol_eta, sigma2, rng)
-            eta[active] = eta_delta
+                prev_sigma2_eta = sigma2_eta
+                prev_sigma2_xi = sigma2_xi
 
-            xi_delta = update_xi_active(fit - psi_eta, sigma2, sigma2_xi, rng)
-            xi[active] = xi_delta
+                eta_delta, psi_eta = update_eta_active(
+                    fit - xi[active], psi_delta, chol_eta, sigma2, z[:n])
+                eta[active] = eta_delta
 
-            beta = update_beta(x_delta, y_delta - psi_eta - xi_delta, chol_beta, sigma2, rng)
+                xi_delta = update_xi_active(fit - psi_eta, sigma2, sigma2_xi, z[n:2 * n])
+                xi[active] = xi_delta
 
-            if fixed is None:
-                sigma2, sigma2_eta, sigma2_xi, sigma2_beta = update_variances(
-                    y_delta - x_delta @ beta - psi_eta - xi_delta, eta_delta, xi_delta, beta, rng)
+                beta = update_beta(x_delta, y_delta - psi_eta - xi_delta, chol_beta, sigma2,
+                                   z[2 * n:])
 
-            if refresh_prior:
-                hits = active[in_pred[active]]
-                outside = pred
-                if hits.size:
-                    # the set without the subset's own indices, read off the mask
-                    in_pred[hits] = False
-                    outside = pred[in_pred[pred]]
-                    in_pred[hits] = True
-                eta_outside, xi_outside = draw_inactive_prediction_components(
-                    outside, prev_sigma2_eta, prev_sigma2_xi, rng)
-                eta[outside] = eta_outside
-                xi[outside] = xi_outside
-                pred_parts = None
-            elif pred_parts is not None and in_pred[active].any():
-                pred_parts = None
+                if fixed is None:
+                    sigma2, sigma2_eta, sigma2_xi, sigma2_beta = update_variances(
+                        y_delta - x_delta @ beta - psi_eta - xi_delta, eta_delta, xi_delta,
+                        beta, gammas[b])
 
-            if collect_trace:
-                trace[g - 1, :-4] = beta
-                trace[g - 1, -4:] = (sigma2, sigma2_eta, sigma2_xi, sigma2_beta)
+                if refresh_prior:
+                    outside, prior_normals = refresh[b]
+                    eta_outside, xi_outside = draw_inactive_prediction_components(
+                        outside, prev_sigma2_eta, prev_sigma2_xi, prior_normals)
+                    eta[outside] = eta_outside
+                    xi[outside] = xi_outside
+                    pred_parts = None
+                elif meets[b]:
+                    pred_parts = None
 
-            if g > config.burn_in:
-                if pred_parts is None:
-                    pred_parts = (psi_pred @ eta[pred], xi[pred])
-                mu_g = x_pred @ beta + pred_parts[0] + pred_parts[1]
-                kept += 1
-                delta_mu = mu_g - mu_mean
-                mu_mean += delta_mu / kept
-                mu_m2 += delta_mu * (mu_g - mu_mean)
+                if collect_trace:
+                    trace[g - 1, :-4] = beta
+                    trace[g - 1, -4:] = (sigma2, sigma2_eta, sigma2_xi, sigma2_beta)
+
+                if g > config.burn_in:
+                    if pred_parts is None:
+                        pred_parts = (psi_pred @ eta[pred], xi[pred])
+                    mu_g = x_pred @ beta + pred_parts[0] + pred_parts[1]
+                    kept += 1
+                    delta_mu = mu_g - mu_mean
+                    mu_mean += delta_mu / kept
+                    mu_m2 += delta_mu * (mu_g - mu_mean)
     except NumericalError as exc:
         raise NumericalError(str(exc), n=n, iteration=g) from exc
 

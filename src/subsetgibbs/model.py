@@ -33,6 +33,7 @@ __all__ = [
     "kernel_matrix",
     "BandedKernel",
     "banded_kernel",
+    "banded_kernels",
     "METRIC_ABS",
     "METRIC_GREAT_CIRCLE",
 ]
@@ -234,21 +235,26 @@ class BandedKernel:
     Ornstein-Uhlenbeck correlation matrix whose inverse T is tridiagonal:
     with a_i = exp(-rho * gap_i), T has off-diagonal -a_i / (1 - a_i^2) and
     diagonal 1 + a_{i-1}^2 / (1 - a_{i-1}^2) + a_i^2 / (1 - a_i^2).
-    ``diag`` and ``off`` hold T in sorted order and ``order`` sorts the
-    caller's coordinates (None when they already are); the methods without
-    ``sorted`` in their name take and return vectors in the caller's order.
-    ``coords`` and ``basis`` are kept for a dense fallback.  ``kernel @ v``
-    is Psi v, computed as a tridiagonal solve, so the object stands in for
-    the dense matrix wherever only products with it are taken.
+    ``diag`` and ``off`` hold T in sorted order, ``square_band`` holds T^2
+    (pentadiagonal) in LAPACK's upper band layout, transposed: an (n, 3)
+    array whose ``.T`` is the Fortran-ordered band with row 2 the diagonal
+    and rows 1 and 0 the first and second superdiagonals.  ``order`` sorts
+    the caller's coordinates (None when they already are); the methods
+    without ``sorted`` in their name take and return vectors in the
+    caller's order.  ``coords`` and ``basis`` are kept for a dense
+    fallback.  ``kernel @ v`` is Psi v, computed as a tridiagonal solve, so
+    the object stands in for the dense matrix wherever only products with
+    it are taken.
     """
 
     def __init__(self, coords: np.ndarray, basis: BasisConfig, diag: np.ndarray,
-                 off: np.ndarray, order: Optional[np.ndarray]):
+                 off: np.ndarray, order: Optional[np.ndarray], square_band: np.ndarray):
         self.coords = coords
         self.basis = basis
         self.diag = diag
         self.off = off
         self.order = order
+        self.square_band = square_band
         self._factor = None
 
     def to_sorted(self, v: np.ndarray) -> np.ndarray:
@@ -282,32 +288,66 @@ class BandedKernel:
         return self.from_sorted(x)
 
 
+def banded_kernels(coords: np.ndarray, basis: BasisConfig) -> list:
+    """The kernel on each row of a stack of coordinate rows, where it is banded as given.
+
+    ``coords`` is (B, n), one subset's scalar coordinates per row.  Entry b
+    of the returned list is a :class:`BandedKernel` when row b is sorted
+    with every rho * gap at or above ``_BANDED_MIN_RHO_GAP``, else None
+    (always None for the great-circle metric and for (lat, lon) rows).
+    The arithmetic runs once over the stack of qualifying rows; other
+    rows never reach the exponentials, where their negative gaps could
+    overflow.
+    """
+    coords = np.asarray(coords, dtype=float)
+    kernels = [None] * coords.shape[0]
+    if basis.metric != METRIC_ABS or coords.ndim != 2:
+        return kernels
+    scaled_gap = basis.rho * (coords[:, 1:] - coords[:, :-1])
+    rows = np.arange(coords.shape[0])
+    if scaled_gap.size:
+        # a smallest gap at or above the threshold also proves the row sorted
+        rows = np.flatnonzero(scaled_gap.min(axis=1) >= _BANDED_MIN_RHO_GAP)
+        if rows.size < coords.shape[0]:
+            scaled_gap = scaled_gap[rows]
+    a = np.exp(-scaled_gap)
+    # 1 - a^2 through expm1: exact for small gaps, exactly 1 for large ones
+    one_minus_a2 = -np.expm1(-2.0 * scaled_gap)
+    ratio = a * a / one_minus_a2
+    diag = np.ones((rows.size, coords.shape[1]))
+    diag[:, :-1] += ratio
+    diag[:, 1:] += ratio
+    off = -a / one_minus_a2
+    off2 = off * off
+    square = np.zeros((rows.size, coords.shape[1], 3))
+    square[:, :, 2] = diag * diag
+    square[:, :-1, 2] += off2
+    square[:, 1:, 2] += off2
+    square[:, 1:, 1] = off * (diag[:, :-1] + diag[:, 1:])
+    square[:, 2:, 0] = off[:, :-1] * off[:, 1:]
+    for i, row in enumerate(rows.tolist()):
+        kernels[row] = BandedKernel(coords[row], basis, diag[i], off[i], None, square[i])
+    return kernels
+
+
 def banded_kernel(coords: np.ndarray, basis: BasisConfig) -> Optional[BandedKernel]:
     """The kernel on ``coords`` as a :class:`BandedKernel`, or None.
 
     None means the dense kernel must be used: for the great-circle metric
     (both the 2-d and the circular case), and for coordinates whose
     smallest rho * gap lies below ``_BANDED_MIN_RHO_GAP``, where the
-    tridiagonal inverse loses accuracy (duplicates are the limit).
+    tridiagonal inverse loses accuracy (duplicates are the limit).  The
+    coordinates are a stack of one row for :func:`banded_kernels`; when
+    that row is not sorted, it is sorted and looked at again.
     """
     coords = np.asarray(coords, dtype=float)
-    if basis.metric != METRIC_ABS or coords.ndim != 1:
+    if coords.ndim != 1:
         return None
-    # a smallest gap at or above the threshold also proves the coordinates
-    # sorted, so the common case costs one pass; otherwise sort and look again
-    order = None
-    scaled_gap = basis.rho * (coords[1:] - coords[:-1])
-    if scaled_gap.size and scaled_gap.min() < _BANDED_MIN_RHO_GAP:
+    kernel = banded_kernels(coords[None], basis)[0]
+    if kernel is None and basis.metric == METRIC_ABS:
         order = np.argsort(coords, kind="stable")
-        scaled_gap = basis.rho * np.diff(coords[order])
-        if scaled_gap.min() < _BANDED_MIN_RHO_GAP:
-            return None
-    a = np.exp(-scaled_gap)
-    # 1 - a^2 through expm1: exact for small gaps, exactly 1 for large ones
-    one_minus_a2 = -np.expm1(-2.0 * scaled_gap)
-    ratio = a * a / one_minus_a2
-    diag = np.ones(coords.size)
-    diag[:-1] += ratio
-    diag[1:] += ratio
-    return BandedKernel(coords, basis, diag, -a / one_minus_a2, order)
-
+        kernel = banded_kernels(coords[order][None], basis)[0]
+        if kernel is not None:
+            kernel = BandedKernel(coords, basis, kernel.diag, kernel.off, order,
+                                  kernel.square_band)
+    return kernel

@@ -34,6 +34,7 @@ from subsetgibbs.gibbs import (
     update_eta_active,
     update_variances,
     update_xi_active,
+    variance_shapes,
 )
 from subsetgibbs.oracle import (
     TinyModelSpec,
@@ -121,7 +122,8 @@ def test_criterion_2_conjugate_full_conditionals():
     precision = psi.T @ psi / sigma2 + np.eye(4) / sigma2_eta
     cov = np.linalg.inv(precision)
     _, chol_eta, _ = _factor_eta_precision(psi, sigma2, sigma2_eta)
-    draws = np.array([update_eta_active(residual, psi, chol_eta, sigma2, rng)[0]
+    draws = np.array([update_eta_active(residual, psi, chol_eta, sigma2,
+                                        rng.standard_normal(4))[0]
                       for _ in range(DRAWS)])
     _assert_moments("eta", draws, cov @ psi.T @ residual / sigma2, np.diag(cov))
 
@@ -130,7 +132,7 @@ def test_criterion_2_conjugate_full_conditionals():
     shrink = sigma2_xi / (sigma2 + sigma2_xi)
     xi_mean = shrink * residual_xi
     xi_var = sigma2 * sigma2_xi / (sigma2 + sigma2_xi)
-    draws = np.array([update_xi_active(residual_xi, sigma2, sigma2_xi, rng)
+    draws = np.array([update_xi_active(residual_xi, sigma2, sigma2_xi, rng.standard_normal(4))
                       for _ in range(DRAWS)])
     _assert_moments("xi", draws, xi_mean, xi_var)
 
@@ -138,7 +140,7 @@ def test_criterion_2_conjugate_full_conditionals():
     residual_b = y - psi @ eta - xi
     cov_b = np.linalg.inv(x.T @ x / sigma2 + np.eye(1) / sigma2_beta)
     chol_beta, _ = _beta_factor(x.T @ x, sigma2, sigma2_beta)
-    draws = np.array([update_beta(x, residual_b, chol_beta, sigma2, rng)
+    draws = np.array([update_beta(x, residual_b, chol_beta, sigma2, rng.standard_normal(1))
                       for _ in range(DRAWS)])
     _assert_moments("beta", draws, cov_b @ x.T @ residual_b / sigma2, np.diag(cov_b))
 
@@ -150,7 +152,8 @@ def test_criterion_2_conjugate_full_conditionals():
     xi_v = rng_fix.normal(size=10)
     beta_v = rng_fix.normal(size=3)
     draws = np.array([
-        update_variances(residual_v, eta_v, xi_v, beta_v, rng)
+        update_variances(residual_v, eta_v, xi_v, beta_v,
+                         rng.standard_gamma(variance_shapes(10, 3)))
         for _ in range(DRAWS)
     ])
     shapes = np.array([6.0, 6.0, 6.0, 1.0 + 1.5])
@@ -163,7 +166,8 @@ def test_criterion_2_conjugate_full_conditionals():
     rng = sg.make_rng(105)
     pred = np.arange(1, 21)
     collected = np.array([
-        np.concatenate(draw_inactive_prediction_components(pred, 1.6, 0.9, rng))
+        np.concatenate(draw_inactive_prediction_components(pred, 1.6, 0.9,
+                                                           rng.standard_normal(40)))
         for _ in range(DRAWS)
     ])
     _assert_moments("inactive prediction components", collected,

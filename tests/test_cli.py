@@ -7,11 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subsetgibbs import NumericalError, __version__, pairwise_difference
+from subsetgibbs import ChainOutput, NumericalError, __version__, pairwise_difference
 from subsetgibbs.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    _format_float,
+    _write_predictions,
+    _write_rows,
     main,
     read_data_csv,
     replay_manifest,
@@ -30,10 +33,10 @@ def simulate(tmp_path, name="sim", N=400, seed=7, pred_count=40):
     return out
 
 
-def overflowing_data(tmp_path):
-    """50 finite rows of +-1e160, whose squares overflow a float."""
+def overflowing_data(tmp_path, size=1e160):
+    """50 finite rows of +-size; squares of the default 1e160 overflow a float."""
     data = tmp_path / "data.csv"
-    data.write_text("index,y\n" + "".join(f"{i},{(-1) ** i * 1e160!r}\n" for i in range(1, 51)))
+    data.write_text("index,y\n" + "".join(f"{i},{(-1) ** i * size!r}\n" for i in range(1, 51)))
     return data
 
 
@@ -178,6 +181,36 @@ class TestFit:
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "not finite" in err and "[n=10]" in err and "[iteration=" in err
+
+    def test_overflowing_xi_variance_is_named_by_the_xi_step(self, tmp_path, capsys):
+        # +-1e140 data drives sigma2 and sigma2_xi near 3e279 after one sweep,
+        # so the xi variance's product overflows in the second; that used to
+        # surface one step later as a non-finite sum of squares
+        data = overflowing_data(tmp_path, size=1e140)
+        with np.errstate(all="ignore"):
+            code = run(["fit", "--data", str(data), "--n", "50", "--iterations", "20",
+                        "--burn-in", "5", "--pred-count", "5",
+                        "--output-dir", str(tmp_path / "o")])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "xi conditional variance is not finite" in err
+        assert "variance conditionals" not in err
+        assert "[n=50] [iteration=2]" in err
+
+    def test_prediction_file_bytes_match_the_row_writer(self, tmp_path):
+        # the fast writer's bytes are those of _write_rows with _format_float,
+        # including a NaN variance (one kept sweep) and extreme floats
+        prediction_set = np.array([0, 4, 17, 99_999])
+        out = ChainOutput(mu_hat=np.array([0.1, -2.5e-300, 1e300, 1.0 / 3.0]),
+                          mu_var=np.array([np.nan, 0.0, 5e-324, 123456789.125]),
+                          elapsed_cpu_seconds=0.0, elapsed_wall_seconds=0.0)
+        _write_predictions(tmp_path / "fast.csv", prediction_set, out)
+        _write_rows(tmp_path / "rows.csv", ["index", "mu_hat", "var_hat"],
+                    zip((prediction_set + 1).tolist(), map(_format_float, out.mu_hat.tolist()),
+                        map(_format_float, out.mu_var.tolist())))
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "rows.csv").read_bytes()
+        assert b"1,0.1,nan\r\n" in fast
 
     @pytest.mark.parametrize("equals_form", [False, True], ids=["space", "equals"])
     def test_replay_manifest_reproduces_outputs(self, tmp_path, equals_form):

@@ -32,6 +32,7 @@ from subsetgibbs.gibbs import (
     update_eta_active,
     update_variances,
     update_xi_active,
+    variance_shapes,
 )
 from subsetgibbs.model import _BANDED_MIN_RHO_GAP, BandedKernel, banded_kernel
 
@@ -45,13 +46,15 @@ def moments(draw_one, count, seed=0):
 def eta_sampler(residual, psi, sigma2=1.0, sigma2_eta=1.0):
     """The chain's eta call on a fixed subset: factor once, then draw eta."""
     psi, chol, _ = _factor_eta_precision(psi, sigma2, sigma2_eta)
-    return lambda rng: update_eta_active(residual, psi, chol, sigma2, rng)[0]
+    n = residual.shape[0]
+    return lambda rng: update_eta_active(residual, psi, chol, sigma2,
+                                         rng.standard_normal(n))[0]
 
 
 def beta_sampler(x, residual, sigma2=1.0, sigma2_beta=1.0):
     """The chain's beta call on a fixed subset: factor once, then draw beta."""
     chol, _ = _beta_factor(x.T @ x, sigma2, sigma2_beta)
-    return lambda rng: update_beta(x, residual, chol, sigma2, rng)
+    return lambda rng: update_beta(x, residual, chol, sigma2, rng.standard_normal(x.shape[1]))
 
 
 class TestUpdateEtaActive:
@@ -86,17 +89,6 @@ class TestUpdateEtaActive:
         np.testing.assert_allclose(var, np.diag(cov), rtol=0.03)
 
 
-class FixedNormals:
-    """Stands in for a generator: every standard-normal draw returns ``z``."""
-
-    def __init__(self, z):
-        self.z = np.asarray(z, dtype=float)
-
-    def standard_normal(self, size):
-        assert size == self.z.shape[0]
-        return self.z.copy()
-
-
 def eta_law(residual, psi, sigma2, sigma2_eta):
     """Exact mean and covariance of update_eta_active's draw and of Psi eta.
 
@@ -106,12 +98,10 @@ def eta_law(residual, psi, sigma2, sigma2_eta):
     """
     n = residual.shape[0]
     psi, chol, _ = _factor_eta_precision(psi, sigma2, sigma2_eta)
-    mean, product_mean = update_eta_active(residual, psi, chol, sigma2,
-                                           FixedNormals(np.zeros(n)))
+    mean, product_mean = update_eta_active(residual, psi, chol, sigma2, np.zeros(n))
     columns, product_columns = [], []
     for k in range(n):
-        draw, product = update_eta_active(residual, psi, chol, sigma2,
-                                          FixedNormals(np.eye(n)[k]))
+        draw, product = update_eta_active(residual, psi, chol, sigma2, np.eye(n)[k])
         columns.append(draw - mean)
         product_columns.append(product - product_mean)
     a, b = np.array(columns).T, np.array(product_columns).T
@@ -201,12 +191,13 @@ class TestUpdateXiActive:
     def test_equal_variances_split_residual(self):
         residual = np.array([2.0, -1.0])
         count = 100_000
-        mean, var, _ = moments(lambda rng: update_xi_active(residual, 0.8, 0.8, rng), count)
+        mean, var, _ = moments(
+            lambda rng: update_xi_active(residual, 0.8, 0.8, rng.standard_normal(2)), count)
         np.testing.assert_allclose(mean, residual / 2.0, atol=3.0 * np.sqrt(0.4 / count))
         np.testing.assert_allclose(var, 0.4, rtol=0.03)
 
     def test_vanishing_variance_shrinks_away(self):
-        draws = update_xi_active(np.array([2.0, -1.0]), 1.0, 1e-14, make_rng(0))
+        draws = update_xi_active(np.array([2.0, -1.0]), 1.0, 1e-14, make_rng(0).standard_normal(2))
         np.testing.assert_allclose(draws, 0.0, atol=1e-5)
 
     def test_matches_closed_form_on_fixed_subset(self):
@@ -219,7 +210,8 @@ class TestUpdateXiActive:
         expected_mean = shrink * residual
         expected_var = 0.5 * 1.5 / 2.0
         count = 100_000
-        mean, var, _ = moments(lambda rng: update_xi_active(residual, 0.5, 1.5, rng), count)
+        mean, var, _ = moments(
+            lambda rng: update_xi_active(residual, 0.5, 1.5, rng.standard_normal(5)), count)
         np.testing.assert_allclose(
             mean, expected_mean, atol=3.0 * np.sqrt(expected_var / count))
         np.testing.assert_allclose(var, expected_var, rtol=0.03)
@@ -261,7 +253,8 @@ class TestUpdateVariances:
         # SSR=0 with n=2 gives IG(2, 1) for sigma2; the draw stream must
         # match the reciprocal-gamma construction exactly
         rng_a, rng_b = make_rng(5), make_rng(5)
-        drawn = update_variances(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), rng_a)
+        drawn = update_variances(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2),
+                                 rng_a.standard_gamma(variance_shapes(2, 2)))
         direct = tuple(1.0 / rng_b.gamma(shape, 1.0) for shape in (2.0, 2.0, 2.0, 2.0))
         assert drawn == direct
 
@@ -274,7 +267,8 @@ class TestUpdateVariances:
         expected_var = rate**2 / ((shape - 1.0) ** 2 * (shape - 2.0))
         count = 200_000
         draws = np.array([
-            update_variances(residual, np.zeros(6), np.zeros(6), np.zeros(6), rng)[0]
+            update_variances(residual, np.zeros(6), np.zeros(6), np.zeros(6),
+                             rng.standard_gamma(variance_shapes(6, 6)))[0]
             for rng in [make_rng(77)] for _ in range(count)
         ])
         assert draws.mean() == pytest.approx(
@@ -295,7 +289,8 @@ class TestUpdateVariances:
     def test_beta_prior_recovery(self):
         # beta = 0 with p=2 gives sigma2_beta ~ IG(2, 1)
         rng_a, rng_b = make_rng(123), make_rng(123)
-        drawn = update_variances(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(2), rng_a)
+        drawn = update_variances(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(2),
+                                 rng_a.standard_gamma(variance_shapes(3, 2)))
         for _ in range(3):
             rng_b.gamma(1.0 + 1.5, 1.0)
         assert drawn[3] == 1.0 / rng_b.gamma(2.0, 1.0)
@@ -307,10 +302,8 @@ class TestUpdateVariances:
         # and the reciprocal a ZeroDivisionError; NaN gave NaN variances
         parts = [np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(1)]
         parts[block][0] = bad
-        rng = make_rng(0)
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
-            update_variances(*parts, rng)
-        assert make_rng(0).standard_normal() == rng.standard_normal()
+            update_variances(*parts, np.ones(4))
 
 
 class TestDrawInactivePredictionComponents:
@@ -318,7 +311,7 @@ class TestDrawInactivePredictionComponents:
         # a subset that covers the prediction set leaves nothing outside it
         rng = make_rng(4)
         eta, xi = draw_inactive_prediction_components(
-            np.empty(0, dtype=np.int64), 1.0, 1.0, rng)
+            np.empty(0, dtype=np.int64), 1.0, 1.0, rng.standard_normal(0))
         assert eta.size == 0 and xi.size == 0
         assert make_rng(4).standard_normal() == rng.standard_normal()
 
@@ -327,7 +320,8 @@ class TestDrawInactivePredictionComponents:
         rng = make_rng(10)
         eta_all, xi_all = [], []
         for _ in range(5000):
-            eta, xi = draw_inactive_prediction_components(outside, 1.0, 4.0, rng)
+            eta, xi = draw_inactive_prediction_components(outside, 1.0, 4.0,
+                                                          rng.standard_normal(400))
             eta_all.append(eta)
             xi_all.append(xi)
         eta_all = np.concatenate(eta_all)
@@ -341,7 +335,7 @@ class TestDrawInactivePredictionComponents:
         outside = np.array([1, 2])
         rng = make_rng(21)
         draws = np.array([
-            draw_inactive_prediction_components(outside, 1.0, 1.0, rng)[0]
+            draw_inactive_prediction_components(outside, 1.0, 1.0, rng.standard_normal(4))[0]
             for _ in range(100_000)
         ])
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
@@ -351,7 +345,8 @@ class TestDrawInactivePredictionComponents:
         # the chain passes the previous sweep's variances; the draw scales
         # with exactly the variances it is given
         rng_a, rng_b = make_rng(3), make_rng(3)
-        eta_a, _ = draw_inactive_prediction_components(np.array([1]), 9.0, 9.0, rng_a)
+        eta_a, _ = draw_inactive_prediction_components(np.array([1]), 9.0, 9.0,
+                                                       rng_a.standard_normal(2))
         z = rng_b.standard_normal(1)
         np.testing.assert_allclose(eta_a, 3.0 * z)
 
@@ -408,7 +403,7 @@ class TestSampleMvnPrecision:
     def test_singular_matrix_recovers_with_jitter(self):
         singular = np.array([[1.0, 1.0], [1.0, 1.0]])
         chol, jitter = _cholesky_with_jitter(singular)
-        draw = _sample_mvn_precision(chol, np.ones(2), make_rng(0))
+        draw = _sample_mvn_precision(chol, np.ones(2), make_rng(0).standard_normal(2))
         assert jitter >= 1
         assert np.all(np.isfinite(chol)) and np.all(np.isfinite(draw))
 
@@ -494,16 +489,23 @@ def _chain_and_direct_sampler(basis, eta_step, N=6, p=1, iterations=30):
 
 
 def record_kernel_kinds(monkeypatch):
-    """Types of every kernel the chain builds, subsets and prediction set."""
+    """Types of every kernel the chain builds one at a time (the prediction
+    set's, and a subset's outside the banded rows of its block) and of every
+    subset kernel whose eta precision it factors."""
     kinds = []
-    original = gibbs._kernel_operator
+    original, factor = gibbs._kernel_operator, gibbs._factor_eta_precision
 
     def recording(coords, basis):
         kernel = original(coords, basis)
         kinds.append(type(kernel))
         return kernel
 
+    def factoring(psi_delta, *args):
+        kinds.append(type(psi_delta))
+        return factor(psi_delta, *args)
+
     monkeypatch.setattr(gibbs, "_kernel_operator", recording)
+    monkeypatch.setattr(gibbs, "_factor_eta_precision", factoring)
     return kinds
 
 
@@ -526,11 +528,12 @@ def record_prediction_products(monkeypatch):
     """Record the chain's subsets and the sweeps that multiply by the prediction kernel.
 
     The prediction kernel is the first one the chain builds.  Each product
-    with it is recorded as the number of subsets drawn so far, which is the
-    1-based sweep index.
+    with it is recorded as the number of eta steps run so far, which is the
+    1-based sweep index (a block draws its subsets before its sweeps run).
     """
-    record = {"subsets": [], "products": [], "kernels": []}
+    record = {"subsets": [], "products": [], "kernels": [], "sweeps": 0}
     draw, kernel_operator = gibbs.sample_active_indices, gibbs._kernel_operator
+    eta_step = gibbs.update_eta_active
     matmul = BandedKernel.__matmul__
 
     def drawing(n, N, rng):
@@ -538,16 +541,21 @@ def record_prediction_products(monkeypatch):
         record["subsets"].append(active.copy())
         return active
 
+    def stepping(*args):
+        record["sweeps"] += 1
+        return eta_step(*args)
+
     def building(coords, basis):
         record["kernels"].append(kernel_operator(coords, basis))
         return record["kernels"][-1]
 
     def multiplying(kernel, v):
         if kernel is record["kernels"][0]:
-            record["products"].append(len(record["subsets"]))
+            record["products"].append(record["sweeps"])
         return matmul(kernel, v)
 
     monkeypatch.setattr(gibbs, "sample_active_indices", drawing)
+    monkeypatch.setattr(gibbs, "update_eta_active", stepping)
     monkeypatch.setattr(gibbs, "_kernel_operator", building)
     monkeypatch.setattr(BandedKernel, "__matmul__", multiplying)
     return record
@@ -832,6 +840,7 @@ class TestRunChain:
                               fixed_variances=fixed and FixedVariances(*fixed))
         with monkeypatch.context() as patch:
             patch.setattr(gibbs, "banded_kernel", lambda coords_, basis_: None)
+            patch.setattr(gibbs, "banded_kernels", lambda coords_, basis_: [None] * len(coords_))
             dense = run_chain(data, config, n, collect_trace=True)
         factorizations = []
         monkeypatch.setattr(gibbs, "_banded_eta_factor",
@@ -985,3 +994,86 @@ class TestRunChain:
         batches = beta_draws.reshape(50, -1).mean(axis=1)
         se = batches.std(ddof=1) / np.sqrt(batches.size)
         assert abs(beta_draws.mean() - expected_mean) < 3.0 * se
+
+
+def layout_dataset(layout, N=40, p=2, seed=12):
+    """A dataset whose subsets take the banded path, the dense path, a sorting
+    permutation, or a mix of the banded and dense paths."""
+    rng = np.random.default_rng(seed)
+    coords = np.arange(N, dtype=float)
+    if layout == "greatcircle":
+        coords = np.column_stack([rng.uniform(-60, 60, N), rng.uniform(-180, 180, N)])
+    elif layout == "unsorted":
+        coords = rng.permutation(N).astype(float)
+    elif layout == "mixed":
+        # near-duplicate pairs: a subset holding both of a pair runs dense
+        coords[1::4] = coords[::4] + 0.1 * _BANDED_MIN_RHO_GAP
+    x = np.column_stack([np.ones(N), rng.normal(size=(N, p - 1))])
+    return DatasetView(y=rng.normal(size=N), x=x, index_coords=coords)
+
+
+def assert_same_chain(out, reference):
+    np.testing.assert_array_equal(out.mu_hat, reference.mu_hat)
+    np.testing.assert_array_equal(out.mu_var, reference.mu_var)
+    np.testing.assert_array_equal(out.trace, reference.trace)
+    assert out.jitter_events == reference.jitter_events
+
+
+class TestSweepBlocks:
+    """A block of sweeps draws its variates ahead and builds its designs
+    together; the block size must not change an output bit."""
+
+    def run_with_block_sizes(self, monkeypatch, data, config, n):
+        reference = run_chain(data, config, n, collect_trace=True)
+        for size in (1, 7):
+            with monkeypatch.context() as patch:
+                patch.setattr(gibbs, "_sweeps_per_block", lambda n_, refreshed_: size)
+                assert_same_chain(run_chain(data, config, n, collect_trace=True), reference)
+        return reference
+
+    @pytest.mark.parametrize("layout", ["banded", "greatcircle", "unsorted", "mixed"])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["sampled", "pinned"])
+    @pytest.mark.parametrize("policy", ["carry", "prior"])
+    def test_block_size_changes_no_bit(self, monkeypatch, layout, pinned, policy):
+        data = layout_dataset(layout)
+        metric = "greatcircle" if layout == "greatcircle" else "abs"
+        pins = FixedVariances(0.8, 0.5, 0.4, 2.0) if pinned else None
+        config = small_config(data.n_obs, iterations=60, burn_in=10,
+                              prediction_set=np.array([1, 7, 8, 20, 33]),
+                              basis=BasisConfig(rho=0.3, metric=metric), prediction_refresh=policy,
+                              fixed_variances=pins)
+        # 60 sweeps of n = 6 fit in one default block; 7 leaves a short last block
+        assert gibbs._sweeps_per_block(6, 5 if policy == "prior" else 0) >= config.iterations
+        kinds = record_kernel_kinds(monkeypatch)
+        self.run_with_block_sizes(monkeypatch, data, config, 6)
+        expected = {"banded": {BandedKernel}, "greatcircle": {np.ndarray},
+                    "unsorted": {BandedKernel}, "mixed": {BandedKernel, np.ndarray}}[layout]
+        assert set(kinds) == expected
+
+    @pytest.mark.parametrize("N, n, fixed", [(12, 5, None), (4, 2, (1.0, 0.5, 0.5, 1.0))])
+    def test_failed_banded_factors_change_no_bit(self, monkeypatch, N, n, fixed):
+        # every banded factor fails, so each design falls back to the dense
+        # path with a jitter event; the pinned case also runs the design memo
+        monkeypatch.setattr(gibbs, "_banded_eta_factor", lambda *args: None)
+        config = small_config(N, iterations=25, burn_in=5, prediction_refresh="prior",
+                              fixed_variances=fixed and FixedVariances(*fixed))
+        out = self.run_with_block_sizes(monkeypatch, small_dataset(N=N), config, n)
+        assert out.jitter_events > 0
+
+    def test_datasets_with_one_seed_draw_one_subset_sequence(self, monkeypatch):
+        # how much of the stream a sweep consumes depends on n, p, the pins
+        # and the subset, not on the values, the coordinates or the path
+        # the kernel takes, so the subsets follow from the seed alone
+        recorded = []
+        draw = gibbs.sample_active_indices
+        monkeypatch.setattr(gibbs, "sample_active_indices",
+                            lambda n, N, rng: recorded.append(draw(n, N, rng)) or recorded[-1])
+        config = small_config(40, iterations=50, burn_in=0, prediction_refresh="prior")
+        sequences = []
+        for layout, seed in (("banded", 1), ("unsorted", 2), ("mixed", 3)):
+            run_chain(layout_dataset(layout, seed=seed), config, 6)
+            sequences.append(np.array(recorded))
+            recorded.clear()
+        assert len(sequences[0]) == config.iterations
+        for sequence in sequences[1:]:
+            np.testing.assert_array_equal(sequence, sequences[0])
