@@ -373,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--budget-seconds", type=float, required=True,
                        help="wall-clock budget per fit")
     p_cal.add_argument("--max-parallel", type=int, default=1,
-                       help="concurrent chains (does not affect numbers)")
+                       help="concurrent chains: predictions stay identical, but chains "
+                            "that share cores take longer, which can change the selected n")
     p_cal.add_argument("--use-cpu-time", action="store_true",
                        help="select against CPU time instead of wall time")
     add_sampler_flags(p_cal)

@@ -44,12 +44,12 @@ works in blocks of sweeps.  A block first draws every variate its sweeps
 use, sweep by sweep in exactly that order, so the stream is the one a
 sweep-at-a-time chain would draw.  It then builds what depends on its
 subsets alone in one vectorized pass over the (B, n) stack of subsets: the
-gathers of y and x, and, for every subset whose sorted scalar coordinates
-qualify, T and the band of T^2 (``model.banded_kernels``).  Its sweeps do
-only the work that depends on the chain's state.  A subset that does not
-qualify (great-circle, unsorted or too-close coordinates) gets its kernel
-in its own sweep, as ``_kernel_operator`` builds it.  ``_sweeps_per_block``
-caps a block at ``_BLOCK_ENTRIES`` subset entries, so its stacks stay small.
+gathers of y and x, and, for every subset whose scalar coordinates
+qualify once sorted, T and the band of T^2 (``model.banded_kernels``).
+Its sweeps do only the work that depends on the chain's state.  A subset
+that does not qualify (great-circle or too-close coordinates) gets the
+dense kernel matrix in its own sweep.  ``_sweeps_per_block`` caps a block
+at ``_BLOCK_ENTRIES`` subset entries, so its stacks stay small.
 
 Each step is a conditional draw that takes values, not a chain state:
 the residual it conditions on, the variances it needs and its standard
@@ -57,8 +57,8 @@ normals (standard-gamma draws for the variances).  ``run_chain`` holds
 beta, eta, xi and the four variances as locals and computes
 fit = y - X beta on the subset once per sweep; step 2 takes fit - xi,
 step 3 takes fit - Psi eta, and step 4 takes y - Psi eta - xi.  The
-factors of the eta and beta precisions are computed once per sweep, or
-memoized under pinned variances.  Every dense Cholesky factor comes from
+factors of the eta and beta precisions are computed once per sweep, pinned
+variances or not.  Every dense Cholesky factor comes from
 ``_cholesky_with_jitter``.
 """
 
@@ -80,13 +80,9 @@ from .model import (
     DatasetView,
     FixedVariances,
     SamplerConfig,
-    banded_kernel,
     banded_kernels,
     kernel_matrix,
 )
-
-# subsets are enumerable below this count, so their designs are memoized
-_DESIGN_CACHE_LIMIT = 64
 
 # subset entries per block of sweeps, at most (see _sweeps_per_block); the
 # block's stacks take about 100 bytes per entry
@@ -176,8 +172,8 @@ def _sweeps_per_block(n: int, refreshed: int) -> int:
 
 
 def _kernel_operator(coords: np.ndarray, basis):
-    """The kernel on ``coords``: a BandedKernel where exact, else dense."""
-    banded = banded_kernel(coords, basis)
+    """The prediction set's kernel: a BandedKernel where exact, else dense."""
+    banded = banded_kernels(coords[None], basis)[0]
     return banded if banded is not None else kernel_matrix(coords, coords, basis)
 
 
@@ -417,14 +413,6 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     jitter_events = 0
     trace = np.empty((config.iterations, p + 4)) if collect_trace else None
 
-    # Pinned variances leave each subset's design and precision factors
-    # (banded or dense) constant, so with an enumerable subset space they are
-    # reused across sweeps.  Cache hits are arithmetically identical to
-    # recomputation.  For 1 <= n < N there are at least N subsets, so the
-    # binomial is only evaluated for a small N.
-    memoize = n == N or (N <= _DESIGN_CACHE_LIMIT and math.comb(N, n) <= _DESIGN_CACHE_LIMIT)
-    design_cache = {} if fixed is not None and memoize else None
-
     # blocks of sweeps: variates first, in sweep order, then the subsets'
     # designs, then the sweeps (see the module docstring)
     shapes = variance_shapes(n, p)
@@ -460,21 +448,14 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
             for b in range(size):
                 g += 1
                 active = actives[b]
-                design = None if design_cache is None else design_cache.get(active.tobytes())
-                if design is None:
-                    x_delta = x_block[b]
-                    psi_delta = kernels[b]
-                    if psi_delta is None:
-                        psi_delta = _kernel_operator(data.index_coords[active], config.basis)
-                    psi_delta, chol_eta, jitter = _factor_eta_precision(
-                        psi_delta, sigma2, sigma2_eta)
-                    chol_beta, jitter_beta = _beta_factor(
-                        x_delta.T @ x_delta, sigma2, sigma2_beta)
-                    jitter_events += jitter + jitter_beta
-                    design = (x_delta, psi_delta, chol_eta, chol_beta)
-                    if design_cache is not None:
-                        design_cache[active.tobytes()] = design
-                x_delta, psi_delta, chol_eta, chol_beta = design
+                x_delta = x_block[b]
+                psi_delta = kernels[b]
+                if psi_delta is None:
+                    coords = data.index_coords[active]
+                    psi_delta = kernel_matrix(coords, coords, config.basis)
+                psi_delta, chol_eta, jitter = _factor_eta_precision(psi_delta, sigma2, sigma2_eta)
+                chol_beta, jitter_beta = _beta_factor(x_delta.T @ x_delta, sigma2, sigma2_beta)
+                jitter_events += jitter + jitter_beta
                 y_delta = y_block[b]
                 z = normals[b]
                 fit = y_delta - x_delta @ beta

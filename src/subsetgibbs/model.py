@@ -32,7 +32,6 @@ __all__ = [
     "SamplerConfig",
     "kernel_matrix",
     "BandedKernel",
-    "banded_kernel",
     "banded_kernels",
     "METRIC_ABS",
     "METRIC_GREAT_CIRCLE",
@@ -289,14 +288,17 @@ class BandedKernel:
 
 
 def banded_kernels(coords: np.ndarray, basis: BasisConfig) -> list:
-    """The kernel on each row of a stack of coordinate rows, where it is banded as given.
+    """The kernel on each row of a stack of coordinate rows, where it is banded.
 
     ``coords`` is (B, n), one subset's scalar coordinates per row.  Entry b
-    of the returned list is a :class:`BandedKernel` when row b is sorted
-    with every rho * gap at or above ``_BANDED_MIN_RHO_GAP``, else None
-    (always None for the great-circle metric and for (lat, lon) rows).
-    The arithmetic runs once over the stack of qualifying rows; other
-    rows never reach the exponentials, where their negative gaps could
+    of the returned list is a :class:`BandedKernel` when row b, sorted,
+    has every rho * gap at or above ``_BANDED_MIN_RHO_GAP``, else None
+    (always None for the great-circle metric and for (lat, lon) rows):
+    closer coordinates, duplicates included, need the dense kernel.  A
+    row whose smallest gap fails is stable-sorted and looked at again; if
+    it then passes, its kernel keeps the permutation as ``order``.  The
+    arithmetic runs once over the stack of qualifying rows; other rows
+    never reach the exponentials, where their negative gaps could
     overflow.
     """
     coords = np.asarray(coords, dtype=float)
@@ -305,10 +307,21 @@ def banded_kernels(coords: np.ndarray, basis: BasisConfig) -> list:
         return kernels
     scaled_gap = basis.rho * (coords[:, 1:] - coords[:, :-1])
     rows = np.arange(coords.shape[0])
+    orders = {}
     if scaled_gap.size:
         # a smallest gap at or above the threshold also proves the row sorted
-        rows = np.flatnonzero(scaled_gap.min(axis=1) >= _BANDED_MIN_RHO_GAP)
+        passed = scaled_gap.min(axis=1) >= _BANDED_MIN_RHO_GAP
+        rows = np.flatnonzero(passed)
         if rows.size < coords.shape[0]:
+            # the other rows, sorted, take their gaps' place in the stack
+            failed = np.flatnonzero(~passed)
+            order = np.argsort(coords[failed], axis=1, kind="stable")
+            resorted = np.take_along_axis(coords[failed], order, axis=1)
+            resorted_gap = basis.rho * (resorted[:, 1:] - resorted[:, :-1])
+            scaled_gap[failed] = resorted_gap
+            passed[failed] = resorted_gap.min(axis=1) >= _BANDED_MIN_RHO_GAP
+            orders = dict(zip(failed.tolist(), order))
+            rows = np.flatnonzero(passed)
             scaled_gap = scaled_gap[rows]
     a = np.exp(-scaled_gap)
     # 1 - a^2 through expm1: exact for small gaps, exactly 1 for large ones
@@ -326,28 +339,6 @@ def banded_kernels(coords: np.ndarray, basis: BasisConfig) -> list:
     square[:, 1:, 1] = off * (diag[:, :-1] + diag[:, 1:])
     square[:, 2:, 0] = off[:, :-1] * off[:, 1:]
     for i, row in enumerate(rows.tolist()):
-        kernels[row] = BandedKernel(coords[row], basis, diag[i], off[i], None, square[i])
+        kernels[row] = BandedKernel(coords[row], basis, diag[i], off[i], orders.get(row),
+                                    square[i])
     return kernels
-
-
-def banded_kernel(coords: np.ndarray, basis: BasisConfig) -> Optional[BandedKernel]:
-    """The kernel on ``coords`` as a :class:`BandedKernel`, or None.
-
-    None means the dense kernel must be used: for the great-circle metric
-    (both the 2-d and the circular case), and for coordinates whose
-    smallest rho * gap lies below ``_BANDED_MIN_RHO_GAP``, where the
-    tridiagonal inverse loses accuracy (duplicates are the limit).  The
-    coordinates are a stack of one row for :func:`banded_kernels`; when
-    that row is not sorted, it is sorted and looked at again.
-    """
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 1:
-        return None
-    kernel = banded_kernels(coords[None], basis)[0]
-    if kernel is None and basis.metric == METRIC_ABS:
-        order = np.argsort(coords, kind="stable")
-        kernel = banded_kernels(coords[order][None], basis)[0]
-        if kernel is not None:
-            kernel = BandedKernel(coords, basis, kernel.diag, kernel.off, order,
-                                  kernel.square_band)
-    return kernel

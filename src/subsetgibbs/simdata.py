@@ -45,6 +45,8 @@ class Ar1Config:
             raise InvalidParameterError(f"N must be >= 1, got {self.N}")
         if not (self.noise_var > 0.0) or not np.isfinite(self.noise_var):
             raise InvalidParameterError(f"noise_var must be > 0, got {self.noise_var}")
+        if not np.isfinite(self.phi):
+            raise InvalidParameterError(f"phi must be finite, got {self.phi}")
         if abs(self.phi) >= 1.0:
             warnings.warn(
                 f"|phi| = {abs(self.phi)} >= 1: the latent path is nonstationary",

@@ -61,6 +61,13 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert not (tmp_path / "x").exists()
 
+    def test_nan_phi_is_usage_error_before_any_directory(self, tmp_path, capsys):
+        code = run(["simulate", "--N", "10", "--pred-count", "5", "--phi", "nan",
+                    "--output-dir", str(tmp_path / "x")])
+        assert code == EXIT_USAGE
+        assert "phi" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_bad_seed_is_usage_error_before_any_directory(self, tmp_path):
         code = run(["simulate", "--N", "10", "--pred-count", "5", "--seed", "-1",
                     "--output-dir", str(tmp_path / "x")])

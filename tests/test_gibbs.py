@@ -5,7 +5,6 @@ tests from the stated conditional laws, independently of the sampler's
 own linear algebra.
 """
 
-import math
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from subsetgibbs.gibbs import (
     update_xi_active,
     variance_shapes,
 )
-from subsetgibbs.model import _BANDED_MIN_RHO_GAP, BandedKernel, banded_kernel
+from subsetgibbs.model import _BANDED_MIN_RHO_GAP, BandedKernel, banded_kernels
 
 
 def moments(draw_one, count, seed=0):
@@ -146,7 +145,7 @@ class TestBandedEtaDraw:
             coords = coords_down_to_threshold(n, rho, seed=n,
                                               shuffle=spacing.endswith("shuffled"))
         basis = BasisConfig(rho=rho)
-        banded = banded_kernel(coords, basis)
+        banded = banded_kernels(coords[None], basis)[0]
         assert isinstance(banded, BandedKernel)
         dense = kernel_matrix(coords, coords, basis)
         y = rng.normal(size=n)
@@ -172,7 +171,7 @@ class TestBandedEtaDraw:
         # criterion 2's eta setting, drawn through the banded kernel
         coords = np.array([0.0, 1.0, 2.5, 4.0])
         basis = BasisConfig(rho=0.4)
-        banded = banded_kernel(coords, basis)
+        banded = banded_kernels(coords[None], basis)[0]
         assert isinstance(banded, BandedKernel)
         psi = kernel_matrix(coords, coords, basis)
         rng_fix = np.random.default_rng(5)
@@ -669,7 +668,7 @@ class TestRunChain:
                            x=np.column_stack([np.ones(N), rng.normal(size=(N, 2))]),
                            index_coords=coords)
         pred = np.array([1, 7, 8, 20, 33])
-        assert (banded_kernel(coords[pred], basis) is None) == (layout == "greatcircle")
+        assert (banded_kernels(coords[pred][None], basis)[0] is None) == (layout == "greatcircle")
         config = small_config(N, iterations=80, burn_in=20, prediction_set=pred, basis=basis,
                               prediction_refresh=policy)
         record = record_draws(monkeypatch)
@@ -730,18 +729,6 @@ class TestRunChain:
         run_chain(small_dataset(N=60), config, 4)
         assert record["products"] == list(range(config.burn_in + 1, config.iterations + 1))
 
-    def test_pinned_chain_skips_the_binomial_for_large_N(self, monkeypatch):
-        # C(N, n) >= N > 64 for 1 <= n < N, so the memo check must not
-        # evaluate a binomial that can take seconds at N = 10^6
-        calls = []
-        comb = math.comb
-        monkeypatch.setattr(math, "comb", lambda N, k: calls.append((N, k)) or comb(N, k))
-        N = 100
-        config = small_config(N, iterations=5, burn_in=0,
-                              fixed_variances=FixedVariances(1, 1, 1, 1))
-        run_chain(small_dataset(N=N), config, N // 2)
-        assert all(args[0] != N for args in calls)
-
     @pytest.mark.parametrize("policy, per_sweep", [("prior", 1), ("carry", 0)])
     def test_prior_refresh_runs_the_tested_helper(self, monkeypatch, policy, per_sweep):
         calls = count_calls(monkeypatch, ["draw_inactive_prediction_components"])
@@ -788,15 +775,6 @@ class TestRunChain:
                         collect_trace=True)
         assert (out.trace[:, -4:] > 0.0).all()
 
-    def test_design_cache_does_not_change_results(self, monkeypatch):
-        data = small_dataset(N=6)
-        config = small_config(6, fixed_variances=FixedVariances(1, 1, 1, 1))
-        cached = run_chain(data, config, 2, collect_trace=True)
-        monkeypatch.setattr(gibbs, "_DESIGN_CACHE_LIMIT", 0)
-        uncached = run_chain(data, config, 2, collect_trace=True)
-        np.testing.assert_array_equal(cached.mu_hat, uncached.mu_hat)
-        np.testing.assert_array_equal(cached.trace, uncached.trace)
-
     def test_abs_metric_takes_the_banded_path(self, monkeypatch):
         kinds = record_kernel_kinds(monkeypatch)
         run_chain(small_dataset(N=12), small_config(12, iterations=10, burn_in=0), 4)
@@ -826,7 +804,7 @@ class TestRunChain:
         kinds = record_kernel_kinds(monkeypatch)
         ours = run_chain(data, config, n, collect_trace=True)
         assert kinds and all(kind is np.ndarray for kind in kinds)
-        monkeypatch.setattr(gibbs, "banded_kernel", lambda coords_, basis_: None)
+        monkeypatch.setattr(gibbs, "banded_kernels", lambda coords_, basis_: [None] * len(coords_))
         dense = run_chain(data, config, n, collect_trace=True)
         np.testing.assert_array_equal(ours.trace, dense.trace)
         np.testing.assert_array_equal(ours.mu_hat, dense.mu_hat)
@@ -839,7 +817,6 @@ class TestRunChain:
         config = small_config(N, iterations=25, burn_in=5,
                               fixed_variances=fixed and FixedVariances(*fixed))
         with monkeypatch.context() as patch:
-            patch.setattr(gibbs, "banded_kernel", lambda coords_, basis_: None)
             patch.setattr(gibbs, "banded_kernels", lambda coords_, basis_: [None] * len(coords_))
             dense = run_chain(data, config, n, collect_trace=True)
         factorizations = []
@@ -847,9 +824,7 @@ class TestRunChain:
                             lambda *args: factorizations.append(args) or None)
         fallback = run_chain(data, config, n, collect_trace=True)
         assert dense.jitter_events == 0
-        assert fallback.jitter_events == len(factorizations) > 0
-        if fixed is None:
-            assert len(factorizations) == config.iterations
+        assert fallback.jitter_events == len(factorizations) == config.iterations
         np.testing.assert_array_equal(fallback.trace, dense.trace)
         np.testing.assert_allclose(fallback.mu_hat, dense.mu_hat, rtol=1e-12)
 
@@ -1052,13 +1027,29 @@ class TestSweepBlocks:
 
     @pytest.mark.parametrize("N, n, fixed", [(12, 5, None), (4, 2, (1.0, 0.5, 0.5, 1.0))])
     def test_failed_banded_factors_change_no_bit(self, monkeypatch, N, n, fixed):
-        # every banded factor fails, so each design falls back to the dense
-        # path with a jitter event; the pinned case also runs the design memo
+        # every banded factor fails, so each sweep falls back to the dense
+        # path with a jitter event
         monkeypatch.setattr(gibbs, "_banded_eta_factor", lambda *args: None)
         config = small_config(N, iterations=25, burn_in=5, prediction_refresh="prior",
                               fixed_variances=fixed and FixedVariances(*fixed))
         out = self.run_with_block_sizes(monkeypatch, small_dataset(N=N), config, n)
         assert out.jitter_events > 0
+
+    def test_unsorted_subsets_get_their_kernels_from_the_block(self, monkeypatch):
+        # only the prediction set's kernel is built on its own; every
+        # subset's comes sorted from the block's pass, dense matrices none
+        calls = count_calls(monkeypatch, ["_kernel_operator", "kernel_matrix"])
+        kernels = []
+        factor = gibbs._factor_eta_precision
+        monkeypatch.setattr(gibbs, "_factor_eta_precision",
+                            lambda psi, *args: kernels.append(psi) or factor(psi, *args))
+        config = small_config(40, iterations=30, burn_in=5,
+                              prediction_set=np.array([1, 7, 8, 20, 33]))
+        run_chain(layout_dataset("unsorted"), config, 6)
+        assert calls == {"_kernel_operator": 1, "kernel_matrix": 0}
+        assert len(kernels) == config.iterations
+        assert all(isinstance(kernel, BandedKernel) and kernel.order is not None
+                   for kernel in kernels)
 
     def test_datasets_with_one_seed_draw_one_subset_sequence(self, monkeypatch):
         # how much of the stream a sweep consumes depends on n, p, the pins

@@ -15,7 +15,7 @@ from subsetgibbs import (
     make_rng,
 )
 from subsetgibbs.distributions import sample_active_indices
-from subsetgibbs.model import _BANDED_MIN_RHO_GAP, BandedKernel, banded_kernel
+from subsetgibbs.model import _BANDED_MIN_RHO_GAP, BandedKernel, banded_kernels
 
 
 def make_data(N=10, p=1, seed=0):
@@ -187,7 +187,7 @@ class TestBandedKernel:
     def test_inverse_times_kernel_is_identity(self, n, rho):
         basis = BasisConfig(rho=rho)
         for coords in sorted_and_shuffled_coords(n, rho, seed=n):
-            kernel = banded_kernel(coords, basis)
+            kernel = banded_kernels(coords[None], basis)[0]
             assert isinstance(kernel, BandedKernel)
             # T in sorted order, from its stored diagonals
             t = np.diag(kernel.diag) + np.diag(kernel.off, 1) + np.diag(kernel.off, -1)
@@ -203,7 +203,7 @@ class TestBandedKernel:
         v = rng.normal(size=n)
         block = rng.normal(size=(n, 3))
         for coords in sorted_and_shuffled_coords(n, 0.4, seed=10 + n):
-            kernel = banded_kernel(coords, basis)
+            kernel = banded_kernels(coords[None], basis)[0]
             psi = kernel_matrix(coords, coords, basis)
             np.testing.assert_allclose(kernel @ v, psi @ v, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(kernel @ block, psi @ block, rtol=1e-10, atol=1e-12)
@@ -212,7 +212,7 @@ class TestBandedKernel:
         # a_i = exp(-rho gap_i): off-diagonal -a/(1-a^2), diagonal
         # 1 + a_{i-1}^2/(1-a_{i-1}^2) + a_i^2/(1-a_i^2)
         coords = np.array([0.0, 1.0, 3.0])
-        kernel = banded_kernel(coords, BasisConfig(rho=0.5))
+        kernel = banded_kernels(coords[None], BasisConfig(rho=0.5))[0]
         a = np.exp(-0.5 * np.array([1.0, 2.0]))
         np.testing.assert_allclose(kernel.off, -a / (1.0 - a**2), rtol=1e-14)
         ratio = a**2 / (1.0 - a**2)
@@ -223,7 +223,7 @@ class TestBandedKernel:
         # gaps of rho * gap = 1e4 underflow a to 0 without overflow or NaN
         coords = np.array([0.0, 1e4, 2e4, 3e4])
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            kernel = banded_kernel(coords, BasisConfig(rho=1.0))
+            kernel = banded_kernels(coords[None], BasisConfig(rho=1.0))[0]
             np.testing.assert_array_equal(kernel.diag, np.ones(4))
             np.testing.assert_array_equal(kernel.off, np.zeros(3))
             np.testing.assert_array_equal(kernel @ np.arange(4.0), np.arange(4.0))
@@ -232,15 +232,44 @@ class TestBandedKernel:
         rho = 0.25
         at = np.array([0.0, _BANDED_MIN_RHO_GAP / rho, 1.0])
         below = np.array([0.0, 0.5 * _BANDED_MIN_RHO_GAP / rho, 1.0])
-        assert banded_kernel(at, BasisConfig(rho=rho)) is not None
-        assert banded_kernel(below, BasisConfig(rho=rho)) is None
+        assert banded_kernels(at[None], BasisConfig(rho=rho))[0] is not None
+        assert banded_kernels(below[None], BasisConfig(rho=rho))[0] is None
+
+    def test_one_pass_over_sorted_permuted_and_too_close_rows(self):
+        # rows with a gap below the threshold, sorted or not, come back None;
+        # the others are banded, in the caller's order, whatever their order
+        rho, n = 0.4, 30
+        basis = BasisConfig(rho=rho)
+        rng = np.random.default_rng(3)
+        rows, banded = [], []
+        for seed in range(3):
+            coords, shuffled = sorted_and_shuffled_coords(n, rho, seed=20 + seed)
+            near = coords.copy()
+            near[5] = near[4] + 0.5 * _BANDED_MIN_RHO_GAP / rho
+            rows += [coords, shuffled, near, coords[::-1], near[rng.permutation(n)]]
+            banded += [True, True, False, True, False]
+        kernels = banded_kernels(np.array(rows), basis)
+        assert [kernel is not None for kernel in kernels] == banded
+        assert kernels[0].order is None and kernels[1].order is not None
+        v = rng.normal(size=n)
+        for coords, kernel in zip(rows, kernels):
+            if kernel is not None:
+                np.testing.assert_allclose(kernel @ v, kernel_matrix(coords, coords, basis) @ v,
+                                           rtol=1e-9, atol=1e-9)
+
+    def test_stack_of_single_points(self):
+        kernels = banded_kernels(np.array([[0.3], [-2.0], [0.3]]), BasisConfig(rho=0.4))
+        for kernel in kernels:
+            assert kernel.order is None
+            np.testing.assert_array_equal(kernel.diag, [1.0])
+            np.testing.assert_array_equal(kernel @ np.array([1.5]), [1.5])
 
     def test_dense_cases_get_no_banded_kernel(self):
         duplicates = np.array([0.0, 1.0, 1.0, 2.0])
-        assert banded_kernel(duplicates, BasisConfig(rho=0.3)) is None
-        assert banded_kernel(duplicates[::-1], BasisConfig(rho=0.3)) is None
+        assert banded_kernels(duplicates[None], BasisConfig(rho=0.3))[0] is None
+        assert banded_kernels(duplicates[::-1][None], BasisConfig(rho=0.3))[0] is None
         angles = np.array([0.0, 1.0, 2.0])
-        assert banded_kernel(angles, BasisConfig(rho=0.3, metric="greatcircle")) is None
+        assert banded_kernels(angles[None], BasisConfig(rho=0.3, metric="greatcircle"))[0] is None
         latlon = np.array([[0.0, 0.0], [0.0, 90.0], [90.0, 0.0]])
-        assert banded_kernel(latlon, BasisConfig(rho=0.3, metric="greatcircle")) is None
+        assert banded_kernels(latlon[None], BasisConfig(rho=0.3, metric="greatcircle"))[0] is None
 

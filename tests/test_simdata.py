@@ -74,6 +74,12 @@ class TestGenerateAr1:
         with pytest.raises(InvalidParameterError, match="integer"):
             Ar1Config(**fields)
 
+    @pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_phi(self, phi):
+        # a NaN phi used to pass here and fail in the generator, naming y
+        with pytest.raises(InvalidParameterError, match="phi"):
+            Ar1Config(N=10, phi=phi, prediction_count=1)
+
     def test_warns_on_nonstationary_phi(self):
         with pytest.warns(UserWarning):
             Ar1Config(N=10, phi=1.01, prediction_count=1)
