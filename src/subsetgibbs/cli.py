@@ -186,8 +186,8 @@ def _parse_n_grid(text: str) -> List[int]:
 
 def _sampler_config(args, N: int) -> SamplerConfig:
     pred_count = args.pred_count
-    if pred_count > N:
-        raise InvalidParameterError(f"--pred-count {pred_count} exceeds dataset size {N}")
+    if not (1 <= pred_count <= N):
+        raise InvalidParameterError(f"--pred-count must be in [1, {N}], got {pred_count}")
     return SamplerConfig(
         iterations=args.iterations,
         burn_in=args.burn_in,

@@ -10,6 +10,10 @@ every block from its conjugate full conditional given that subset:
        is O(n): v = Psi eta ~ N(M^-1 r / sigma2, M^-1) with the
        pentadiagonal M = I / sigma2 + T^2 / sigma2_eta, sampled through
        one banded Cholesky factor and one banded solve, then eta = T v.
+       M is factored in LAPACK's lower band layout, where ``dpbtrf``'s
+       per-column BLAS calls run on unit-stride vectors, and the factor
+       is copied into the upper layout for the solve; both layouts give
+       the same bits (see ``_banded_eta_factor``).
        Because Psi eta = v, steps 3-5 need no kernel matrix.  The
        great-circle metric and coordinates closer than
        ``model._BANDED_MIN_RHO_GAP`` (in rho * gap) use the dense path: a
@@ -38,7 +42,9 @@ How many variates a sweep draws depends on n, p, the pins, the refresh
 policy and its subset, never on the chain's values: the subset draw, then
 2n + p standard normals for eta, xi and beta, then four standard-gamma
 draws for the variances (``Generator.gamma(shape, scale)`` is
-``scale * standard_gamma(shape)`` on the same variates), then two normals
+``scale * standard_gamma(shape)`` on the same variates; three of shape
+1 + n/2 and one of shape 1 + p/2, drawn by scalar shape, which gives the
+variates of the shape array at a third of its cost), then two normals
 per prediction index the prior refresh redraws.  ``run_chain`` therefore
 works in blocks of sweeps.  A block first draws every variate its sweeps
 use, sweep by sweep in exactly that order, so the stream is the one a
@@ -189,17 +195,32 @@ def _beta_factor(xtx: np.ndarray, sigma2: float, sigma2_beta: float):
 
 
 def _banded_eta_factor(kernel: BandedKernel, sigma2: float, sigma2_eta: float):
-    """Upper band Cholesky factor of M = I/sigma2 + T^2/sigma2_eta.
+    """Upper band Cholesky factor U of M = I/sigma2 + T^2/sigma2_eta, M = U'U.
 
-    M is pentadiagonal; it is built from the kernel's band of T^2 in
-    LAPACK's upper band layout (row 2 the diagonal, rows 1 and 0 the first
-    and second superdiagonals).  Returns None when the factorization fails.
+    M is pentadiagonal.  It is built from the kernel's band of T^2 in
+    LAPACK's lower band layout (row 0 the diagonal, rows 1 and 2 the first
+    and second subdiagonals) and factored there as M = LL'.  In that
+    layout ``dpbtrf`` makes its two BLAS calls per column on unit-stride
+    vectors; in the upper layout their stride is 2, and the factor takes
+    about three times as long at n = 1,000.  L' equals the upper layout's
+    factor bit for bit, so L is copied into the upper band layout (row 2
+    the diagonal, rows 1 and 0 the first and second superdiagonals),
+    which ``dpbtrs`` and :func:`update_eta_active` read: the lower
+    layout's solve differs from the upper's in the last bits.  Returns
+    None when the factorization fails.
     """
     # Fortran order, so LAPACK factors the band in place without a copy
     band = (kernel.square_band / sigma2_eta).T
-    band[2] += 1.0 / sigma2
-    factor, info = lapack.dpbtrf(band, overwrite_ab=1)
-    return factor if info == 0 else None
+    band[0] += 1.0 / sigma2
+    lower, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+    if info != 0:
+        return None
+    # entries outside the band ([1, 0] and [0, :2]) are never read
+    factor = np.empty_like(lower)
+    factor[2] = lower[0]
+    factor[1, 1:] = lower[1, :-1]
+    factor[0, 2:] = lower[2, :-2]
+    return factor
 
 
 def _factor_eta_precision(psi_delta, sigma2: float, sigma2_eta: float):
@@ -415,7 +436,8 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
 
     # blocks of sweeps: variates first, in sweep order, then the subsets'
     # designs, then the sweeps (see the module docstring)
-    shapes = variance_shapes(n, p)
+    # drawn by scalar shape: the shape array's variates, at a third of its cost
+    shape_n, _, _, shape_p = variance_shapes(n, p).tolist()
     sweeps_per_block = _sweeps_per_block(n, m if refresh_prior else 0)
     g = 0
     # every NumericalError a sweep raises gets its context here, once
@@ -430,7 +452,8 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
                 # eta's, xi's and beta's normals: consecutive draws
                 rng.standard_normal(out=normals[b])
                 if fixed is None:
-                    gammas.append(rng.standard_gamma(shapes).tolist())
+                    gammas.append(rng.standard_gamma(shape_n, 3).tolist()
+                                  + [rng.standard_gamma(shape_p)])
                 if refresh_prior:
                     hits = active[in_pred[active]]
                     outside = pred

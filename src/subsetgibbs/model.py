@@ -220,6 +220,8 @@ def _pairwise_distance(coords_a: np.ndarray, coords_b: np.ndarray, metric: str) 
     return 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
 
+# a huge rho overflows rho * d to inf; exp(-inf) = 0 is the exact limit
+@np.errstate(over="ignore")
 def kernel_matrix(coords_a: np.ndarray, coords_b: np.ndarray, basis: BasisConfig) -> np.ndarray:
     """exp(-rho * d(a, b)) for every coordinate pair."""
     coords_a = np.asarray(coords_a, dtype=float)
@@ -235,12 +237,14 @@ class BandedKernel:
     with a_i = exp(-rho * gap_i), T has off-diagonal -a_i / (1 - a_i^2) and
     diagonal 1 + a_{i-1}^2 / (1 - a_{i-1}^2) + a_i^2 / (1 - a_i^2).
     ``diag`` and ``off`` hold T in sorted order, ``square_band`` holds T^2
-    (pentadiagonal) in LAPACK's upper band layout, transposed: an (n, 3)
-    array whose ``.T`` is the Fortran-ordered band with row 2 the diagonal
-    and rows 1 and 0 the first and second superdiagonals.  ``order`` sorts
-    the caller's coordinates (None when they already are); the methods
-    without ``sorted`` in their name take and return vectors in the
-    caller's order.  ``coords`` and ``basis`` are kept for a dense
+    (pentadiagonal) in LAPACK's lower band layout, transposed: an (n, 3)
+    array whose ``.T`` is the Fortran-ordered band with row 0 the diagonal
+    and rows 1 and 2 the first and second subdiagonals (entry j of row k
+    is T^2[j + k, j], so the last k entries of row k are zero); the eta
+    factor is computed in that layout (``gibbs._banded_eta_factor``).
+    ``order`` sorts the caller's coordinates (None when they already are);
+    the methods without ``sorted`` in their name take and return vectors
+    in the caller's order.  ``coords`` and ``basis`` are kept for a dense
     fallback.  ``kernel @ v`` is Psi v, computed as a tridiagonal solve, so
     the object stands in for the dense matrix wherever only products with
     it are taken.
@@ -287,6 +291,9 @@ class BandedKernel:
         return self.from_sorted(x)
 
 
+# a huge rho overflows rho * gap to inf; exp(-inf) = 0 and expm1(-inf) = -1
+# are the exact limits, and give the identity kernel
+@np.errstate(over="ignore")
 def banded_kernels(coords: np.ndarray, basis: BasisConfig) -> list:
     """The kernel on each row of a stack of coordinate rows, where it is banded.
 
@@ -333,11 +340,11 @@ def banded_kernels(coords: np.ndarray, basis: BasisConfig) -> list:
     off = -a / one_minus_a2
     off2 = off * off
     square = np.zeros((rows.size, coords.shape[1], 3))
-    square[:, :, 2] = diag * diag
-    square[:, :-1, 2] += off2
-    square[:, 1:, 2] += off2
-    square[:, 1:, 1] = off * (diag[:, :-1] + diag[:, 1:])
-    square[:, 2:, 0] = off[:, :-1] * off[:, 1:]
+    square[:, :, 0] = diag * diag
+    square[:, :-1, 0] += off2
+    square[:, 1:, 0] += off2
+    square[:, :-1, 1] = off * (diag[:, :-1] + diag[:, 1:])
+    square[:, :-2, 2] = off[:, :-1] * off[:, 1:]
     for i, row in enumerate(rows.tolist()):
         kernels[row] = BandedKernel(coords[row], basis, diag[i], off[i], orders.get(row),
                                     square[i])

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,31 @@ class TestFit:
         code = run(["fit", "--data", str(sim / "data.csv"), "--n", "31",
                     "--pred-count", "5", "--output-dir", str(tmp_path / "bad")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command, count", [("fit", "0"), ("calibrate", "-5"),
+                                                ("fit", "31")])
+    def test_pred_count_outside_one_to_N_names_the_flag(self, tmp_path, capsys, command,
+                                                         count):
+        sim = simulate(tmp_path, N=30, pred_count=5)
+        argv = [command, "--data", str(sim / "data.csv"), "--pred-count", count,
+                "--output-dir", str(tmp_path / "bad")]
+        argv += (["--n", "5"] if command == "fit"
+                 else ["--n-grid", "5,10", "--budget-seconds", "1"])
+        assert run(argv) == EXIT_USAGE
+        assert "--pred-count" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
+    def test_huge_rho_fits_the_identity_kernel_without_warnings(self, tmp_path, capsys):
+        # rho * gap overflows to inf, whose exponential limits are exact
+        sim = simulate(tmp_path, N=30, pred_count=5)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["fit", "--data", str(sim / "data.csv"), "--n", "10", "--rho", "1e308",
+                        "--iterations", "40", "--burn-in", "10", "--pred-count", "5",
+                        "--output-dir", str(tmp_path / "o")])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_overflowing_data_is_numerical_error(self, tmp_path, capsys):
         # squares of 1e160 overflow, which used to end in a ZeroDivisionError

@@ -6,8 +6,11 @@ own linear algebra.
 """
 
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import subsetgibbs.gibbs as gibbs
 from subsetgibbs import (
@@ -22,6 +25,7 @@ from subsetgibbs import (
     run_chain,
 )
 from subsetgibbs.gibbs import (
+    _banded_eta_factor,
     _beta_factor,
     _cholesky_with_jitter,
     _factor_eta_precision,
@@ -184,6 +188,80 @@ class TestBandedEtaDraw:
         rng = make_rng(101)
         draws = np.array([draw(rng) for _ in range(100_000)])
         assert_moments_within_3se(draws, mean, np.diag(cov))
+
+
+def upper_layout_band(square_band, sigma2, sigma2_eta):
+    """M = I/sigma2 + T^2/sigma2_eta in LAPACK's upper band layout.
+
+    Each entry is moved from the kernel's lower-layout band of T^2 and
+    scaled by the same operations the sampler uses, so the two layouts
+    hold the same values.
+    """
+    band = np.zeros((3, square_band.shape[0]), order="F")
+    band[2] = square_band[:, 0] / sigma2_eta
+    band[2] += 1.0 / sigma2
+    band[1, 1:] = square_band[:-1, 1] / sigma2_eta
+    band[0, 2:] = square_band[:-2, 2] / sigma2_eta
+    return band
+
+
+def assert_same_upper_factor(got, expected):
+    # the entries dpbtrs and update_eta_active read: the diagonal, then the
+    # first and second superdiagonals
+    for row, start in ((2, 0), (1, 1), (0, 2)):
+        assert np.array_equal(got[row, start:], expected[row, start:])
+
+
+class TestBandedEtaFactor:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 200, 1000])
+    @pytest.mark.parametrize("spacing", ["threshold-shuffled", "moderate"])
+    @pytest.mark.parametrize("sigma2, sigma2_eta", [(0.013, 17.0), (2.5, 0.02), (0.7, 2.3)])
+    def test_is_the_upper_layout_factor_bit_for_bit(self, n, spacing, sigma2, sigma2_eta):
+        # factored in the lower layout and copied into the upper one, the
+        # factor is exactly the one LAPACK computes in the upper layout
+        rho = 0.4
+        if spacing == "moderate":
+            coords = np.cumsum(np.random.default_rng(n).uniform(0.5, 5.0, size=n))
+        else:
+            coords = coords_down_to_threshold(n, rho, seed=n, shuffle=True)
+        kernel = banded_kernels(coords[None], BasisConfig(rho=rho))[0]
+        expected, info = lapack.dpbtrf(upper_layout_band(kernel.square_band, sigma2, sigma2_eta))
+        assert info == 0
+        assert_same_upper_factor(_banded_eta_factor(kernel, sigma2, sigma2_eta), expected)
+
+    @pytest.mark.parametrize("diagonal, first, second", [
+        ([1.0] * 5, [0.3] * 4, [0.1] * 3),            # positive definite
+        ([-3.0] + [1.0] * 4, [0.0] * 4, [0.0] * 3),   # fails at column 1
+        ([0.0] * 5, [1.5] * 4, [0.0] * 3),            # fails at column 2
+        ([1.0] * 4 + [-2.5], [0.0] * 4, [0.0] * 3),   # fails at column 5
+    ])
+    def test_fails_exactly_when_the_upper_layout_factor_fails(self, diagonal, first, second):
+        # a stand-in kernel: only its band of "T^2" is read, and with unit
+        # variances M = I + that band
+        square_band = np.zeros((5, 3))
+        square_band[:, 0] = diagonal
+        square_band[:-1, 1] = first
+        square_band[:-2, 2] = second
+        expected, info = lapack.dpbtrf(upper_layout_band(square_band, 1.0, 1.0))
+        factor = _banded_eta_factor(SimpleNamespace(square_band=square_band), 1.0, 1.0)
+        assert (factor is None) == (info > 0)
+        if factor is not None:
+            assert_same_upper_factor(factor, expected)
+
+
+class TestVarianceGammaDraws:
+    @pytest.mark.parametrize("n, p", [(1, 1), (2, 2), (57, 3), (1000, 1)])
+    def test_scalar_shapes_draw_the_shape_arrays_variates(self, n, p):
+        # run_chain draws three gammas of shape 1 + n/2, then one of shape
+        # 1 + p/2: the variates of the shape array, and the same stream after
+        rng_array, rng_scalar = make_rng(n), make_rng(n)
+        shape_n, _, _, shape_p = variance_shapes(n, p).tolist()
+        for _ in range(20):
+            expected = rng_array.standard_gamma(variance_shapes(n, p)).tolist()
+            got = rng_scalar.standard_gamma(shape_n, 3).tolist() + [
+                rng_scalar.standard_gamma(shape_p)]
+            assert got == expected
+        assert rng_scalar.standard_normal() == rng_array.standard_normal()
 
 
 class TestUpdateXiActive:

@@ -1,5 +1,7 @@
 """Type invariants and kernel construction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,38 @@ class TestBandedKernel:
             np.testing.assert_array_equal(kernel.diag, np.ones(4))
             np.testing.assert_array_equal(kernel.off, np.zeros(3))
             np.testing.assert_array_equal(kernel @ np.arange(4.0), np.arange(4.0))
+
+    def test_huge_rho_gives_the_identity_without_warnings(self):
+        # rho * gap overflows to inf: exp(-inf) = 0 and expm1(-inf) = -1 are
+        # exact, so T, T^2 and the dense kernel are all the identity
+        coords = np.array([0.0, 1.0, 2.5, 4.0])
+        basis = BasisConfig(rho=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernels = banded_kernels(np.array([coords, coords[[2, 0, 3, 1]]]), basis)
+            dense = kernel_matrix(coords, coords, basis)
+            latlon = np.array([[0.0, 0.0], [0.0, 90.0], [90.0, 0.0]])
+            great_circle = kernel_matrix(latlon, latlon, BasisConfig(rho=1e308,
+                                                                     metric="greatcircle"))
+        np.testing.assert_array_equal(dense, np.eye(4))
+        np.testing.assert_array_equal(great_circle, np.eye(3))
+        for kernel in kernels:
+            np.testing.assert_array_equal(kernel.diag, np.ones(4))
+            np.testing.assert_array_equal(kernel.off, np.zeros(3))
+            np.testing.assert_array_equal(kernel.square_band, np.tile([1.0, 0.0, 0.0], (4, 1)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    def test_square_band_is_t_squared_in_the_lower_layout(self, n):
+        # entry j of column k is T^2[j + k, j]; the last k entries are zero
+        for coords in sorted_and_shuffled_coords(n, 0.4, seed=30 + n):
+            kernel = banded_kernels(coords[None], BasisConfig(rho=0.4))[0]
+            t = np.diag(kernel.diag) + np.diag(kernel.off, 1) + np.diag(kernel.off, -1)
+            square = t @ t
+            for k in range(3):
+                expected = np.zeros(n)
+                expected[:max(n - k, 0)] = np.diag(square, -k)
+                np.testing.assert_allclose(kernel.square_band[:, k], expected,
+                                           rtol=1e-13, atol=0.0)
 
     def test_threshold_is_inclusive(self):
         rho = 0.25

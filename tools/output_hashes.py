@@ -1,0 +1,141 @@
+"""Print a fingerprint of the sampler's outputs on a fixed set of chains.
+
+Run it in two checkouts and compare the printed text: equal lines mean
+that a change kept every output bit of those chains.
+
+    python tools/output_hashes.py > hashes.txt
+
+The script imports the package from the ``src`` directory next to it,
+so a copy of it placed in another checkout fingerprints that checkout.
+Each line names a case, then gives the first 16 hex digits of the
+SHA-256 of the chain's ``mu_hat``, ``mu_var`` and trace bytes and, after
+``j=``, its jitter count.  The ``sweep20`` line hashes every chain of
+the acceptance study's 20-point sweep together with the pairwise
+diffs, and sums the jitter counts.  The cases cover the banded path
+(n = 1 and 2 included, where some of the band's slices are empty),
+the dense great-circle path, unsorted and too-close coordinates, blocks
+that mix banded and dense subsets, pinned and sampled variances, both
+refresh policies, n = N, and banded factors forced to fail so that every
+sweep takes the dense fallback.  It takes about 10 s on a 2-core
+machine.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import subsetgibbs as sg  # noqa: E402
+import subsetgibbs.gibbs as gibbs  # noqa: E402
+from subsetgibbs.oracle import TinyModelSpec  # noqa: E402
+
+PINS = sg.FixedVariances(0.8, 0.6, 0.3, 1.5)
+
+
+def digest(arrays) -> str:
+    sha = hashlib.sha256()
+    for array in arrays:
+        sha.update(np.ascontiguousarray(array, dtype=float).tobytes())
+    return sha.hexdigest()[:16]
+
+
+def chain(data, n, *, iterations=400, burn_in=100, rho=0.3, metric="abs", refresh="carry",
+          fixed=None, pred=None, seed=11):
+    if pred is None:
+        pred = sg.equally_spaced_indices(min(50, data.n_obs), data.n_obs)
+    config = sg.SamplerConfig(iterations=iterations, burn_in=burn_in, prediction_set=pred,
+                              basis=sg.BasisConfig(rho=rho, metric=metric), seed=seed,
+                              fixed_variances=fixed, prediction_refresh=refresh)
+    out = sg.run_chain(data, config, n, collect_trace=True)
+    return f"{digest([out.mu_hat, out.mu_var, out.trace])} j={out.jitter_events}"
+
+
+def dataset(y, coords, p=1):
+    rng = np.random.default_rng(0)
+    x = np.column_stack([np.ones(y.size)] + [rng.normal(size=y.size) for _ in range(p - 1)])
+    return sg.DatasetView(y=y, x=x, index_coords=coords)
+
+
+def scattered(N, seed, layout):
+    """N rows of noisy data on sorted, permuted, (lat, lon) or near-duplicate coordinates."""
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=N)
+    coords = np.cumsum(rng.uniform(0.5, 3.0, size=N))
+    if layout == "unsorted":
+        coords = coords[rng.permutation(N)]
+    elif layout == "latlon":
+        coords = np.column_stack([rng.uniform(-60.0, 60.0, N), rng.uniform(-180.0, 180.0, N)])
+    elif layout == "mixed":
+        # every other row sits within 1e-6 of its neighbour: subsets that
+        # hold such a pair need the dense kernel, the others are banded
+        coords[1::2] = coords[::2][:N // 2] + 1e-6
+    return y, coords
+
+
+def cases():
+    study, _, study_pred = sg.generate_ar1(sg.Ar1Config(
+        N=100_000, phi=0.9, noise_var=0.1, seed=42, prediction_count=1000))
+    sampler = sg.SamplerConfig(iterations=2000, burn_in=200, prediction_set=study_pred,
+                               basis=sg.BasisConfig(rho=0.3), seed=7)
+    plan = sg.SweepPlan(n_grid=tuple(range(10, 201, 10)), budget_seconds=300.0,
+                        max_parallel=1)
+    report = sg.run_sweep(study, sampler, plan)
+    arrays = [a for _, out in report.per_n for a in (out.mu_hat, out.mu_var)]
+    arrays.append([diff for _, diff in report.pairwise_diffs])
+    jitter = sum(out.jitter_events for _, out in report.per_n)
+    yield "sweep20", f"{digest(arrays)} j={jitter}"
+
+    ar1, _, pred = sg.generate_ar1(sg.Ar1Config(N=100_000, seed=3, prediction_count=1000))
+    yield "n1_carry", chain(ar1, 1, pred=pred)
+    yield "n1_prior_pinned", chain(ar1, 1, pred=pred, refresh="prior", fixed=PINS)
+    yield "n2_carry", chain(ar1, 2, pred=pred)
+    yield "n2_prior_pinned", chain(ar1, 2, pred=pred, refresh="prior", fixed=PINS)
+    yield "n10_carry", chain(ar1, 10, pred=pred)
+    yield "n200_carry", chain(ar1, 200, pred=pred)
+    yield "prior_n50", chain(ar1, 50, pred=pred, refresh="prior")
+    yield "n1000_rho003", chain(ar1, 1000, pred=pred, iterations=100, burn_in=25, rho=0.003)
+    yield "pinned300_carry", chain(ar1, 300, pred=pred, rho=0.003, fixed=PINS)
+    yield "pinned300_prior", chain(ar1, 300, pred=pred, rho=0.003, fixed=PINS,
+                                   refresh="prior")
+
+    spec = TinyModelSpec(N=3, n=2, fixed_variances=sg.FixedVariances(1.0, 0.05, 0.05, 1.0))
+    tiny = spec.dataset(np.array([1.0, -0.5, 0.8]))
+    yield "crit3_pinned_20000", chain(tiny, 2, iterations=20_000, burn_in=1000,
+                                      pred=np.array([0]), refresh="prior",
+                                      fixed=spec.fixed_variances, seed=5)
+
+    for layout, metric in (("sorted", "abs"), ("unsorted", "abs"), ("latlon", "greatcircle")):
+        data = dataset(*scattered(40, 5, layout), p=2)
+        for refresh in ("carry", "prior"):
+            yield (f"pinned_n_eq_N_{layout}_{refresh}",
+                   chain(data, 40, metric=metric, refresh=refresh, fixed=PINS))
+        yield f"sampled_n_eq_N_{layout}", chain(data, 40, metric=metric)
+
+    unsorted = dataset(*scattered(2000, 6, "unsorted"))
+    yield "unsorted_pinned_prior", chain(unsorted, 50, refresh="prior", fixed=PINS)
+    yield "unsorted_sampled_carry", chain(unsorted, 50)
+    mixed = dataset(*scattered(400, 7, "mixed"))
+    yield "mixed_pinned_prior", chain(mixed, 20, refresh="prior", fixed=PINS)
+    yield "mixed_sampled_carry", chain(mixed, 20)
+    latlon = dataset(*scattered(500, 8, "latlon"), p=2)
+    for refresh in ("carry", "prior"):
+        yield f"greatcircle_p2_{refresh}", chain(latlon, 30, metric="greatcircle",
+                                                 refresh=refresh)
+
+    banded_factor = gibbs._banded_eta_factor
+    gibbs._banded_eta_factor = lambda *args: None
+    try:
+        yield "dpbtrf_fail_sampled", chain(ar1, 20, pred=pred, iterations=100, burn_in=25)
+        four = dataset(np.array([0.3, -1.2, 0.7, 0.1]), np.arange(4.0))
+        yield "dpbtrf_fail_pinned_N4", chain(four, 2, iterations=200, burn_in=50,
+                                             refresh="prior", fixed=PINS)
+    finally:
+        gibbs._banded_eta_factor = banded_factor
+
+
+if __name__ == "__main__":
+    for name, line in cases():
+        print(f"{name} {line}", flush=True)
