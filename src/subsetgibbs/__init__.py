@@ -32,12 +32,10 @@ from .model import (
 )
 from .simdata import (
     Ar1Config,
-    SplitDataset,
     equally_spaced_indices,
     generate_ar1,
     rmspe,
     rste,
-    split_holdout,
 )
 
 __version__ = "0.1.0"
@@ -54,7 +52,6 @@ __all__ = [
     "MlbParams",
     "NumericalError",
     "SamplerConfig",
-    "SplitDataset",
     "SweepPlan",
     "equally_spaced_indices",
     "generate_ar1",
@@ -68,5 +65,4 @@ __all__ = [
     "run_sweep",
     "select_budget_n",
     "spawn_seed",
-    "split_holdout",
 ]

@@ -55,18 +55,14 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _format_float(value: float) -> str:
-    # shortest round-trip decimal form keeps files byte-stable across runs
-    return repr(float(value))
-
-
-def _write_rows(path, header: List[str], rows) -> None:
-    # what csv.writer writes for fields without commas, quotes or line
-    # breaks (every field here is a number or empty), in one write call
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
+def _write_csv(path, header: Sequence[str], row_format: str, columns) -> None:
+    # one str.format per row over the column lists and one write call, with
+    # csv.writer's CRLF line ends; {!r} of a Python float is its shortest
+    # round-trip form, which keeps files byte-stable (a NumPy scalar's repr
+    # is np.float64(...), so float columns must hold Python floats)
+    rows = map((row_format + "\r\n").format, *columns)
     with open(path, "w", newline="") as handle:
-        handle.write("\r\n".join(lines) + "\r\n")
+        handle.write(",".join(header) + "\r\n" + "".join(rows))
 
 
 def _write_json(path, document: dict) -> None:
@@ -198,13 +194,9 @@ def _sampler_config(args, N: int) -> SamplerConfig:
     )
 
 
-def _write_predictions(path, prediction_set: np.ndarray, out) -> None:
-    # the bytes _write_rows writes for these rows ({!r} of a float is
-    # _format_float), formatted by one str.format per row
-    rows = map("{},{!r},{!r}\r\n".format, (prediction_set + 1).tolist(),
-               out.mu_hat.tolist(), out.mu_var.tolist())
-    with open(path, "w", newline="") as handle:
-        handle.write("index,mu_hat,var_hat\r\n" + "".join(rows))
+def _write_predictions_csv(path, prediction_set: np.ndarray, out) -> None:
+    _write_csv(path, ["index", "mu_hat", "var_hat"], "{},{!r},{!r}",
+               [(prediction_set + 1).tolist(), out.mu_hat.tolist(), out.mu_var.tolist()])
 
 
 def _write_report_csv(path, report: CalibrationReport) -> None:
@@ -214,25 +206,29 @@ def _write_report_csv(path, report: CalibrationReport) -> None:
 
     def diff_text(n: int) -> str:
         diff = diff_by_n.get(n)
-        return "" if diff is None or np.isnan(diff) else _format_float(diff)
+        return "" if diff is None or np.isnan(diff) else repr(float(diff))
 
-    _write_rows(path, ["n", "wall_seconds", "cpu_seconds", "diff_to_next"],
-                ((n, _format_float(out.elapsed_wall_seconds),
-                  _format_float(out.elapsed_cpu_seconds), diff_text(n))
-                 for n, out in report.per_n))
+    _write_csv(path, ["n", "wall_seconds", "cpu_seconds", "diff_to_next"], "{},{!r},{!r},{}",
+               [[n for n, _ in report.per_n],
+                [float(out.elapsed_wall_seconds) for _, out in report.per_n],
+                [float(out.elapsed_cpu_seconds) for _, out in report.per_n],
+                [diff_text(n) for n, _ in report.per_n]])
 
 
 def cmd_simulate(args) -> int:
+    # name the flags the user typed; Ar1Config checks --N and --phi itself
+    if not (args.noise_var > 0.0 and np.isfinite(args.noise_var)):
+        raise InvalidParameterError(f"--noise-var must be finite and > 0, got {args.noise_var}")
+    if args.N >= 1 and not (1 <= args.pred_count <= args.N):
+        raise InvalidParameterError(f"--pred-count must be in [1, {args.N}], got {args.pred_count}")
     config = Ar1Config(N=args.N, phi=args.phi, noise_var=args.noise_var,
                        seed=args.seed, prediction_count=args.pred_count)
     data, truth, _ = generate_ar1(config)
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     index = range(1, config.N + 1)
-    _write_rows(output_dir / "data.csv", ["index", "y"],
-                zip(index, map(_format_float, data.y.tolist())))
-    _write_rows(output_dir / "truth.csv", ["index", "mu"],
-                zip(index, map(_format_float, truth.tolist())))
+    _write_csv(output_dir / "data.csv", ["index", "y"], "{},{!r}", [index, data.y.tolist()])
+    _write_csv(output_dir / "truth.csv", ["index", "mu"], "{},{!r}", [index, truth.tolist()])
     write_manifest(output_dir, "simulate", args.raw_argv, args.seed, str(output_dir / "data.csv"))
     print(f"wrote {output_dir / 'data.csv'} and {output_dir / 'truth.csv'} (N={config.N})")
     return EXIT_OK
@@ -246,12 +242,11 @@ def cmd_fit(args) -> int:
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     out = run_chain(data, config, args.n, collect_trace=True)
-    _write_predictions(output_dir / "predictions.csv", config.prediction_set, out)
-    p = data.n_covariates
-    beta_names = [f"beta_{j + 1}" for j in range(p)]
+    _write_predictions_csv(output_dir / "predictions.csv", config.prediction_set, out)
+    beta_names = [f"beta_{j + 1}" for j in range(data.n_covariates)]
     header = ["iteration"] + beta_names + ["sigma2", "sigma2_eta", "sigma2_xi", "sigma2_beta"]
-    _write_rows(output_dir / "trace.csv", header,
-                ((g + 1, *map(_format_float, row)) for g, row in enumerate(out.trace.tolist())))
+    _write_csv(output_dir / "trace.csv", header, "{}" + ",{!r}" * (len(header) - 1),
+               [range(1, len(out.trace) + 1), *out.trace.T.tolist()])
     kept = config.iterations - config.burn_in
     _write_json(output_dir / "timing.json", {
         "wall_seconds": out.elapsed_wall_seconds,
@@ -293,7 +288,7 @@ def cmd_calibrate(args) -> int:
         "selected_cpu_seconds": selected.elapsed_cpu_seconds,
     })
     for n, out in report.per_n:
-        _write_predictions(output_dir / f"predictions_n{n}.csv", config.prediction_set, out)
+        _write_predictions_csv(output_dir / f"predictions_n{n}.csv", config.prediction_set, out)
     write_manifest(output_dir, "calibrate", args.raw_argv, args.seed, args.data)
     met = "within budget" if report.budget_met else "over budget (flagged)"
     print(f"selected n={report.selected_n} ({met}); report at {output_dir / 'report.csv'}")

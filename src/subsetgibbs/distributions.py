@@ -1,12 +1,14 @@
 """Seeded variate generation and density evaluation.
 
-Every random quantity in the sampler flows through the functions here so
-that a run is a pure function of its 64-bit seed: same seed and same call
-sequence means a bit-identical variate stream.  Streams are
-``numpy.random.Generator`` instances (PCG64); worker seeds are derived
-from a master seed with ``spawn_seed`` so concurrency cannot perturb
-results.  A data subset is the sorted ``int64`` array of its indices, as
-``sample_active_indices`` draws it; no other representation exists.
+Every generator the package uses comes from ``make_rng``, seeded with a
+64-bit seed or with a worker seed that ``spawn_seed`` derives from a
+master seed, so a run is a pure function of its seed: same seed and same
+call sequence means a bit-identical variate stream, and concurrency
+cannot perturb results.  Streams are ``numpy.random.Generator``
+instances (PCG64); ``run_chain`` draws its normals and gammas from its
+generator directly.  A data subset is the sorted ``int64`` array of its
+indices, as ``sample_active_indices`` draws it; no other representation
+exists.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy import stats
 
-from .distributions import _checked_int
+from .distributions import _checked_int, make_rng
 from .errors import InvalidParameterError
 from .model import BasisConfig, DatasetView, FixedVariances, kernel_matrix
 
@@ -302,7 +302,7 @@ def check_posterior_equivalence(spec: TinyModelSpec, y: np.ndarray,
     vacuously (there is nothing to perturb).
     """
     y = np.asarray(y, dtype=float)
-    rng = rng or np.random.default_rng(0)
+    rng = rng or make_rng(0)
     axis = np.linspace(-2.0, 2.0, 9)
     worst = 0.0
     cases = 0

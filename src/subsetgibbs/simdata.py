@@ -1,4 +1,4 @@
-"""Synthetic AR(1) data generation, error metrics and holdout splitting."""
+"""Synthetic AR(1) data generation and error metrics."""
 
 from __future__ import annotations
 
@@ -8,19 +8,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .distributions import _checked_int, make_rng, sample_active_indices
+from .distributions import _checked_int, make_rng
 from .errors import InvalidParameterError
 from .model import DatasetView
 
 __all__ = [
     "Ar1Config",
-    "SplitDataset",
     "ar1_path",
     "generate_ar1",
     "equally_spaced_indices",
     "rmspe",
     "rste",
-    "split_holdout",
 ]
 
 
@@ -56,20 +54,6 @@ class Ar1Config:
             raise InvalidParameterError(
                 f"prediction_count must be in [1, N], got {self.prediction_count} with N={self.N}"
             )
-
-
-@dataclass(frozen=True)
-class SplitDataset:
-    """The training and held-out rows as two views, with their index sets.
-
-    ``train`` and ``holdout`` are the rows of the source dataset at
-    ``train_indices`` and ``holdout_indices``, which partition range(N).
-    """
-
-    train: DatasetView
-    holdout: DatasetView
-    train_indices: np.ndarray
-    holdout_indices: np.ndarray
 
 
 def ar1_path(start: float, phi: float, innovations: np.ndarray) -> np.ndarray:
@@ -138,31 +122,3 @@ def rste(holdout_y: np.ndarray, pred: np.ndarray) -> float:
     """
     return _root_mean_square(holdout_y, pred)
 
-
-def split_holdout(data: DatasetView, holdout_fraction: float,
-                  rng: np.random.Generator) -> SplitDataset:
-    """Randomly hold out ``floor(fraction * N)`` rows without replacement.
-
-    Deterministic given the generator state.  The train and holdout index
-    sets partition ``range(N)``.
-    """
-    if not (0.0 < holdout_fraction < 1.0):
-        raise InvalidParameterError(
-            f"holdout_fraction must be in (0, 1), got {holdout_fraction}"
-        )
-    N = data.n_obs
-    k = int(np.floor(holdout_fraction * N))
-    if k < 1:
-        raise InvalidParameterError(
-            f"holdout of floor({holdout_fraction} * {N}) rows is empty; use a larger fraction"
-        )
-    if k >= N:
-        raise InvalidParameterError("holdout would consume the whole dataset")
-    holdout_idx = sample_active_indices(k, N, rng)
-    train_idx = np.setdiff1d(np.arange(N), holdout_idx, assume_unique=True)
-
-    def rows(idx):
-        return DatasetView(y=data.y[idx], x=data.x[idx], index_coords=data.index_coords[idx])
-
-    return SplitDataset(train=rows(train_idx), holdout=rows(holdout_idx),
-                        train_indices=train_idx, holdout_indices=holdout_idx)

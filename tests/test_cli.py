@@ -8,14 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subsetgibbs import ChainOutput, NumericalError, __version__, pairwise_difference
+import subsetgibbs.cli as cli
+from subsetgibbs import (
+    CalibrationReport,
+    ChainOutput,
+    NumericalError,
+    __version__,
+    pairwise_difference,
+)
 from subsetgibbs.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
-    _format_float,
-    _write_predictions,
-    _write_rows,
     main,
     read_data_csv,
     replay_manifest,
@@ -60,6 +64,18 @@ class TestSimulate:
         code = run(["simulate", "--N", "10", "--pred-count", "11",
                     "--output-dir", str(tmp_path / "x")])
         assert code == EXIT_USAGE
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--pred-count", "0"), ("--pred-count", "11"),
+                                             ("--noise-var", "-1"), ("--noise-var", "0"),
+                                             ("--noise-var", "nan"), ("--noise-var", "inf")])
+    def test_invalid_value_names_its_flag_before_any_directory(self, tmp_path, capsys,
+                                                               flag, value):
+        # argparse keeps the last occurrence of --pred-count
+        code = run(["simulate", "--N", "10", "--pred-count", "5", flag, value,
+                    "--output-dir", str(tmp_path / "x")])
+        assert code == EXIT_USAGE
+        assert f"error: {flag} must be" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_nan_phi_is_usage_error_before_any_directory(self, tmp_path, capsys):
@@ -229,21 +245,6 @@ class TestFit:
         assert "xi conditional variance is not finite" in err
         assert "variance conditionals" not in err
         assert "[n=50] [iteration=2]" in err
-
-    def test_prediction_file_bytes_match_the_row_writer(self, tmp_path):
-        # the fast writer's bytes are those of _write_rows with _format_float,
-        # including a NaN variance (one kept sweep) and extreme floats
-        prediction_set = np.array([0, 4, 17, 99_999])
-        out = ChainOutput(mu_hat=np.array([0.1, -2.5e-300, 1e300, 1.0 / 3.0]),
-                          mu_var=np.array([np.nan, 0.0, 5e-324, 123456789.125]),
-                          elapsed_cpu_seconds=0.0, elapsed_wall_seconds=0.0)
-        _write_predictions(tmp_path / "fast.csv", prediction_set, out)
-        _write_rows(tmp_path / "rows.csv", ["index", "mu_hat", "var_hat"],
-                    zip((prediction_set + 1).tolist(), map(_format_float, out.mu_hat.tolist()),
-                        map(_format_float, out.mu_var.tolist())))
-        fast = (tmp_path / "fast.csv").read_bytes()
-        assert fast == (tmp_path / "rows.csv").read_bytes()
-        assert b"1,0.1,nan\r\n" in fast
 
     @pytest.mark.parametrize("equals_form", [False, True], ids=["space", "equals"])
     def test_replay_manifest_reproduces_outputs(self, tmp_path, equals_form):
@@ -510,6 +511,62 @@ class TestCalibrate:
         code = run(["fit", "--data", str(tmp_path / "nope.csv"), "--n", "5",
                     "--pred-count", "5", "--output-dir", str(tmp_path / "o")])
         assert code in (EXIT_USAGE, 4)
+
+
+def chain_output(mu_hat, mu_var, wall=0.0, cpu=0.0, trace=None):
+    return ChainOutput(mu_hat=np.array(mu_hat), mu_var=np.array(mu_var),
+                       elapsed_cpu_seconds=cpu, elapsed_wall_seconds=wall, trace=trace)
+
+
+class TestCsvBytes:
+    """Exact bytes of each CSV layout, written by the command that owns it."""
+
+    def data(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("index,y,x1,x2\n1,0.5,1,0.1\n2,-0.2,1,0.3\n3,0.9,1,-0.4\n4,0.1,1,0.2\n")
+        return data
+
+    def test_fit_predictions_and_trace(self, tmp_path, monkeypatch):
+        # a NaN variance (one kept sweep), the smallest subnormal and
+        # extreme exponents; a trace with p = 2
+        trace = np.array([[0.25, -1e-05, 1.5, 2.0, 0.1, 3.0],
+                          [-0.75, 2.0 / 3.0, 1e-300, 4.5, 7.0, 1e20]])
+        out = chain_output([0.1, -2.5e-300, 1e300, 1.0 / 3.0],
+                           [np.nan, 0.0, 5e-324, 123456789.125], trace=trace)
+        monkeypatch.setattr(cli, "run_chain", lambda *args, **kwargs: out)
+        target = tmp_path / "o"
+        code = run(["fit", "--data", str(self.data(tmp_path)), "--n", "2", "--iterations", "3",
+                    "--burn-in", "1", "--pred-count", "4", "--output-dir", str(target)])
+        assert code == EXIT_OK
+        assert (target / "predictions.csv").read_bytes() == (
+            b"index,mu_hat,var_hat\r\n"
+            b"1,0.1,nan\r\n"
+            b"2,-2.5e-300,0.0\r\n"
+            b"3,1e+300,5e-324\r\n"
+            b"4,0.3333333333333333,123456789.125\r\n")
+        assert (target / "trace.csv").read_bytes() == (
+            b"iteration,beta_1,beta_2,sigma2,sigma2_eta,sigma2_xi,sigma2_beta\r\n"
+            b"1,0.25,-1e-05,1.5,2.0,0.1,3.0\r\n"
+            b"2,-0.75,0.6666666666666666,1e-300,4.5,7.0,1e+20\r\n")
+
+    def test_calibrate_report_and_predictions(self, tmp_path, monkeypatch):
+        per_n = [(1, chain_output([0.5, -1.0], [0.25, np.nan], wall=1.5, cpu=0.125)),
+                 (3, chain_output([2.0, 1e-310], [1.0, 2.0], wall=4.0, cpu=3.75))]
+        report = CalibrationReport(per_n=per_n, selected_n=3, pairwise_diffs=[(1, 0.1)],
+                                   budget_met=True, failures=[])
+        monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: report)
+        target = tmp_path / "cal"
+        code = run(["calibrate", "--data", str(self.data(tmp_path)), "--n-grid", "1,3",
+                    "--budget-seconds", "10", "--pred-count", "2", "--output-dir", str(target)])
+        assert code == EXIT_OK
+        assert (target / "report.csv").read_bytes() == (
+            b"n,wall_seconds,cpu_seconds,diff_to_next\r\n"
+            b"1,1.5,0.125,0.1\r\n"
+            b"3,4.0,3.75,\r\n")
+        assert (target / "predictions_n1.csv").read_bytes() == (
+            b"index,mu_hat,var_hat\r\n1,0.5,0.25\r\n3,-1.0,nan\r\n")
+        assert (target / "predictions_n3.csv").read_bytes() == (
+            b"index,mu_hat,var_hat\r\n1,2.0,1.0\r\n3,1e-310,2.0\r\n")
 
 
 class TestReplayManifest:

@@ -1,19 +1,16 @@
-"""Generator moments, error metrics and holdout splitting."""
+"""Generator moments and error metrics."""
 
 import numpy as np
 import pytest
 
 from subsetgibbs import (
     Ar1Config,
-    DatasetView,
     InvalidParameterError,
     equally_spaced_indices,
     generate_ar1,
-    make_rng,
     pairwise_difference,
     rmspe,
     rste,
-    split_holdout,
 )
 from subsetgibbs.simdata import ar1_path
 
@@ -145,38 +142,3 @@ class TestMetrics:
         with pytest.raises(InvalidParameterError):
             rmspe(np.zeros(0), np.zeros(0))
 
-
-class TestSplitHoldout:
-    def data(self, N=100):
-        rng = np.random.default_rng(0)
-        return DatasetView(y=rng.normal(size=N), x=rng.normal(size=(N, 2)),
-                           index_coords=np.arange(N, dtype=float))
-
-    def test_sizes_and_partition(self):
-        split = split_holdout(self.data(), 0.2, make_rng(1))
-        assert split.holdout.n_obs == 20
-        assert split.train.n_obs == 80
-        merged = np.concatenate([split.train_indices, split.holdout_indices])
-        np.testing.assert_array_equal(np.sort(merged), np.arange(100))
-
-    def test_rows_survive_the_split(self):
-        data = self.data(30)
-        split = split_holdout(data, 0.3, make_rng(2))
-        for view, idx in ((split.holdout, split.holdout_indices),
-                          (split.train, split.train_indices)):
-            np.testing.assert_array_equal(view.y, data.y[idx])
-            np.testing.assert_array_equal(view.x, data.x[idx])
-            np.testing.assert_array_equal(view.index_coords, data.index_coords[idx])
-
-    def test_deterministic_under_seed(self):
-        a = split_holdout(self.data(), 0.25, make_rng(9))
-        b = split_holdout(self.data(), 0.25, make_rng(9))
-        np.testing.assert_array_equal(a.holdout_indices, b.holdout_indices)
-
-    def test_rejects_degenerate_fractions(self):
-        with pytest.raises(InvalidParameterError):
-            split_holdout(self.data(), 0.0, make_rng(0))
-        with pytest.raises(InvalidParameterError):
-            split_holdout(self.data(5), 0.1, make_rng(0))  # floor gives zero rows
-        with pytest.raises(InvalidParameterError):
-            split_holdout(self.data(), 1.0, make_rng(0))

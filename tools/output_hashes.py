@@ -16,12 +16,24 @@ diffs, and sums the jitter counts.  The cases cover the banded path
 the dense great-circle path, unsorted and too-close coordinates, blocks
 that mix banded and dense subsets, pinned and sampled variances, both
 refresh policies, n = N, and banded factors forced to fail so that every
-sweep takes the dense fallback.  It takes about 10 s on a 2-core
-machine.
+sweep takes the dense fallback.
+
+The ``cli_`` lines run ``simulate``, ``fit`` and a serial ``calibrate``
+in a temporary directory and hash the bytes of the files they write:
+``data.csv``, ``truth.csv``, ``predictions.csv``, ``trace.csv``, each
+``predictions_n{n}.csv``, and the ``n`` and ``diff_to_next`` columns of
+``report.csv`` (its last row's diff cell is empty).  Timing columns and
+manifests differ from run to run and are left out.  The script takes
+about 10 s on a 2-core machine.
 """
 
+import contextlib
+import csv
 import hashlib
+import io
+import itertools
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +41,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import subsetgibbs as sg  # noqa: E402
+import subsetgibbs.cli as cli  # noqa: E402
 import subsetgibbs.gibbs as gibbs  # noqa: E402
 from subsetgibbs.oracle import TinyModelSpec  # noqa: E402
 
@@ -73,6 +86,40 @@ def scattered(N, seed, layout):
         # hold such a pair need the dense kernel, the others are banded
         coords[1::2] = coords[::2][:N // 2] + 1e-6
     return y, coords
+
+
+def file_digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+
+
+def command(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([str(arg) for arg in argv])
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"{argv[0]} exited {code}")
+
+
+def cli_cases():
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        command("simulate", "--N", 3000, "--seed", 4, "--output-dir", tmp / "sim")
+        data = tmp / "sim" / "data.csv"
+        yield "cli_simulate_data", file_digest(data)
+        yield "cli_simulate_truth", file_digest(tmp / "sim" / "truth.csv")
+        sampler = ["--iterations", 300, "--burn-in", 50, "--pred-count", 100, "--seed", 9]
+        command("fit", "--data", data, "--n", 20, *sampler, "--output-dir", tmp / "fit")
+        for name in ("predictions", "trace"):
+            yield f"cli_fit_{name}", file_digest(tmp / "fit" / f"{name}.csv")
+        grid = (5, 10, 40)
+        command("calibrate", "--data", data, "--n-grid", ",".join(map(str, grid)),
+                "--budget-seconds", 60, *sampler, "--output-dir", tmp / "cal")
+        for n in grid:
+            yield f"cli_calibrate_predictions_n{n}", file_digest(
+                tmp / "cal" / f"predictions_n{n}.csv")
+        with open(tmp / "cal" / "report.csv", newline="") as handle:
+            rows = [f"{row['n']},{row['diff_to_next']}" for row in csv.DictReader(handle)]
+        yield "cli_calibrate_report_n_diff", hashlib.sha256(
+            "\n".join(rows).encode()).hexdigest()[:16]
 
 
 def cases():
@@ -137,5 +184,5 @@ def cases():
 
 
 if __name__ == "__main__":
-    for name, line in cases():
+    for name, line in itertools.chain(cases(), cli_cases()):
         print(f"{name} {line}", flush=True)
