@@ -181,6 +181,10 @@ def _parse_n_grid(text: str) -> List[int]:
 
 
 def _sampler_config(args, N: int) -> SamplerConfig:
+    # name the flags the user typed; SamplerConfig's own message names its fields
+    if not (0 <= args.burn_in < args.iterations):
+        raise InvalidParameterError(f"need 0 <= --burn-in < --iterations, got --burn-in "
+                                    f"{args.burn_in} and --iterations {args.iterations}")
     pred_count = args.pred_count
     if not (1 <= pred_count <= N):
         raise InvalidParameterError(f"--pred-count must be in [1, {N}], got {pred_count}")
@@ -264,6 +268,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    # name the flags the user typed; SweepPlan's own message names its fields
+    if not (args.budget_seconds > 0.0):
+        raise InvalidParameterError(f"--budget-seconds must be > 0, got {args.budget_seconds}")
+    if args.max_parallel < 1:
+        raise InvalidParameterError(f"--max-parallel must be >= 1, got {args.max_parallel}")
     data = read_data_csv(args.data)
     config = _sampler_config(args, data.n_obs)
     grid = _parse_n_grid(args.n_grid)
@@ -350,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--phi", type=float, default=0.9, help="autoregressive coefficient")
     p_sim.add_argument("--noise-var", type=float, default=0.1, help="innovation and error variance")
     p_sim.add_argument("--pred-count", type=int, default=1000,
-                       help="prediction-set size recorded for downstream commands")
+                       help="prediction-set size, only checked against --N: no command reads "
+                            "it back (fit and calibrate take their own --pred-count)")
     add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -10,10 +10,9 @@ every block from its conjugate full conditional given that subset:
        is O(n): v = Psi eta ~ N(M^-1 r / sigma2, M^-1) with the
        pentadiagonal M = I / sigma2 + T^2 / sigma2_eta, sampled through
        one banded Cholesky factor and one banded solve, then eta = T v.
-       M is factored in LAPACK's lower band layout, where ``dpbtrf``'s
-       per-column BLAS calls run on unit-stride vectors, and the factor
-       is copied into the upper layout for the solve; both layouts give
-       the same bits (see ``_banded_eta_factor``).
+       M, its factor, the noise product and the solve all stay in
+       LAPACK's lower band layout, where ``dpbtrf``'s per-column BLAS
+       calls run on unit-stride vectors (see ``_banded_eta_factor``).
        Because Psi eta = v, steps 3-5 need no kernel matrix.  The
        great-circle metric and coordinates closer than
        ``model._BANDED_MIN_RHO_GAP`` (in rho * gap) use the dense path: a
@@ -195,32 +194,22 @@ def _beta_factor(xtx: np.ndarray, sigma2: float, sigma2_beta: float):
 
 
 def _banded_eta_factor(kernel: BandedKernel, sigma2: float, sigma2_eta: float):
-    """Upper band Cholesky factor U of M = I/sigma2 + T^2/sigma2_eta, M = U'U.
+    """Lower band Cholesky factor L of M = I/sigma2 + T^2/sigma2_eta, M = LL'.
 
     M is pentadiagonal.  It is built from the kernel's band of T^2 in
     LAPACK's lower band layout (row 0 the diagonal, rows 1 and 2 the first
-    and second subdiagonals) and factored there as M = LL'.  In that
+    and second subdiagonals) and factored there; L comes back in the same
+    layout, which ``dpbtrs`` and :func:`update_eta_active` read.  In that
     layout ``dpbtrf`` makes its two BLAS calls per column on unit-stride
     vectors; in the upper layout their stride is 2, and the factor takes
-    about three times as long at n = 1,000.  L' equals the upper layout's
-    factor bit for bit, so L is copied into the upper band layout (row 2
-    the diagonal, rows 1 and 0 the first and second superdiagonals),
-    which ``dpbtrs`` and :func:`update_eta_active` read: the lower
-    layout's solve differs from the upper's in the last bits.  Returns
-    None when the factorization fails.
+    about three times as long at n = 1,000.  Returns None when the
+    factorization fails.
     """
     # Fortran order, so LAPACK factors the band in place without a copy
     band = (kernel.square_band / sigma2_eta).T
     band[0] += 1.0 / sigma2
     lower, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
-    if info != 0:
-        return None
-    # entries outside the band ([1, 0] and [0, :2]) are never read
-    factor = np.empty_like(lower)
-    factor[2] = lower[0]
-    factor[1, 1:] = lower[1, :-1]
-    factor[0, 2:] = lower[2, :-2]
-    return factor
+    return lower if info == 0 else None
 
 
 def _factor_eta_precision(psi_delta, sigma2: float, sigma2_eta: float):
@@ -257,18 +246,18 @@ def update_eta_active(residual: np.ndarray, psi_delta, chol: np.ndarray, sigma2:
     ``psi_delta`` and ``chol`` are the kernel and the factor that
     :func:`_factor_eta_precision` returns: the dense kernel matrix with
     the lower Cholesky factor of the precision, or a ``BandedKernel`` with
-    U in band storage.  ``normals`` holds n standard normals z.  The
+    L in lower band storage.  ``normals`` holds n standard normals z.  The
     banded draw takes v = Psi eta from N(M^-1 r / sigma2, M^-1) with
-    M = I/sigma2 + T^2/sigma2_eta = U'U, as v = M^-1 (r / sigma2 + U'z), and
+    M = I/sigma2 + T^2/sigma2_eta = LL', as v = M^-1 (r / sigma2 + Lz), and
     sets eta = T v.  Returns (eta, Psi eta).
     """
     if isinstance(psi_delta, BandedKernel):
         z = normals
         rhs = psi_delta.to_sorted(residual) / sigma2
-        rhs += chol[2] * z
-        rhs[1:] += chol[1, 1:] * z[:-1]
-        rhs[2:] += chol[0, 2:] * z[:-2]
-        product, _ = lapack.dpbtrs(chol, rhs)
+        rhs += chol[0] * z
+        rhs[1:] += chol[1, :-1] * z[:-1]
+        rhs[2:] += chol[2, :-2] * z[:-2]
+        product, _ = lapack.dpbtrs(chol, rhs, lower=1)
         draw = psi_delta.from_sorted(psi_delta.sorted_inverse_matvec(product))
         return draw, psi_delta.from_sorted(product)
     linear = psi_delta.T @ residual / sigma2

@@ -207,6 +207,28 @@ class TestFit:
         assert "--pred-count" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("command, extra, flag", [
+        ("fit", ["--iterations", "0"], "--iterations"),
+        ("fit", ["--iterations", "100"], "--burn-in"),
+        ("fit", ["--burn-in", "-1"], "--burn-in"),
+        ("calibrate", ["--iterations", "200"], "--burn-in"),
+        ("calibrate", ["--budget-seconds", "-1"], "--budget-seconds"),
+        ("calibrate", ["--budget-seconds", "nan"], "--budget-seconds"),
+        ("calibrate", ["--max-parallel", "0"], "--max-parallel"),
+    ])
+    def test_invalid_sampler_or_plan_value_names_its_flag(self, tmp_path, capsys, command,
+                                                          extra, flag):
+        # argparse keeps the last occurrence of a repeated flag
+        sim = simulate(tmp_path, N=30, pred_count=5)
+        argv = [command, "--data", str(sim / "data.csv"), "--pred-count", "5",
+                "--output-dir", str(tmp_path / "bad")]
+        argv += (["--n", "5"] if command == "fit"
+                 else ["--n-grid", "5,10", "--budget-seconds", "1"])
+        assert run(argv + extra) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert not (tmp_path / "bad").exists()
+
     def test_huge_rho_fits_the_identity_kernel_without_warnings(self, tmp_path, capsys):
         # rho * gap overflows to inf, whose exponential limits are exact
         sim = simulate(tmp_path, N=30, pred_count=5)

@@ -138,8 +138,11 @@ def assert_moments_within_3se(draws, expected_mean, expected_var):
 
 
 class TestBandedEtaDraw:
-    @pytest.mark.parametrize("n", [1, 2, 3, 200])
-    @pytest.mark.parametrize("spacing", ["threshold", "threshold-shuffled", "moderate"])
+    @pytest.mark.parametrize("spacing, n", [
+        *((spacing, n) for spacing in ("threshold", "threshold-shuffled", "moderate")
+          for n in (1, 2, 3, 200)),
+        ("moderate", 1000),  # fit-large-subset's n
+    ])
     def test_exact_law_matches_dense(self, n, spacing):
         rho = 0.4
         rng = np.random.default_rng(n)
@@ -190,44 +193,36 @@ class TestBandedEtaDraw:
         assert_moments_within_3se(draws, mean, np.diag(cov))
 
 
-def upper_layout_band(square_band, sigma2, sigma2_eta):
-    """M = I/sigma2 + T^2/sigma2_eta in LAPACK's upper band layout.
-
-    Each entry is moved from the kernel's lower-layout band of T^2 and
-    scaled by the same operations the sampler uses, so the two layouts
-    hold the same values.
-    """
-    band = np.zeros((3, square_band.shape[0]), order="F")
-    band[2] = square_band[:, 0] / sigma2_eta
-    band[2] += 1.0 / sigma2
-    band[1, 1:] = square_band[:-1, 1] / sigma2_eta
-    band[0, 2:] = square_band[:-2, 2] / sigma2_eta
-    return band
+def dense_from_lower_band(band):
+    """The dense matrix whose lower triangle LAPACK's lower band layout holds:
+    row 0 the diagonal, rows 1 and 2 the first and second subdiagonals."""
+    n = band.shape[1]
+    dense = np.diag(band[0])
+    for k in range(1, min(n, 3)):
+        dense += np.diag(band[k, :n - k], -k)
+    return dense
 
 
-def assert_same_upper_factor(got, expected):
-    # the entries dpbtrs and update_eta_active read: the diagonal, then the
-    # first and second superdiagonals
-    for row, start in ((2, 0), (1, 1), (0, 2)):
-        assert np.array_equal(got[row, start:], expected[row, start:])
+def band_matrix(square_band, sigma2, sigma2_eta):
+    """M = I/sigma2 + T^2/sigma2_eta, dense, from a lower-layout band of T^2."""
+    lower = dense_from_lower_band(square_band.T)
+    return (lower + np.tril(lower, -1).T) / sigma2_eta + np.eye(len(lower)) / sigma2
 
 
 class TestBandedEtaFactor:
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 200, 1000])
     @pytest.mark.parametrize("spacing", ["threshold-shuffled", "moderate"])
     @pytest.mark.parametrize("sigma2, sigma2_eta", [(0.013, 17.0), (2.5, 0.02), (0.7, 2.3)])
-    def test_is_the_upper_layout_factor_bit_for_bit(self, n, spacing, sigma2, sigma2_eta):
-        # factored in the lower layout and copied into the upper one, the
-        # factor is exactly the one LAPACK computes in the upper layout
+    def test_factor_reproduces_the_precision(self, n, spacing, sigma2, sigma2_eta):
         rho = 0.4
         if spacing == "moderate":
             coords = np.cumsum(np.random.default_rng(n).uniform(0.5, 5.0, size=n))
         else:
             coords = coords_down_to_threshold(n, rho, seed=n, shuffle=True)
         kernel = banded_kernels(coords[None], BasisConfig(rho=rho))[0]
-        expected, info = lapack.dpbtrf(upper_layout_band(kernel.square_band, sigma2, sigma2_eta))
-        assert info == 0
-        assert_same_upper_factor(_banded_eta_factor(kernel, sigma2, sigma2_eta), expected)
+        lower = dense_from_lower_band(_banded_eta_factor(kernel, sigma2, sigma2_eta))
+        precision = band_matrix(kernel.square_band, sigma2, sigma2_eta)
+        assert max_relative_error(lower @ lower.T, precision) < 1e-12
 
     @pytest.mark.parametrize("diagonal, first, second", [
         ([1.0] * 5, [0.3] * 4, [0.1] * 3),            # positive definite
@@ -235,18 +230,20 @@ class TestBandedEtaFactor:
         ([0.0] * 5, [1.5] * 4, [0.0] * 3),            # fails at column 2
         ([1.0] * 4 + [-2.5], [0.0] * 4, [0.0] * 3),   # fails at column 5
     ])
-    def test_fails_exactly_when_the_upper_layout_factor_fails(self, diagonal, first, second):
+    def test_fails_exactly_when_lapack_reports_failure(self, diagonal, first, second):
         # a stand-in kernel: only its band of "T^2" is read, and with unit
         # variances M = I + that band
         square_band = np.zeros((5, 3))
         square_band[:, 0] = diagonal
         square_band[:-1, 1] = first
         square_band[:-2, 2] = second
-        expected, info = lapack.dpbtrf(upper_layout_band(square_band, 1.0, 1.0))
+        band = square_band.T.copy(order="F")
+        band[0] += 1.0
+        expected, info = lapack.dpbtrf(band, lower=1)
         factor = _banded_eta_factor(SimpleNamespace(square_band=square_band), 1.0, 1.0)
         assert (factor is None) == (info > 0)
         if factor is not None:
-            assert_same_upper_factor(factor, expected)
+            assert np.array_equal(factor, expected)
 
 
 class TestVarianceGammaDraws:
