@@ -164,20 +164,29 @@ def _grid_int(entry: str) -> int:
     try:
         return int(entry)
     except ValueError:
-        raise InvalidParameterError(f"grid entry {entry!r} is not an integer") from None
+        raise InvalidParameterError(f"--n-grid entry {entry!r} is not an integer") from None
 
 
-def _parse_n_grid(text: str) -> List[int]:
-    """Grid syntax: 'a:b:step' (inclusive of b when hit) or 'n1,n2,...'."""
+def _parse_n_grid(text: str, N: int) -> List[int]:
+    """Grid syntax: 'a:b:step' (inclusive of b when hit) or 'n1,n2,...'.
+
+    The grid is checked against 1 <= n <= N before it is built, so a huge
+    range is a usage error and allocates nothing.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise InvalidParameterError(f"grid range must be start:stop:step, got {text!r}")
+            raise InvalidParameterError(f"--n-grid range must be start:stop:step, got {text!r}")
         start, stop, step = (_grid_int(p) for p in parts)
-        if step < 1 or stop < start:
-            raise InvalidParameterError(f"bad grid range {text!r}")
+        if not (step >= 1 and 1 <= start <= stop <= N):
+            raise InvalidParameterError(
+                f"--n-grid range needs step >= 1 and 1 <= start <= stop <= {N}, got {text!r}")
         return list(range(start, stop + 1, step))
-    return [_grid_int(p) for p in text.split(",") if p.strip()]
+    grid = [_grid_int(p) for p in text.split(",") if p.strip()]
+    if not grid or grid[0] < 1 or grid[-1] > N or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InvalidParameterError(f"--n-grid list must be nonempty, strictly increasing "
+                                    f"and within [1, {N}], got {text!r}")
+    return grid
 
 
 def _sampler_config(args, N: int) -> SamplerConfig:
@@ -275,9 +284,7 @@ def cmd_calibrate(args) -> int:
         raise InvalidParameterError(f"--max-parallel must be >= 1, got {args.max_parallel}")
     data = read_data_csv(args.data)
     config = _sampler_config(args, data.n_obs)
-    grid = _parse_n_grid(args.n_grid)
-    if grid and grid[-1] > data.n_obs:
-        raise InvalidParameterError(f"grid point {grid[-1]} exceeds dataset size {data.n_obs}")
+    grid = _parse_n_grid(args.n_grid, data.n_obs)
     plan = SweepPlan(n_grid=tuple(grid), budget_seconds=args.budget_seconds,
                      max_parallel=args.max_parallel)
     output_dir = Path(args.output_dir)

@@ -13,18 +13,18 @@ every block from its conjugate full conditional given that subset:
        M, its factor, the noise product and the solve all stay in
        LAPACK's lower band layout, where ``dpbtrf``'s per-column BLAS
        calls run on unit-stride vectors (see ``_banded_eta_factor``).
-       Because Psi eta = v, steps 3-5 need no kernel matrix.  The
+       Because Psi eta = v, steps 3-6 need no kernel matrix.  The
        great-circle metric and coordinates closer than
        ``model._BANDED_MIN_RHO_GAP`` (in rho * gap) use the dense path: a
        Cholesky factor of Psi'Psi / sigma2 + I / sigma2_eta.
     3. xi restricted to the subset: independent normals
     4. beta: p-dimensional normal
-    5. the four variances: inverse gamma under an IG(1, 1) prior each;
-       skipped when SamplerConfig.fixed_variances pins all four
-    6. prediction-set components outside the subset: prior refresh
+    5. prediction-set components outside the subset: prior refresh
        (``draw_inactive_prediction_components``) or carry-over, per
        SamplerConfig.prediction_refresh; both read the subset's
        prediction indices off one N-length mask of the prediction set
+    6. the four variances: inverse gamma under an IG(1, 1) prior each;
+       skipped when SamplerConfig.fixed_variances pins all four
     7. per-index predictions over the prediction set, computed and
        accumulated on kept sweeps only; the kernel product there is a
        tridiagonal solve whenever the prediction set qualifies for the
@@ -32,10 +32,7 @@ every block from its conjugate full conditional given that subset:
        is reused until a subset meets the set, since only the subset's
        components change
 
-Variance lags follow the update order exactly: steps 2-4 condition on the
-previous sweep's variances, and step 6's prior refresh also uses the
-previous sweep's variances even though step 5 has already produced new
-ones.
+Steps 2-5 condition on the previous sweep's variances.
 
 How many variates a sweep draws depends on n, p, the pins, the refresh
 policy and its subset, never on the chain's values: the subset draw, then
@@ -46,7 +43,8 @@ draws for the variances (``Generator.gamma(shape, scale)`` is
 variates of the shape array at a third of its cost), then two normals
 per prediction index the prior refresh redraws.  ``run_chain`` therefore
 works in blocks of sweeps.  A block first draws every variate its sweeps
-use, sweep by sweep in exactly that order, so the stream is the one a
+use, sweep by sweep in exactly that order (the gammas precede the refresh
+normals, although step 5 runs before step 6), so the stream is the one a
 sweep-at-a-time chain would draw.  It then builds what depends on its
 subsets alone in one vectorized pass over the (B, n) stack of subsets: the
 gathers of y and x, and, for every subset whose scalar coordinates
@@ -340,9 +338,8 @@ def draw_inactive_prediction_components(outside: np.ndarray, sigma2_eta: float,
 
     Both vectors are independent normals with mean zero and variances
     ``sigma2_eta`` and ``sigma2_xi``; ``normals`` holds two standard
-    normals per index in ``outside``, eta's first.  The chain passes the
-    previous sweep's variances, honoring the update-order lag.  Returns
-    (eta_draw, xi_draw), one entry per index in ``outside``.
+    normals per index in ``outside``, eta's first.  Returns (eta_draw,
+    xi_draw), one entry per index in ``outside``.
     """
     if sigma2_eta <= 0.0 or sigma2_xi <= 0.0:
         raise InvalidParameterError("variances must be strictly positive")
@@ -455,7 +452,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
             kernels = banded_kernels(data.index_coords[actives], config.basis)
             x_block = data.x[actives]
             y_block = data.y[actives]
-            meets = in_pred[actives].any(axis=1).tolist()
+            stale = (in_pred[actives].any(axis=1) | refresh_prior).tolist()
 
             for b in range(size):
                 g += 1
@@ -472,9 +469,6 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
                 z = normals[b]
                 fit = y_delta - x_delta @ beta
 
-                prev_sigma2_eta = sigma2_eta
-                prev_sigma2_xi = sigma2_xi
-
                 eta_delta, psi_eta = update_eta_active(
                     fit - xi[active], psi_delta, chol_eta, sigma2, z[:n])
                 eta[active] = eta_delta
@@ -485,20 +479,19 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
                 beta = update_beta(x_delta, y_delta - psi_eta - xi_delta, chol_beta, sigma2,
                                    z[2 * n:])
 
+                if refresh_prior:
+                    outside, prior_normals = refresh[b]
+                    eta_outside, xi_outside = draw_inactive_prediction_components(
+                        outside, sigma2_eta, sigma2_xi, prior_normals)
+                    eta[outside] = eta_outside
+                    xi[outside] = xi_outside
+                if stale[b]:
+                    pred_parts = None
+
                 if fixed is None:
                     sigma2, sigma2_eta, sigma2_xi, sigma2_beta = update_variances(
                         y_delta - x_delta @ beta - psi_eta - xi_delta, eta_delta, xi_delta,
                         beta, gammas[b])
-
-                if refresh_prior:
-                    outside, prior_normals = refresh[b]
-                    eta_outside, xi_outside = draw_inactive_prediction_components(
-                        outside, prev_sigma2_eta, prev_sigma2_xi, prior_normals)
-                    eta[outside] = eta_outside
-                    xi[outside] = xi_outside
-                    pred_parts = None
-                elif meets[b]:
-                    pred_parts = None
 
                 if collect_trace:
                     trace[g - 1, :-4] = beta

@@ -22,7 +22,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy import stats
@@ -237,24 +237,20 @@ def check_marginal_preserved(spec: TinyModelSpec, y: np.ndarray) -> CheckReport:
     )
 
 
-def check_subset_independence(spec: TinyModelSpec,
-                              y_grid: Optional[np.ndarray] = None) -> CheckReport:
+def check_subset_independence(spec: TinyModelSpec) -> CheckReport:
     """The joint law of (subset, data) must factorize.
 
-    For each mask and each data vector on a grid, the joint density
-    divided by the full-data marginal must equal the subset probability
-    1 / C(N, n).
+    For each mask and each data vector on the grid {-1.5, 0, 1.5}^N, the
+    joint density divided by the full-data marginal must equal the subset
+    probability 1 / C(N, n).
     """
-    if y_grid is None:
-        base = np.linspace(-1.5, 1.5, 3)
-        y_grid = np.array(list(itertools.product(base, repeat=spec.N)))
-    y_grid = np.atleast_2d(np.asarray(y_grid, dtype=float))
+    y_grid = itertools.product(np.linspace(-1.5, 1.5, 3), repeat=spec.N)
     masks = enumerate_masks(spec.N, spec.n)
     prob = 1.0 / len(masks)
     worst = 0.0
     cases = 0
     for y in y_grid:
-        m_full, terms = _mixture_terms(spec, y)
+        m_full, terms = _mixture_terms(spec, np.array(y))
         for term in terms:
             worst = max(worst, abs(term / m_full - prob))
             cases += 1
@@ -292,8 +288,7 @@ def _conditional_log_posterior_grid(spec: TinyModelSpec, mask: np.ndarray,
 
 
 def check_posterior_equivalence(spec: TinyModelSpec, y: np.ndarray,
-                                perturbations: int = 10,
-                                rng: Optional[np.random.Generator] = None) -> CheckReport:
+                                perturbations: int = 10) -> CheckReport:
     """Conditioned on a subset, the posterior must ignore unselected data.
 
     Evaluates the normalized conditional of (beta, eta_active) on a fixed
@@ -302,7 +297,7 @@ def check_posterior_equivalence(spec: TinyModelSpec, y: np.ndarray,
     vacuously (there is nothing to perturb).
     """
     y = np.asarray(y, dtype=float)
-    rng = rng or make_rng(0)
+    rng = make_rng(0)
     axis = np.linspace(-2.0, 2.0, 9)
     worst = 0.0
     cases = 0

@@ -516,6 +516,20 @@ class TestCalibrate:
                     "--pred-count", "10", "--output-dir", str(tmp_path / "c")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("grid", [
+        "1:100000000000000000000:1", "1:51:1", "0:10:5", "5:1:2", "1:10:0",
+        "10,5", "5,5", "0,5", "5,51", "", ",",
+    ])
+    def test_grid_outside_one_to_N_names_the_flag(self, tmp_path, capsys, grid):
+        # N = 50; a range is checked before it is built, so 1e20 allocates nothing
+        sim = simulate(tmp_path, N=50, pred_count=5)
+        code = run(["calibrate", "--data", str(sim / "data.csv"),
+                    "--n-grid", grid, "--budget-seconds", "10",
+                    "--pred-count", "5", "--output-dir", str(tmp_path / "c")])
+        assert code == EXIT_USAGE
+        assert "--n-grid" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     @pytest.mark.parametrize("grid", ["a,b", "10,x", "1:x:1", "1:5:1.5"])
     def test_non_integer_grid_is_usage_error(self, tmp_path, capsys, grid):
         sim = simulate(tmp_path, N=100, pred_count=10)

@@ -811,6 +811,29 @@ class TestRunChain:
         run_chain(small_dataset(), config, 4)
         assert calls["draw_inactive_prediction_components"] == per_sweep * config.iterations
 
+    def test_prior_refresh_uses_the_variances_the_block_steps_used(self, monkeypatch):
+        # sampled variances: the refresh and the xi step read the previous
+        # sweep's (sigma2_eta, sigma2_xi), unit variances at sweep 1
+        seen = {"update_xi_active": [], "draw_inactive_prediction_components": []}
+
+        def recording(name, func):
+            def wrapper(*args):
+                seen[name].append(args)
+                return func(*args)
+            return wrapper
+
+        for name in seen:
+            monkeypatch.setattr(gibbs, name, recording(name, getattr(gibbs, name)))
+        config = small_config(12, iterations=40, burn_in=10, prediction_refresh="prior")
+        out = run_chain(small_dataset(), config, 4, collect_trace=True)
+        previous = np.vstack([[1.0, 1.0], out.trace[:-1, -3:-1]])
+        xi_args = seen["update_xi_active"]
+        refresh_args = seen["draw_inactive_prediction_components"]
+        assert len(xi_args) == len(refresh_args) == config.iterations
+        for g, (xi_call, refresh_call) in enumerate(zip(xi_args, refresh_args)):
+            assert refresh_call[2] == xi_call[2]
+            assert (refresh_call[1], refresh_call[2]) == tuple(previous[g])
+
     @pytest.mark.parametrize("metric", ["abs", "greatcircle"])
     def test_stage_hooks_are_resolved_every_sweep(self, monkeypatch, metric):
         # the per-stage benchmark timings wrap these module attributes, so
