@@ -8,15 +8,17 @@ every block from its conjugate full conditional given that subset:
        absolute-difference metric on scalar coordinates the kernel Psi has
        a tridiagonal inverse T (see ``model.BandedKernel``), and the draw
        is O(n): v = Psi eta ~ N(M^-1 r / sigma2, M^-1) with the
-       pentadiagonal M = I / sigma2 + T^2 / sigma2_eta, sampled through
-       one banded Cholesky factor and one banded solve, then eta = T v.
-       M, its factor, the noise product and the solve all stay in
+       pentadiagonal M = I / sigma2 + T^2 / sigma2_eta = LL', sampled
+       through one banded Cholesky factor and two banded triangular
+       solves, v = L'^-1 (L^-1 r / sigma2 + z), then eta = T v by one
+       banded product.  M, its factor, the solves and T all stay in
        LAPACK's lower band layout, where ``dpbtrf``'s per-column BLAS
        calls run on unit-stride vectors (see ``_banded_eta_factor``).
        Because Psi eta = v, steps 3-6 need no kernel matrix.  The
        great-circle metric and coordinates closer than
        ``model._BANDED_MIN_RHO_GAP`` (in rho * gap) use the dense path: a
-       Cholesky factor of Psi'Psi / sigma2 + I / sigma2_eta.
+       Cholesky factor of Psi'Psi / sigma2 + I / sigma2_eta and the same
+       two-solve draw (see ``_sample_mvn_precision``).
     3. xi restricted to the subset: independent normals
     4. beta: p-dimensional normal
     5. prediction-set components outside the subset: prior refresh
@@ -47,8 +49,9 @@ use, sweep by sweep in exactly that order (the gammas precede the refresh
 normals, although step 5 runs before step 6), so the stream is the one a
 sweep-at-a-time chain would draw.  It then builds what depends on its
 subsets alone in one vectorized pass over the (B, n) stack of subsets: the
-gathers of y and x, and, for every subset whose scalar coordinates
-qualify once sorted, T and the band of T^2 (``model.banded_kernels``).
+gathers of y and x, every subset's X'X, and, for every subset whose scalar
+coordinates qualify once sorted, T and the band of T^2
+(``model.banded_kernels``).
 Its sweeps do only the work that depends on the chain's state.  A subset
 that does not qualify (great-circle or too-close coordinates) gets the
 dense kernel matrix in its own sweep.  ``_sweeps_per_block`` caps a block
@@ -59,7 +62,8 @@ the residual it conditions on, the variances it needs and its standard
 normals (standard-gamma draws for the variances).  ``run_chain`` holds
 beta, eta, xi and the four variances as locals and computes
 fit = y - X beta on the subset once per sweep; step 2 takes fit - xi,
-step 3 takes fit - Psi eta, and step 4 takes y - Psi eta - xi.  The
+step 3 takes fit - Psi eta, step 4 takes y - Psi eta - xi, and step 6
+that residual less X beta for the new beta.  The
 factors of the eta and beta precisions are computed once per sweep, pinned
 variances or not.  Every dense Cholesky factor comes from
 ``_cholesky_with_jitter``.
@@ -73,7 +77,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .distributions import _checked_int, make_rng, sample_active_indices
 from .errors import InvalidParameterError, NumericalError
@@ -155,13 +159,18 @@ def _cholesky_with_jitter(precision: np.ndarray):
 
 def _sample_mvn_precision(chol: np.ndarray, linear: np.ndarray,
                           normals: np.ndarray) -> np.ndarray:
-    """Draw from N(P^-1 h, P^-1) given the lower Cholesky factor of P, h and
-    one standard normal per dimension."""
+    """Draw from N(P^-1 h, P^-1) given the lower Cholesky factor L of P, h
+    and one standard normal z per dimension.
+
+    The draw is L'^-1 (L^-1 h + z), two triangular solves (Rue, JRSS B 63,
+    2001); it equals P^-1 h + L'^-1 z, the mean plus the noise.
+    """
     # LAPACK directly: the scipy.linalg wrappers cost more than the
-    # solves themselves at the small sizes most sweeps use
-    mean, _ = lapack.dpotrs(chol, linear, lower=1)
-    noise, _ = lapack.dtrtrs(chol, normals, lower=1, trans=1)
-    return mean + noise
+    # solves themselves at the small sizes most sweeps use; at p = 1 an
+    # in-place add, or overwriting the solve's input, is slower than this
+    half, _ = lapack.dtrtrs(chol, linear, lower=1)
+    draw, _ = lapack.dtrtrs(chol, half + normals, lower=1, trans=1)
+    return draw
 
 
 def _sweeps_per_block(n: int, refreshed: int) -> int:
@@ -197,11 +206,11 @@ def _banded_eta_factor(kernel: BandedKernel, sigma2: float, sigma2_eta: float):
     M is pentadiagonal.  It is built from the kernel's band of T^2 in
     LAPACK's lower band layout (row 0 the diagonal, rows 1 and 2 the first
     and second subdiagonals) and factored there; L comes back in the same
-    layout, which ``dpbtrs`` and :func:`update_eta_active` read.  In that
-    layout ``dpbtrf`` makes its two BLAS calls per column on unit-stride
-    vectors; in the upper layout their stride is 2, and the factor takes
-    about three times as long at n = 1,000.  Returns None when the
-    factorization fails.
+    layout, which the triangular solves of :func:`update_eta_active` read.
+    In that layout ``dpbtrf`` makes its two BLAS calls per column on
+    unit-stride vectors; in the upper layout their stride is 2, and the
+    factor takes about three times as long at n = 1,000.  Returns None
+    when the factorization fails.
     """
     # Fortran order, so LAPACK factors the band in place without a copy
     band = (kernel.square_band / sigma2_eta).T
@@ -246,18 +255,20 @@ def update_eta_active(residual: np.ndarray, psi_delta, chol: np.ndarray, sigma2:
     the lower Cholesky factor of the precision, or a ``BandedKernel`` with
     L in lower band storage.  ``normals`` holds n standard normals z.  The
     banded draw takes v = Psi eta from N(M^-1 r / sigma2, M^-1) with
-    M = I/sigma2 + T^2/sigma2_eta = LL', as v = M^-1 (r / sigma2 + Lz), and
-    sets eta = T v.  Returns (eta, Psi eta).
+    M = I/sigma2 + T^2/sigma2_eta = LL', as v = L'^-1 (L^-1 r / sigma2 + z)
+    by two banded triangular solves (Rue, JRSS B 63, 2001), and sets
+    eta = T v by one banded product; the dense draw is the same two-solve
+    form (:func:`_sample_mvn_precision`).  Returns (eta, Psi eta).
     """
     if isinstance(psi_delta, BandedKernel):
-        z = normals
-        rhs = psi_delta.to_sorted(residual) / sigma2
-        rhs += chol[0] * z
-        rhs[1:] += chol[1, :-1] * z[:-1]
-        rhs[2:] += chol[2, :-2] * z[:-2]
-        product, _ = lapack.dpbtrs(chol, rhs, lower=1)
-        draw = psi_delta.from_sorted(psi_delta.sorted_inverse_matvec(product))
-        return draw, psi_delta.from_sorted(product)
+        # the sorted residual over sigma2 is a fresh array: the solves
+        # overwrite it
+        product = blas.dtbsv(2, chol, psi_delta.to_sorted(residual) / sigma2, lower=1,
+                             overwrite_x=1)
+        product += normals
+        product = blas.dtbsv(2, chol, product, lower=1, trans=1, overwrite_x=1)
+        draw = blas.dsbmv(1, 1.0, psi_delta.band, product, lower=1)
+        return psi_delta.from_sorted(draw), psi_delta.from_sorted(product)
     linear = psi_delta.T @ residual / sigma2
     draw = _sample_mvn_precision(chol, linear, normals)
     return draw, psi_delta @ draw
@@ -451,6 +462,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
                     refresh.append((outside, rng.standard_normal(2 * outside.size)))
             kernels = banded_kernels(data.index_coords[actives], config.basis)
             x_block = data.x[actives]
+            xtx_block = np.matmul(x_block.transpose(0, 2, 1), x_block)
             y_block = data.y[actives]
             stale = (in_pred[actives].any(axis=1) | refresh_prior).tolist()
 
@@ -463,7 +475,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
                     coords = data.index_coords[active]
                     psi_delta = kernel_matrix(coords, coords, config.basis)
                 psi_delta, chol_eta, jitter = _factor_eta_precision(psi_delta, sigma2, sigma2_eta)
-                chol_beta, jitter_beta = _beta_factor(x_delta.T @ x_delta, sigma2, sigma2_beta)
+                chol_beta, jitter_beta = _beta_factor(xtx_block[b], sigma2, sigma2_beta)
                 jitter_events += jitter + jitter_beta
                 y_delta = y_block[b]
                 z = normals[b]
@@ -476,8 +488,8 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
                 xi_delta = update_xi_active(fit - psi_eta, sigma2, sigma2_xi, z[n:2 * n])
                 xi[active] = xi_delta
 
-                beta = update_beta(x_delta, y_delta - psi_eta - xi_delta, chol_beta, sigma2,
-                                   z[2 * n:])
+                resid = y_delta - psi_eta - xi_delta
+                beta = update_beta(x_delta, resid, chol_beta, sigma2, z[2 * n:])
 
                 if refresh_prior:
                     outside, prior_normals = refresh[b]
@@ -490,8 +502,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
 
                 if fixed is None:
                     sigma2, sigma2_eta, sigma2_xi, sigma2_beta = update_variances(
-                        y_delta - x_delta @ beta - psi_eta - xi_delta, eta_delta, xi_delta,
-                        beta, gammas[b])
+                        resid - x_delta @ beta, eta_delta, xi_delta, beta, gammas[b])
 
                 if collect_trace:
                     trace[g - 1, :-4] = beta
@@ -500,11 +511,16 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
                 if g > config.burn_in:
                     if pred_parts is None:
                         pred_parts = (psi_pred @ eta[pred], xi[pred])
-                    mu_g = x_pred @ beta + pred_parts[0] + pred_parts[1]
+                    # Welford's update, in place
+                    mu_g = x_pred @ beta
+                    mu_g += pred_parts[0]
+                    mu_g += pred_parts[1]
                     kept += 1
                     delta_mu = mu_g - mu_mean
                     mu_mean += delta_mu / kept
-                    mu_m2 += delta_mu * (mu_g - mu_mean)
+                    mu_g -= mu_mean
+                    mu_g *= delta_mu
+                    mu_m2 += mu_g
     except NumericalError as exc:
         raise NumericalError(str(exc), n=n, iteration=g) from exc
 

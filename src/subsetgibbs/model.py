@@ -236,11 +236,14 @@ class BandedKernel:
     Ornstein-Uhlenbeck correlation matrix whose inverse T is tridiagonal:
     with a_i = exp(-rho * gap_i), T has off-diagonal -a_i / (1 - a_i^2) and
     diagonal 1 + a_{i-1}^2 / (1 - a_{i-1}^2) + a_i^2 / (1 - a_i^2).
-    ``diag`` and ``off`` hold T in sorted order, ``square_band`` holds T^2
-    (pentadiagonal) in LAPACK's lower band layout, transposed: an (n, 3)
-    array whose ``.T`` is the Fortran-ordered band with row 0 the diagonal
-    and rows 1 and 2 the first and second subdiagonals (entry j of row k
-    is T^2[j + k, j], so the last k entries of row k are zero); the eta
+    ``band`` holds T in sorted order in LAPACK's lower band layout: a
+    Fortran-ordered (2, n) array, row 0 the diagonal and row 1 the
+    subdiagonal (its last entry zero), which ``dsbmv`` reads as it is;
+    ``diag`` and ``off`` are views of those two rows.  ``square_band`` holds
+    T^2 (pentadiagonal) in the same layout, transposed: an (n, 3) array
+    whose ``.T`` is the Fortran-ordered band with row 0 the diagonal and
+    rows 1 and 2 the first and second subdiagonals (entry j of row k is
+    T^2[j + k, j], so the last k entries of row k are zero); the eta
     factor is computed in that layout (``gibbs._banded_eta_factor``).
     ``order`` sorts the caller's coordinates (None when they already are);
     the methods without ``sorted`` in their name take and return vectors
@@ -250,15 +253,22 @@ class BandedKernel:
     it are taken.
     """
 
-    def __init__(self, coords: np.ndarray, basis: BasisConfig, diag: np.ndarray,
-                 off: np.ndarray, order: Optional[np.ndarray], square_band: np.ndarray):
+    def __init__(self, coords: np.ndarray, basis: BasisConfig, band: np.ndarray,
+                 order: Optional[np.ndarray], square_band: np.ndarray):
         self.coords = coords
         self.basis = basis
-        self.diag = diag
-        self.off = off
+        self.band = band
         self.order = order
         self.square_band = square_band
         self._factor = None
+
+    @property
+    def diag(self) -> np.ndarray:
+        return self.band[0]
+
+    @property
+    def off(self) -> np.ndarray:
+        return self.band[1, :-1]
 
     def to_sorted(self, v: np.ndarray) -> np.ndarray:
         return v if self.order is None else v[self.order]
@@ -268,13 +278,6 @@ class BandedKernel:
             return v
         out = np.empty_like(v)
         out[self.order] = v
-        return out
-
-    def sorted_inverse_matvec(self, v: np.ndarray) -> np.ndarray:
-        """T v for a vector v already in sorted order."""
-        out = self.diag * v
-        out[:-1] += self.off * v[1:]
-        out[1:] += self.off * v[:-1]
         return out
 
     def __matmul__(self, v) -> np.ndarray:
@@ -339,6 +342,12 @@ def banded_kernels(coords: np.ndarray, basis: BasisConfig) -> list:
     diag[:, 1:] += ratio
     off = -a / one_minus_a2
     off2 = off * off
+    # T's lower band, transposed per row like T^2's below (band[i].T is the
+    # Fortran-ordered (2, n) band); written from the unit-stride diag and
+    # off, which the arithmetic reads faster than strided views
+    band = np.zeros((rows.size, coords.shape[1], 2))
+    band[:, :, 0] = diag
+    band[:, :-1, 1] = off
     square = np.zeros((rows.size, coords.shape[1], 3))
     square[:, :, 0] = diag * diag
     square[:, :-1, 0] += off2
@@ -346,6 +355,5 @@ def banded_kernels(coords: np.ndarray, basis: BasisConfig) -> list:
     square[:, :-1, 1] = off * (diag[:, :-1] + diag[:, 1:])
     square[:, :-2, 2] = off[:, :-1] * off[:, 1:]
     for i, row in enumerate(rows.tolist()):
-        kernels[row] = BandedKernel(coords[row], basis, diag[i], off[i], orders.get(row),
-                                    square[i])
+        kernels[row] = BandedKernel(coords[row], basis, band[i].T, orders.get(row), square[i])
     return kernels

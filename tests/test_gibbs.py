@@ -161,6 +161,29 @@ class TestBandedEtaDraw:
                              eta_law(residual, dense, 0.7, 2.3)):
             assert max_relative_error(got, want) < 1e-9
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 200, 1000])
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
+    @pytest.mark.parametrize("rho", [0.4, 0.003])
+    def test_two_solves_equal_the_noise_product_form(self, n, shuffled, rho):
+        # with the same normals z (in sorted order), L'^-1 (L^-1 r/sigma2 + z)
+        # is v = M^-1 (r/sigma2 + Lz), and eta is T v; at n <= 2 the band
+        # of the factor is wider than the matrix
+        rng = np.random.default_rng(n)
+        coords = np.cumsum(rng.uniform(0.5, 5.0, size=n))
+        if shuffled:
+            coords = coords[rng.permutation(n)]
+        kernel = banded_kernels(coords[None], BasisConfig(rho=rho))[0]
+        residual, z = rng.normal(size=n), rng.normal(size=n)
+        sigma2, sigma2_eta = 0.7, 2.3
+        chol = _banded_eta_factor(kernel, sigma2, sigma2_eta)
+        rhs = kernel.to_sorted(residual) / sigma2 + dense_from_lower_band(chol) @ z
+        product, info = lapack.dpbtrs(chol, rhs, lower=1)
+        assert info == 0
+        t = np.diag(kernel.diag) + np.diag(kernel.off, 1) + np.diag(kernel.off, -1)
+        draw, psi_eta = update_eta_active(residual, kernel, chol, sigma2, z)
+        assert max_relative_error(psi_eta, kernel.from_sorted(product)) < 1e-12
+        assert max_relative_error(draw, kernel.from_sorted(t @ product)) < 1e-12
+
     def test_dense_law_is_the_closed_form(self):
         # anchors eta_law's dense side to the stated conditional
         coords = np.array([0.0, 1.0, 2.5, 4.0])
@@ -473,6 +496,20 @@ class TestSampleMvnPrecision:
             run_chain(data, small_config(data.n_obs), 5)
         assert str(err.value) == "synthetic failure [n=5] [iteration=3]"
         assert (err.value.n, err.value.iteration) == (5, 3)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_two_solves_equal_the_mean_plus_the_noise(self, p):
+        # L'^-1 (L^-1 h + z) = P^-1 h + L'^-1 z for P = LL'
+        rng = np.random.default_rng(p)
+        x = rng.normal(size=(8, p))
+        precision = x.T @ x / 0.7 + np.eye(p) / 1.9
+        linear, normals = rng.normal(size=p), rng.normal(size=p)
+        chol, jitter = _cholesky_with_jitter(precision)
+        draw = _sample_mvn_precision(chol, linear, normals)
+        lower = np.linalg.cholesky(precision)
+        expected = np.linalg.solve(precision, linear) + np.linalg.solve(lower.T, normals)
+        assert jitter == 0
+        np.testing.assert_allclose(draw, expected, rtol=1e-12, atol=0.0)
 
     def test_singular_matrix_recovers_with_jitter(self):
         singular = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -1148,6 +1185,24 @@ class TestSweepBlocks:
         assert len(kernels) == config.iterations
         assert all(isinstance(kernel, BandedKernel) and kernel.order is not None
                    for kernel in kernels)
+
+    def test_block_gram_is_each_subsets_x_transpose_x(self, monkeypatch):
+        # the block's one stacked product gives each sweep's beta factor
+        # the X'X of that sweep's subset
+        subsets, grams = [], []
+        draw = gibbs.sample_active_indices
+        monkeypatch.setattr(gibbs, "sample_active_indices",
+                            lambda n, N, rng: subsets.append(draw(n, N, rng)) or subsets[-1])
+        factor = gibbs._beta_factor
+        monkeypatch.setattr(gibbs, "_beta_factor",
+                            lambda xtx, *args: grams.append(xtx.copy()) or factor(xtx, *args))
+        data = layout_dataset("banded", p=3)
+        monkeypatch.setattr(gibbs, "_sweeps_per_block", lambda n_, refreshed_: 7)
+        run_chain(data, small_config(data.n_obs, iterations=20, burn_in=5), 6)
+        assert len(grams) == len(subsets) == 20
+        for active, xtx in zip(subsets, grams):
+            x_delta = data.x[active]
+            np.testing.assert_array_equal(xtx, x_delta.T @ x_delta)
 
     def test_datasets_with_one_seed_draw_one_subset_sequence(self, monkeypatch):
         # how much of the stream a sweep consumes depends on n, p, the pins

@@ -18,6 +18,10 @@ that mix banded and dense subsets, pinned and sampled variances, both
 refresh policies, n = N, and banded factors forced to fail so that every
 sweep takes the dense fallback.
 
+``cases`` yields each chain case as its name, its labelled output arrays
+and its jitter count, so other tools can compare the values themselves
+(``tools/output_deviations.py``).
+
 The ``cli_`` lines run ``simulate``, ``fit`` and a serial ``calibrate``
 in a temporary directory and hash the bytes of the files they write:
 ``data.csv``, ``truth.csv``, ``predictions.csv``, ``trace.csv``, each
@@ -31,7 +35,6 @@ import contextlib
 import csv
 import hashlib
 import io
-import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -57,13 +60,15 @@ def digest(arrays) -> str:
 
 def chain(data, n, *, iterations=400, burn_in=100, rho=0.3, metric="abs", refresh="carry",
           fixed=None, pred=None, seed=11):
+    """One chain's outputs: ([(label, array), ...], jitter count)."""
     if pred is None:
         pred = sg.equally_spaced_indices(min(50, data.n_obs), data.n_obs)
     config = sg.SamplerConfig(iterations=iterations, burn_in=burn_in, prediction_set=pred,
                               basis=sg.BasisConfig(rho=rho, metric=metric), seed=seed,
                               fixed_variances=fixed, prediction_refresh=refresh)
     out = sg.run_chain(data, config, n, collect_trace=True)
-    return f"{digest([out.mu_hat, out.mu_var, out.trace])} j={out.jitter_events}"
+    return [("mu_hat", out.mu_hat), ("mu_var", out.mu_var), ("trace", out.trace)], \
+        out.jitter_events
 
 
 def dataset(y, coords, p=1):
@@ -123,6 +128,7 @@ def cli_cases():
 
 
 def cases():
+    """Yield (name, (parts, jitter)) per chain case; parts are (label, array) pairs."""
     study, _, study_pred = sg.generate_ar1(sg.Ar1Config(
         N=100_000, phi=0.9, noise_var=0.1, seed=42, prediction_count=1000))
     sampler = sg.SamplerConfig(iterations=2000, burn_in=200, prediction_set=study_pred,
@@ -130,10 +136,11 @@ def cases():
     plan = sg.SweepPlan(n_grid=tuple(range(10, 201, 10)), budget_seconds=300.0,
                         max_parallel=1)
     report = sg.run_sweep(study, sampler, plan)
-    arrays = [a for _, out in report.per_n for a in (out.mu_hat, out.mu_var)]
-    arrays.append([diff for _, diff in report.pairwise_diffs])
+    parts = [part for _, out in report.per_n
+             for part in (("mu_hat", out.mu_hat), ("mu_var", out.mu_var))]
+    parts.append(("diffs", np.array([diff for _, diff in report.pairwise_diffs])))
     jitter = sum(out.jitter_events for _, out in report.per_n)
-    yield "sweep20", f"{digest(arrays)} j={jitter}"
+    yield "sweep20", (parts, jitter)
 
     ar1, _, pred = sg.generate_ar1(sg.Ar1Config(N=100_000, seed=3, prediction_count=1000))
     yield "n1_carry", chain(ar1, 1, pred=pred)
@@ -184,5 +191,7 @@ def cases():
 
 
 if __name__ == "__main__":
-    for name, line in itertools.chain(cases(), cli_cases()):
+    for name, (parts, jitter) in cases():
+        print(f"{name} {digest([array for _, array in parts])} j={jitter}", flush=True)
+    for name, line in cli_cases():
         print(f"{name} {line}", flush=True)
