@@ -6,9 +6,10 @@ master seed, so a run is a pure function of its seed: same seed and same
 call sequence means a bit-identical variate stream, and concurrency
 cannot perturb results.  Streams are ``numpy.random.Generator``
 instances (PCG64); ``run_chain`` draws its normals and gammas from its
-generator directly.  A data subset is the sorted ``int64`` array of its
-indices, as ``sample_active_indices`` draws it; no other representation
-exists.
+generator directly.  A data subset is the ``int64`` array of its indices
+in coordinate order (``run_chain`` maps the sorted draw of
+``sample_active_indices`` through the coordinates' sorting permutation
+when they are not sorted); no other representation exists.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def spawn_seed(master_seed: int, index: int) -> int:
 
 
 def sample_active_indices(n: int, N: int, rng: np.random.Generator) -> np.ndarray:
-    """Sorted indices of a uniform size-n subset of range(N).
+    """Sorted indices of a uniform size-n subset of range(N); ``run_chain``
+    reads them as positions in coordinate order.
 
     ``Generator.choice`` without replacement and without shuffling: NumPy
     draws with Floyd's algorithm over a hash set unless n exceeds N/50 of

@@ -3,7 +3,8 @@
 Each sweep draws a new without-replacement subset of size n, then updates
 every block from its conjugate full conditional given that subset:
 
-    1. delta  ~ SRSWOR(n, N)                       (uses no data values)
+    1. delta  ~ SRSWOR(n, N)                       (uses no data values),
+       held in coordinate order (see ``run_chain``)
     2. eta restricted to the subset: multivariate normal.  For the
        absolute-difference metric on scalar coordinates the kernel Psi has
        a tridiagonal inverse T (see ``model.BandedKernel``), and the draw
@@ -50,8 +51,7 @@ normals, although step 5 runs before step 6), so the stream is the one a
 sweep-at-a-time chain would draw.  It then builds what depends on its
 subsets alone in one vectorized pass over the (B, n) stack of subsets: the
 gathers of y and x, every subset's X'X, and, for every subset whose scalar
-coordinates qualify once sorted, T and the band of T^2
-(``model.banded_kernels``).
+coordinates qualify, T and the band of T^2 (``model.banded_kernels``).
 Its sweeps do only the work that depends on the chain's state.  A subset
 that does not qualify (great-circle or too-close coordinates) gets the
 dense kernel matrix in its own sweep.  ``_sweeps_per_block`` caps a block
@@ -82,6 +82,7 @@ from scipy.linalg import blas, lapack
 from .distributions import _checked_int, make_rng, sample_active_indices
 from .errors import InvalidParameterError, NumericalError
 from .model import (
+    METRIC_ABS,
     REFRESH_PRIOR,
     BandedKernel,
     DatasetView,
@@ -261,14 +262,11 @@ def update_eta_active(residual: np.ndarray, psi_delta, chol: np.ndarray, sigma2:
     form (:func:`_sample_mvn_precision`).  Returns (eta, Psi eta).
     """
     if isinstance(psi_delta, BandedKernel):
-        # the sorted residual over sigma2 is a fresh array: the solves
-        # overwrite it
-        product = blas.dtbsv(2, chol, psi_delta.to_sorted(residual) / sigma2, lower=1,
-                             overwrite_x=1)
+        # the residual over sigma2 is a fresh array: the solves overwrite it
+        product = blas.dtbsv(2, chol, residual / sigma2, lower=1, overwrite_x=1)
         product += normals
         product = blas.dtbsv(2, chol, product, lower=1, trans=1, overwrite_x=1)
-        draw = blas.dsbmv(1, 1.0, psi_delta.band, product, lower=1)
-        return psi_delta.from_sorted(draw), psi_delta.from_sorted(product)
+        return blas.dsbmv(1, 1.0, psi_delta.band, product, lower=1), product
     linear = psi_delta.T @ residual / sigma2
     draw = _sample_mvn_precision(chol, linear, normals)
     return draw, psi_delta @ draw
@@ -399,6 +397,19 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     wall_start = clock.wall()
     cpu_start = clock.cpu()
 
+    # the banded kernel needs sorted coordinates: when scalar coordinates
+    # are not sorted, each drawn subset maps through their stable sorting
+    # permutation (a bijection, so the law stays SRSWOR(n, N)), the
+    # prediction set is held in coordinate order, and the outputs go back
+    # to the order of config.prediction_set at the end
+    coords = data.index_coords
+    rank = pred_order = None
+    if (config.basis.metric == METRIC_ABS and coords.ndim == 1
+            and np.any(coords[1:] < coords[:-1])):
+        rank = np.argsort(coords, kind="stable")
+        pred_order = np.argsort(coords[pred], kind="stable")
+        pred = pred[pred_order]
+
     rng = make_rng(config.seed)
     fixed = config.fixed_variances
     p = data.n_covariates
@@ -413,7 +424,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     refresh_prior = config.prediction_refresh == REFRESH_PRIOR
 
     # prediction design is fixed across sweeps
-    psi_pred = _kernel_operator(data.index_coords[pred], config.basis)
+    psi_pred = _kernel_operator(coords[pred], config.basis)
     x_pred = data.x[pred]
 
     # The prior refresh draws for the prediction indices the subset misses.
@@ -445,7 +456,10 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
             normals = np.empty((size, 2 * n + p))
             gammas, refresh = [], []
             for b in range(size):
-                actives[b] = active = sample_active_indices(n, N, rng)
+                active = sample_active_indices(n, N, rng)
+                if rank is not None:
+                    active = rank[active]
+                actives[b] = active
                 # eta's, xi's and beta's normals: consecutive draws
                 rng.standard_normal(out=normals[b])
                 if fixed is None:
@@ -460,7 +474,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
                         outside = pred[in_pred[pred]]
                         in_pred[hits] = True
                     refresh.append((outside, rng.standard_normal(2 * outside.size)))
-            kernels = banded_kernels(data.index_coords[actives], config.basis)
+            kernels = banded_kernels(coords[actives], config.basis)
             x_block = data.x[actives]
             xtx_block = np.matmul(x_block.transpose(0, 2, 1), x_block)
             y_block = data.y[actives]
@@ -472,8 +486,8 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
                 x_delta = x_block[b]
                 psi_delta = kernels[b]
                 if psi_delta is None:
-                    coords = data.index_coords[active]
-                    psi_delta = kernel_matrix(coords, coords, config.basis)
+                    active_coords = coords[active]
+                    psi_delta = kernel_matrix(active_coords, active_coords, config.basis)
                 psi_delta, chol_eta, jitter = _factor_eta_precision(psi_delta, sigma2, sigma2_eta)
                 chol_beta, jitter_beta = _beta_factor(xtx_block[b], sigma2, sigma2_beta)
                 jitter_events += jitter + jitter_beta
@@ -525,6 +539,10 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
         raise NumericalError(str(exc), n=n, iteration=g) from exc
 
     mu_var = mu_m2 / (kept - 1) if kept > 1 else np.full(m, np.nan)
+    if pred_order is not None:
+        by_index = np.empty((2, m))
+        by_index[:, pred_order] = mu_mean, mu_var
+        mu_mean, mu_var = by_index
     return ChainOutput(
         mu_hat=mu_mean,
         mu_var=mu_var,

@@ -236,29 +236,26 @@ class BandedKernel:
     Ornstein-Uhlenbeck correlation matrix whose inverse T is tridiagonal:
     with a_i = exp(-rho * gap_i), T has off-diagonal -a_i / (1 - a_i^2) and
     diagonal 1 + a_{i-1}^2 / (1 - a_{i-1}^2) + a_i^2 / (1 - a_i^2).
-    ``band`` holds T in sorted order in LAPACK's lower band layout: a
-    Fortran-ordered (2, n) array, row 0 the diagonal and row 1 the
-    subdiagonal (its last entry zero), which ``dsbmv`` reads as it is;
-    ``diag`` and ``off`` are views of those two rows.  ``square_band`` holds
+    ``band`` holds T in LAPACK's lower band layout: a Fortran-ordered
+    (2, n) array, row 0 the diagonal and row 1 the subdiagonal (its last
+    entry zero), which ``dsbmv`` reads as it is; ``diag`` and ``off`` are
+    views of those two rows.  ``square_band`` holds
     T^2 (pentadiagonal) in the same layout, transposed: an (n, 3) array
     whose ``.T`` is the Fortran-ordered band with row 0 the diagonal and
     rows 1 and 2 the first and second subdiagonals (entry j of row k is
     T^2[j + k, j], so the last k entries of row k are zero); the eta
     factor is computed in that layout (``gibbs._banded_eta_factor``).
-    ``order`` sorts the caller's coordinates (None when they already are);
-    the methods without ``sorted`` in their name take and return vectors
-    in the caller's order.  ``coords`` and ``basis`` are kept for a dense
-    fallback.  ``kernel @ v`` is Psi v, computed as a tridiagonal solve, so
-    the object stands in for the dense matrix wherever only products with
-    it are taken.
+    ``coords`` (sorted) and ``basis`` are kept for a dense fallback.
+    ``kernel @ v`` is Psi v, computed as a tridiagonal solve, so the object
+    stands in for the dense matrix wherever only products with it are
+    taken.
     """
 
     def __init__(self, coords: np.ndarray, basis: BasisConfig, band: np.ndarray,
-                 order: Optional[np.ndarray], square_band: np.ndarray):
+                 square_band: np.ndarray):
         self.coords = coords
         self.basis = basis
         self.band = band
-        self.order = order
         self.square_band = square_band
         self._factor = None
 
@@ -270,16 +267,6 @@ class BandedKernel:
     def off(self) -> np.ndarray:
         return self.band[1, :-1]
 
-    def to_sorted(self, v: np.ndarray) -> np.ndarray:
-        return v if self.order is None else v[self.order]
-
-    def from_sorted(self, v: np.ndarray) -> np.ndarray:
-        if self.order is None:
-            return v
-        out = np.empty_like(v)
-        out[self.order] = v
-        return out
-
     def __matmul__(self, v) -> np.ndarray:
         # Psi v solves T x = v; T is factored once (LDL') on first use
         if self._factor is None:
@@ -289,9 +276,8 @@ class BandedKernel:
             if info != 0:
                 raise NumericalError("tridiagonal kernel inverse is not positive definite")
             self._factor = (d, e)
-        v = np.asarray(v, dtype=float)
-        x, _ = lapack.dpttrs(*self._factor, self.to_sorted(v))
-        return self.from_sorted(x)
+        x, _ = lapack.dpttrs(*self._factor, np.asarray(v, dtype=float))
+        return x
 
 
 # a huge rho overflows rho * gap to inf; exp(-inf) = 0 and expm1(-inf) = -1
@@ -301,15 +287,14 @@ def banded_kernels(coords: np.ndarray, basis: BasisConfig) -> list:
     """The kernel on each row of a stack of coordinate rows, where it is banded.
 
     ``coords`` is (B, n), one subset's scalar coordinates per row.  Entry b
-    of the returned list is a :class:`BandedKernel` when row b, sorted,
-    has every rho * gap at or above ``_BANDED_MIN_RHO_GAP``, else None
-    (always None for the great-circle metric and for (lat, lon) rows):
-    closer coordinates, duplicates included, need the dense kernel.  A
-    row whose smallest gap fails is stable-sorted and looked at again; if
-    it then passes, its kernel keeps the permutation as ``order``.  The
-    arithmetic runs once over the stack of qualifying rows; other rows
-    never reach the exponentials, where their negative gaps could
-    overflow.
+    of the returned list is a :class:`BandedKernel` when every rho * gap of
+    row b is at or above ``_BANDED_MIN_RHO_GAP``, else None (always None
+    for the great-circle metric and for (lat, lon) rows): closer
+    coordinates, duplicates included, need the dense kernel, and a row
+    that is not sorted has a negative gap.  ``gibbs.run_chain`` hands
+    every subset over in coordinate order.  The arithmetic runs once over
+    the stack of qualifying rows; other rows never reach the exponentials,
+    where their negative gaps could overflow.
     """
     coords = np.asarray(coords, dtype=float)
     kernels = [None] * coords.shape[0]
@@ -317,21 +302,9 @@ def banded_kernels(coords: np.ndarray, basis: BasisConfig) -> list:
         return kernels
     scaled_gap = basis.rho * (coords[:, 1:] - coords[:, :-1])
     rows = np.arange(coords.shape[0])
-    orders = {}
     if scaled_gap.size:
-        # a smallest gap at or above the threshold also proves the row sorted
-        passed = scaled_gap.min(axis=1) >= _BANDED_MIN_RHO_GAP
-        rows = np.flatnonzero(passed)
+        rows = np.flatnonzero(scaled_gap.min(axis=1) >= _BANDED_MIN_RHO_GAP)
         if rows.size < coords.shape[0]:
-            # the other rows, sorted, take their gaps' place in the stack
-            failed = np.flatnonzero(~passed)
-            order = np.argsort(coords[failed], axis=1, kind="stable")
-            resorted = np.take_along_axis(coords[failed], order, axis=1)
-            resorted_gap = basis.rho * (resorted[:, 1:] - resorted[:, :-1])
-            scaled_gap[failed] = resorted_gap
-            passed[failed] = resorted_gap.min(axis=1) >= _BANDED_MIN_RHO_GAP
-            orders = dict(zip(failed.tolist(), order))
-            rows = np.flatnonzero(passed)
             scaled_gap = scaled_gap[rows]
     a = np.exp(-scaled_gap)
     # 1 - a^2 through expm1: exact for small gaps, exactly 1 for large ones
@@ -355,5 +328,5 @@ def banded_kernels(coords: np.ndarray, basis: BasisConfig) -> list:
     square[:, :-1, 1] = off * (diag[:, :-1] + diag[:, 1:])
     square[:, :-2, 2] = off[:, :-1] * off[:, 1:]
     for i, row in enumerate(rows.tolist()):
-        kernels[row] = BandedKernel(coords[row], basis, band[i].T, orders.get(row), square[i])
+        kernels[row] = BandedKernel(coords[row], basis, band[i].T, square[i])
     return kernels

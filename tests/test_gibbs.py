@@ -115,15 +115,14 @@ def max_relative_error(actual, expected):
     return np.abs(actual - expected).max() / np.abs(expected).max()
 
 
-def coords_down_to_threshold(n, rho, seed, shuffle=False):
-    """Scalar coordinates whose smallest rho * gap sits just above the
-    banded threshold, with the rest spread over [1, 3] times it."""
+def coords_down_to_threshold(n, rho, seed):
+    """Increasing scalar coordinates whose smallest rho * gap sits just
+    above the banded threshold, with the rest spread over [1, 3] times it."""
     rng = np.random.default_rng(seed)
     scaled = _BANDED_MIN_RHO_GAP * rng.uniform(1.0, 3.0, size=n - 1)
     if n > 1:
         scaled[rng.integers(n - 1)] = _BANDED_MIN_RHO_GAP * (1.0 + 1e-9)
-    coords = np.concatenate([[0.0], np.cumsum(scaled / rho)])
-    return coords[rng.permutation(n)] if shuffle else coords
+    return np.concatenate([[0.0], np.cumsum(scaled / rho)])
 
 
 def assert_moments_within_3se(draws, expected_mean, expected_var):
@@ -139,8 +138,7 @@ def assert_moments_within_3se(draws, expected_mean, expected_var):
 
 class TestBandedEtaDraw:
     @pytest.mark.parametrize("spacing, n", [
-        *((spacing, n) for spacing in ("threshold", "threshold-shuffled", "moderate")
-          for n in (1, 2, 3, 200)),
+        *((spacing, n) for spacing in ("threshold", "moderate") for n in (1, 2, 3, 200)),
         ("moderate", 1000),  # fit-large-subset's n
     ])
     def test_exact_law_matches_dense(self, n, spacing):
@@ -149,8 +147,7 @@ class TestBandedEtaDraw:
         if spacing == "moderate":
             coords = np.cumsum(rng.uniform(0.5, 5.0, size=n))
         else:
-            coords = coords_down_to_threshold(n, rho, seed=n,
-                                              shuffle=spacing.endswith("shuffled"))
+            coords = coords_down_to_threshold(n, rho, seed=n)
         basis = BasisConfig(rho=rho)
         banded = banded_kernels(coords[None], basis)[0]
         assert isinstance(banded, BandedKernel)
@@ -162,27 +159,24 @@ class TestBandedEtaDraw:
             assert max_relative_error(got, want) < 1e-9
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 200, 1000])
-    @pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
     @pytest.mark.parametrize("rho", [0.4, 0.003])
-    def test_two_solves_equal_the_noise_product_form(self, n, shuffled, rho):
-        # with the same normals z (in sorted order), L'^-1 (L^-1 r/sigma2 + z)
-        # is v = M^-1 (r/sigma2 + Lz), and eta is T v; at n <= 2 the band
-        # of the factor is wider than the matrix
+    def test_two_solves_equal_the_noise_product_form(self, n, rho):
+        # with the same normals z, L'^-1 (L^-1 r/sigma2 + z) is
+        # v = M^-1 (r/sigma2 + Lz), and eta is T v; at n <= 2 the band of
+        # the factor is wider than the matrix
         rng = np.random.default_rng(n)
         coords = np.cumsum(rng.uniform(0.5, 5.0, size=n))
-        if shuffled:
-            coords = coords[rng.permutation(n)]
         kernel = banded_kernels(coords[None], BasisConfig(rho=rho))[0]
         residual, z = rng.normal(size=n), rng.normal(size=n)
         sigma2, sigma2_eta = 0.7, 2.3
         chol = _banded_eta_factor(kernel, sigma2, sigma2_eta)
-        rhs = kernel.to_sorted(residual) / sigma2 + dense_from_lower_band(chol) @ z
+        rhs = residual / sigma2 + dense_from_lower_band(chol) @ z
         product, info = lapack.dpbtrs(chol, rhs, lower=1)
         assert info == 0
         t = np.diag(kernel.diag) + np.diag(kernel.off, 1) + np.diag(kernel.off, -1)
         draw, psi_eta = update_eta_active(residual, kernel, chol, sigma2, z)
-        assert max_relative_error(psi_eta, kernel.from_sorted(product)) < 1e-12
-        assert max_relative_error(draw, kernel.from_sorted(t @ product)) < 1e-12
+        assert max_relative_error(psi_eta, product) < 1e-12
+        assert max_relative_error(draw, t @ product) < 1e-12
 
     def test_dense_law_is_the_closed_form(self):
         # anchors eta_law's dense side to the stated conditional
@@ -234,14 +228,14 @@ def band_matrix(square_band, sigma2, sigma2_eta):
 
 class TestBandedEtaFactor:
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 200, 1000])
-    @pytest.mark.parametrize("spacing", ["threshold-shuffled", "moderate"])
+    @pytest.mark.parametrize("spacing", ["threshold", "moderate"])
     @pytest.mark.parametrize("sigma2, sigma2_eta", [(0.013, 17.0), (2.5, 0.02), (0.7, 2.3)])
     def test_factor_reproduces_the_precision(self, n, spacing, sigma2, sigma2_eta):
         rho = 0.4
         if spacing == "moderate":
             coords = np.cumsum(np.random.default_rng(n).uniform(0.5, 5.0, size=n))
         else:
-            coords = coords_down_to_threshold(n, rho, seed=n, shuffle=True)
+            coords = coords_down_to_threshold(n, rho, seed=n)
         kernel = banded_kernels(coords[None], BasisConfig(rho=rho))[0]
         lower = dense_from_lower_band(_banded_eta_factor(kernel, sigma2, sigma2_eta))
         precision = band_matrix(kernel.square_band, sigma2, sigma2_eta)
@@ -780,11 +774,17 @@ class TestRunChain:
                            x=np.column_stack([np.ones(N), rng.normal(size=(N, 2))]),
                            index_coords=coords)
         pred = np.array([1, 7, 8, 20, 33])
-        assert (banded_kernels(coords[pred][None], basis)[0] is None) == (layout == "greatcircle")
+        # the chain holds the prediction set in coordinate order
+        pred_coords = np.sort(coords[pred]) if layout == "unsorted" else coords[pred]
+        assert (banded_kernels(pred_coords[None], basis)[0] is None) == (layout == "greatcircle")
         config = small_config(N, iterations=80, burn_in=20, prediction_set=pred, basis=basis,
                               prediction_refresh=policy)
         record = record_draws(monkeypatch)
         out = run_chain(data, config, 6)
+        if layout == "unsorted":
+            # the chain reads each drawn subset as positions in coordinate order
+            rank = np.argsort(coords, kind="stable")
+            record["subsets"] = [rank[active] for active in record["subsets"]]
 
         hits = [np.isin(active, pred).any() for active in record["subsets"][config.burn_in:]]
         assert any(hits) and not all(hits)
@@ -1107,8 +1107,9 @@ class TestRunChain:
 
 
 def layout_dataset(layout, N=40, p=2, seed=12):
-    """A dataset whose subsets take the banded path, the dense path, a sorting
-    permutation, or a mix of the banded and dense paths."""
+    """A dataset whose subsets take the banded path, the dense path, or a mix
+    of the two; "unsorted" and "tied" permute the coordinates, so the chain
+    maps its subsets through their sorting permutation."""
     rng = np.random.default_rng(seed)
     coords = np.arange(N, dtype=float)
     if layout == "greatcircle":
@@ -1118,6 +1119,9 @@ def layout_dataset(layout, N=40, p=2, seed=12):
     elif layout == "mixed":
         # near-duplicate pairs: a subset holding both of a pair runs dense
         coords[1::4] = coords[::4] + 0.1 * _BANDED_MIN_RHO_GAP
+    elif layout == "tied":
+        # every coordinate held by two rows: a subset holding both runs dense
+        coords = (rng.permutation(N) // 2).astype(float)
     x = np.column_stack([np.ones(N), rng.normal(size=(N, p - 1))])
     return DatasetView(y=rng.normal(size=N), x=x, index_coords=coords)
 
@@ -1172,7 +1176,8 @@ class TestSweepBlocks:
 
     def test_unsorted_subsets_get_their_kernels_from_the_block(self, monkeypatch):
         # only the prediction set's kernel is built on its own; every
-        # subset's comes sorted from the block's pass, dense matrices none
+        # subset arrives in coordinate order, so its kernel comes banded
+        # from the block's pass, dense matrices none
         calls = count_calls(monkeypatch, ["_kernel_operator", "kernel_matrix"])
         kernels = []
         factor = gibbs._factor_eta_precision
@@ -1183,7 +1188,7 @@ class TestSweepBlocks:
         run_chain(layout_dataset("unsorted"), config, 6)
         assert calls == {"_kernel_operator": 1, "kernel_matrix": 0}
         assert len(kernels) == config.iterations
-        assert all(isinstance(kernel, BandedKernel) and kernel.order is not None
+        assert all(isinstance(kernel, BandedKernel) and np.all(np.diff(kernel.coords) >= 0)
                    for kernel in kernels)
 
     def test_block_gram_is_each_subsets_x_transpose_x(self, monkeypatch):
@@ -1206,18 +1211,57 @@ class TestSweepBlocks:
 
     def test_datasets_with_one_seed_draw_one_subset_sequence(self, monkeypatch):
         # how much of the stream a sweep consumes depends on n, p, the pins
-        # and the subset, not on the values, the coordinates or the path
-        # the kernel takes, so the subsets follow from the seed alone
+        # and, under prior refresh, on how many prediction indices its
+        # subset holds; not on the values or the path the kernel takes.
+        # So under carry every layout draws the seed's subset sequence.
+        # Under prior refresh the sorted layouts still do, but an unsorted
+        # layout maps each draw through its coordinates' sorting
+        # permutation, its subsets meet the prediction set at other sweeps,
+        # and its stream moves apart
         recorded = []
         draw = gibbs.sample_active_indices
         monkeypatch.setattr(gibbs, "sample_active_indices",
                             lambda n, N, rng: recorded.append(draw(n, N, rng)) or recorded[-1])
-        config = small_config(40, iterations=50, burn_in=0, prediction_refresh="prior")
-        sequences = []
-        for layout, seed in (("banded", 1), ("unsorted", 2), ("mixed", 3)):
-            run_chain(layout_dataset(layout, seed=seed), config, 6)
-            sequences.append(np.array(recorded))
-            recorded.clear()
-        assert len(sequences[0]) == config.iterations
-        for sequence in sequences[1:]:
-            np.testing.assert_array_equal(sequence, sequences[0])
+        for policy in ("carry", "prior"):
+            config = small_config(40, iterations=50, burn_in=0, prediction_refresh=policy)
+            sequences = {}
+            for layout, seed in (("banded", 1), ("unsorted", 2), ("mixed", 3)):
+                run_chain(layout_dataset(layout, seed=seed), config, 6)
+                sequences[layout] = np.array(recorded)
+                recorded.clear()
+            assert len(sequences["banded"]) == config.iterations
+            np.testing.assert_array_equal(sequences["mixed"], sequences["banded"])
+            assert np.array_equal(sequences["unsorted"], sequences["banded"]) == (
+                policy == "carry")
+
+
+class TestCoordinateOrder:
+    """A chain on unsorted coordinates is, bit for bit, the chain on the
+    coordinate-sorted dataset with its indices relabelled, so the exact-law
+    tests of the sorted case cover it."""
+
+    @pytest.mark.parametrize("layout", ["unsorted", "tied"])
+    @pytest.mark.parametrize("n", [6, 40], ids=["n<N", "n=N"])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["sampled", "pinned"])
+    @pytest.mark.parametrize("policy", ["carry", "prior"])
+    def test_chain_is_the_sorted_chain_relabelled(self, layout, n, pinned, policy):
+        data = layout_dataset(layout)
+        rank = np.argsort(data.index_coords, kind="stable")
+        position = np.argsort(rank)  # of each index in coordinate order
+        by_coordinate = DatasetView(y=data.y[rank], x=data.x[rank],
+                                    index_coords=data.index_coords[rank])
+        pred = np.array([1, 7, 8, 20, 33])
+        sorted_pred = np.sort(position[pred])
+        settings = dict(iterations=60, burn_in=10, prediction_refresh=policy,
+                        fixed_variances=FixedVariances(0.8, 0.5, 0.4, 2.0) if pinned else None)
+        out = run_chain(data, small_config(data.n_obs, prediction_set=pred, **settings), n,
+                        collect_trace=True)
+        reference = run_chain(by_coordinate,
+                              small_config(data.n_obs, prediction_set=sorted_pred, **settings),
+                              n, collect_trace=True)
+        # entry k of the reference predicts index rank[sorted_pred[k]]
+        back = np.searchsorted(sorted_pred, position[pred])
+        np.testing.assert_array_equal(out.mu_hat, reference.mu_hat[back])
+        np.testing.assert_array_equal(out.mu_var, reference.mu_var[back])
+        np.testing.assert_array_equal(out.trace, reference.trace)
+        assert out.jitter_events == reference.jitter_events

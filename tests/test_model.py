@@ -174,13 +174,13 @@ class TestBuildSubsetDesign:
         np.testing.assert_allclose(kernel[0, 1], np.exp(-np.pi / 2.0), rtol=1e-12)
 
 
-def sorted_and_shuffled_coords(n, rho, seed, min_rho_gap=0.01):
-    """Two copies of random scalar coordinates, increasing and permuted."""
+def spread_coords(n, rho, seed, min_rho_gap=0.01):
+    """Random increasing scalar coordinates, every rho * gap above min_rho_gap."""
     rng = np.random.default_rng(seed)
     gaps = (min_rho_gap + rng.exponential(0.5, size=n - 1)) / rho
     coords = np.concatenate([[rng.normal()], rng.normal() + np.cumsum(gaps)])
     coords.sort()
-    return coords, coords[rng.permutation(n)]
+    return coords
 
 
 class TestBandedKernel:
@@ -188,15 +188,14 @@ class TestBandedKernel:
     @pytest.mark.parametrize("rho", [0.05, 0.7, 4.0])
     def test_inverse_times_kernel_is_identity(self, n, rho):
         basis = BasisConfig(rho=rho)
-        for coords in sorted_and_shuffled_coords(n, rho, seed=n):
-            kernel = banded_kernels(coords[None], basis)[0]
-            assert isinstance(kernel, BandedKernel)
-            # T in sorted order, from its stored diagonals
-            t = np.diag(kernel.diag) + np.diag(kernel.off, 1) + np.diag(kernel.off, -1)
-            order = np.arange(n) if kernel.order is None else kernel.order
-            psi = kernel_matrix(coords[order], coords[order], basis)
-            np.testing.assert_allclose(t @ psi, np.eye(n), atol=1e-10)
-            np.testing.assert_allclose(psi @ t, np.eye(n), atol=1e-10)
+        coords = spread_coords(n, rho, seed=n)
+        kernel = banded_kernels(coords[None], basis)[0]
+        assert isinstance(kernel, BandedKernel)
+        # T from its stored diagonals
+        t = np.diag(kernel.diag) + np.diag(kernel.off, 1) + np.diag(kernel.off, -1)
+        psi = kernel_matrix(coords, coords, basis)
+        np.testing.assert_allclose(t @ psi, np.eye(n), atol=1e-10)
+        np.testing.assert_allclose(psi @ t, np.eye(n), atol=1e-10)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50])
     def test_product_is_dense_kernel_product(self, n):
@@ -204,11 +203,11 @@ class TestBandedKernel:
         rng = np.random.default_rng(n)
         v = rng.normal(size=n)
         block = rng.normal(size=(n, 3))
-        for coords in sorted_and_shuffled_coords(n, 0.4, seed=10 + n):
-            kernel = banded_kernels(coords[None], basis)[0]
-            psi = kernel_matrix(coords, coords, basis)
-            np.testing.assert_allclose(kernel @ v, psi @ v, rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(kernel @ block, psi @ block, rtol=1e-10, atol=1e-12)
+        coords = spread_coords(n, 0.4, seed=10 + n)
+        kernel = banded_kernels(coords[None], basis)[0]
+        psi = kernel_matrix(coords, coords, basis)
+        np.testing.assert_allclose(kernel @ v, psi @ v, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(kernel @ block, psi @ block, rtol=1e-10, atol=1e-12)
 
     def test_tridiagonal_entries(self):
         # a_i = exp(-rho gap_i): off-diagonal -a/(1-a^2), diagonal
@@ -232,7 +231,8 @@ class TestBandedKernel:
 
     def test_huge_rho_gives_the_identity_without_warnings(self):
         # rho * gap overflows to inf: exp(-inf) = 0 and expm1(-inf) = -1 are
-        # exact, so T, T^2 and the dense kernel are all the identity
+        # exact, so T, T^2 and the dense kernel are all the identity; the
+        # unsorted row's gaps overflow to -inf, and it gets no kernel
         coords = np.array([0.0, 1.0, 2.5, 4.0])
         basis = BasisConfig(rho=1e308)
         with warnings.catch_warnings():
@@ -244,23 +244,24 @@ class TestBandedKernel:
                                                                      metric="greatcircle"))
         np.testing.assert_array_equal(dense, np.eye(4))
         np.testing.assert_array_equal(great_circle, np.eye(3))
-        for kernel in kernels:
-            np.testing.assert_array_equal(kernel.diag, np.ones(4))
-            np.testing.assert_array_equal(kernel.off, np.zeros(3))
-            np.testing.assert_array_equal(kernel.square_band, np.tile([1.0, 0.0, 0.0], (4, 1)))
+        kernel, unsorted = kernels
+        assert unsorted is None
+        np.testing.assert_array_equal(kernel.diag, np.ones(4))
+        np.testing.assert_array_equal(kernel.off, np.zeros(3))
+        np.testing.assert_array_equal(kernel.square_band, np.tile([1.0, 0.0, 0.0], (4, 1)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50])
     def test_square_band_is_t_squared_in_the_lower_layout(self, n):
         # entry j of column k is T^2[j + k, j]; the last k entries are zero
-        for coords in sorted_and_shuffled_coords(n, 0.4, seed=30 + n):
-            kernel = banded_kernels(coords[None], BasisConfig(rho=0.4))[0]
-            t = np.diag(kernel.diag) + np.diag(kernel.off, 1) + np.diag(kernel.off, -1)
-            square = t @ t
-            for k in range(3):
-                expected = np.zeros(n)
-                expected[:max(n - k, 0)] = np.diag(square, -k)
-                np.testing.assert_allclose(kernel.square_band[:, k], expected,
-                                           rtol=1e-13, atol=0.0)
+        coords = spread_coords(n, 0.4, seed=30 + n)
+        kernel = banded_kernels(coords[None], BasisConfig(rho=0.4))[0]
+        t = np.diag(kernel.diag) + np.diag(kernel.off, 1) + np.diag(kernel.off, -1)
+        square = t @ t
+        for k in range(3):
+            expected = np.zeros(n)
+            expected[:max(n - k, 0)] = np.diag(square, -k)
+            np.testing.assert_allclose(kernel.square_band[:, k], expected,
+                                       rtol=1e-13, atol=0.0)
 
     def test_threshold_is_inclusive(self):
         rho = 0.25
@@ -270,21 +271,22 @@ class TestBandedKernel:
         assert banded_kernels(below[None], BasisConfig(rho=rho))[0] is None
 
     def test_one_pass_over_sorted_permuted_and_too_close_rows(self):
-        # rows with a gap below the threshold, sorted or not, come back None;
-        # the others are banded, in the caller's order, whatever their order
+        # a row that is not sorted has a negative gap, so like a row with a
+        # gap below the threshold it comes back None; the sorted rows with
+        # every gap at or above it are banded, in the order of the stack
         rho, n = 0.4, 30
         basis = BasisConfig(rho=rho)
         rng = np.random.default_rng(3)
         rows, banded = [], []
         for seed in range(3):
-            coords, shuffled = sorted_and_shuffled_coords(n, rho, seed=20 + seed)
+            coords = spread_coords(n, rho, seed=20 + seed)
             near = coords.copy()
             near[5] = near[4] + 0.5 * _BANDED_MIN_RHO_GAP / rho
-            rows += [coords, shuffled, near, coords[::-1], near[rng.permutation(n)]]
-            banded += [True, True, False, True, False]
+            rows += [coords, coords[rng.permutation(n)], near, coords[::-1],
+                     near[rng.permutation(n)]]
+            banded += [True, False, False, False, False]
         kernels = banded_kernels(np.array(rows), basis)
         assert [kernel is not None for kernel in kernels] == banded
-        assert kernels[0].order is None and kernels[1].order is not None
         v = rng.normal(size=n)
         for coords, kernel in zip(rows, kernels):
             if kernel is not None:
@@ -294,7 +296,6 @@ class TestBandedKernel:
     def test_stack_of_single_points(self):
         kernels = banded_kernels(np.array([[0.3], [-2.0], [0.3]]), BasisConfig(rho=0.4))
         for kernel in kernels:
-            assert kernel.order is None
             np.testing.assert_array_equal(kernel.diag, [1.0])
             np.testing.assert_array_equal(kernel @ np.array([1.5]), [1.5])
 
@@ -302,6 +303,8 @@ class TestBandedKernel:
         duplicates = np.array([0.0, 1.0, 1.0, 2.0])
         assert banded_kernels(duplicates[None], BasisConfig(rho=0.3))[0] is None
         assert banded_kernels(duplicates[::-1][None], BasisConfig(rho=0.3))[0] is None
+        unsorted = np.array([0.0, 2.0, 1.0, 3.0])
+        assert banded_kernels(unsorted[None], BasisConfig(rho=0.3))[0] is None
         angles = np.array([0.0, 1.0, 2.0])
         assert banded_kernels(angles[None], BasisConfig(rho=0.3, metric="greatcircle"))[0] is None
         latlon = np.array([[0.0, 0.0], [0.0, 90.0], [90.0, 0.0]])

@@ -14,9 +14,10 @@ the acceptance study's 20-point sweep together with the pairwise
 diffs, and sums the jitter counts.  The cases cover the banded path
 (n = 1 and 2 included, where some of the band's slices are empty),
 the dense great-circle path, unsorted and too-close coordinates, blocks
-that mix banded and dense subsets, pinned and sampled variances, both
-refresh policies, n = N, and banded factors forced to fail so that every
-sweep takes the dense fallback.
+that mix banded and dense subsets (on sorted and on unsorted
+coordinates), pinned and sampled variances, both refresh policies,
+n = N, and banded factors forced to fail so that every sweep takes the
+dense fallback.
 
 ``cases`` yields each chain case as its name, its labelled output arrays
 and its jitter count, so other tools can compare the values themselves
@@ -26,9 +27,11 @@ The ``cli_`` lines run ``simulate``, ``fit`` and a serial ``calibrate``
 in a temporary directory and hash the bytes of the files they write:
 ``data.csv``, ``truth.csv``, ``predictions.csv``, ``trace.csv``, each
 ``predictions_n{n}.csv``, and the ``n`` and ``diff_to_next`` columns of
-``report.csv`` (its last row's diff cell is empty).  Timing columns and
-manifests differ from run to run and are left out.  The script takes
-about 10 s on a 2-core machine.
+``report.csv`` (its last row's diff cell is empty).
+``cli_fit_unsorted_coord`` hashes ``predictions.csv`` and ``trace.csv``
+together, from a ``fit`` on the simulated data with a shuffled ``coord``
+column added.  Timing columns and manifests differ from run to run and
+are left out.  The script takes about 10 s on a 2-core machine.
 """
 
 import contextlib
@@ -78,18 +81,19 @@ def dataset(y, coords, p=1):
 
 
 def scattered(N, seed, layout):
-    """N rows of noisy data on sorted, permuted, (lat, lon) or near-duplicate coordinates."""
+    """N rows of noisy data on sorted, permuted, (lat, lon) or near-duplicate
+    coordinates; "unsorted_mixed" permutes the near-duplicate ones."""
     rng = np.random.default_rng(seed)
     y = rng.normal(size=N)
     coords = np.cumsum(rng.uniform(0.5, 3.0, size=N))
-    if layout == "unsorted":
-        coords = coords[rng.permutation(N)]
-    elif layout == "latlon":
-        coords = np.column_stack([rng.uniform(-60.0, 60.0, N), rng.uniform(-180.0, 180.0, N)])
-    elif layout == "mixed":
+    if layout in ("mixed", "unsorted_mixed"):
         # every other row sits within 1e-6 of its neighbour: subsets that
         # hold such a pair need the dense kernel, the others are banded
         coords[1::2] = coords[::2][:N // 2] + 1e-6
+    if layout in ("unsorted", "unsorted_mixed"):
+        coords = coords[rng.permutation(N)]
+    elif layout == "latlon":
+        coords = np.column_stack([rng.uniform(-60.0, 60.0, N), rng.uniform(-180.0, 180.0, N)])
     return y, coords
 
 
@@ -115,6 +119,15 @@ def cli_cases():
         command("fit", "--data", data, "--n", 20, *sampler, "--output-dir", tmp / "fit")
         for name in ("predictions", "trace"):
             yield f"cli_fit_{name}", file_digest(tmp / "fit" / f"{name}.csv")
+        lines = data.read_text().splitlines()
+        coord = np.random.default_rng(10).permutation(len(lines) - 1) + 1
+        unsorted = tmp / "unsorted.csv"
+        unsorted.write_text("".join(f"{line},{value}\n" for line, value in
+                                    zip(lines, ["coord", *coord.tolist()])))
+        command("fit", "--data", unsorted, "--n", 20, *sampler, "--output-dir", tmp / "unsorted")
+        yield "cli_fit_unsorted_coord", hashlib.sha256(b"".join(
+            (tmp / "unsorted" / f"{name}.csv").read_bytes()
+            for name in ("predictions", "trace"))).hexdigest()[:16]
         grid = (5, 10, 40)
         command("calibrate", "--data", data, "--n-grid", ",".join(map(str, grid)),
                 "--budget-seconds", 60, *sampler, "--output-dir", tmp / "cal")
@@ -174,6 +187,8 @@ def cases():
     mixed = dataset(*scattered(400, 7, "mixed"))
     yield "mixed_pinned_prior", chain(mixed, 20, refresh="prior", fixed=PINS)
     yield "mixed_sampled_carry", chain(mixed, 20)
+    yield "unsorted_mixed", chain(dataset(*scattered(400, 9, "unsorted_mixed")), 20,
+                                  refresh="prior")
     latlon = dataset(*scattered(500, 8, "latlon"), p=2)
     for refresh in ("carry", "prior"):
         yield f"greatcircle_p2_{refresh}", chain(latlon, 30, metric="greatcircle",
