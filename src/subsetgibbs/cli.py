@@ -194,6 +194,8 @@ def _sampler_config(args, N: int) -> SamplerConfig:
     if not (0 <= args.burn_in < args.iterations):
         raise InvalidParameterError(f"need 0 <= --burn-in < --iterations, got --burn-in "
                                     f"{args.burn_in} and --iterations {args.iterations}")
+    if not (args.rho > 0.0 and np.isfinite(args.rho)):
+        raise InvalidParameterError(f"--rho must be finite and > 0, got {args.rho}")
     pred_count = args.pred_count
     if not (1 <= pred_count <= N):
         raise InvalidParameterError(f"--pred-count must be in [1, {N}], got {pred_count}")
@@ -229,10 +231,14 @@ def _write_report_csv(path, report: CalibrationReport) -> None:
 
 
 def cmd_simulate(args) -> int:
-    # name the flags the user typed; Ar1Config checks --N and --phi itself
+    # name the flags the user typed; Ar1Config's own message names its fields
+    if args.N < 1:
+        raise InvalidParameterError(f"--N must be >= 1, got {args.N}")
+    if not np.isfinite(args.phi):
+        raise InvalidParameterError(f"--phi must be finite, got {args.phi}")
     if not (args.noise_var > 0.0 and np.isfinite(args.noise_var)):
         raise InvalidParameterError(f"--noise-var must be finite and > 0, got {args.noise_var}")
-    if args.N >= 1 and not (1 <= args.pred_count <= args.N):
+    if not (1 <= args.pred_count <= args.N):
         raise InvalidParameterError(f"--pred-count must be in [1, {args.N}], got {args.pred_count}")
     config = Ar1Config(N=args.N, phi=args.phi, noise_var=args.noise_var,
                        seed=args.seed, prediction_count=args.pred_count)
@@ -411,6 +417,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     args.raw_argv = argv
     try:
+        if not (0 <= args.seed < 2**64):  # every command takes --seed
+            raise InvalidParameterError(
+                f"--seed must be a 64-bit unsigned integer, got {args.seed}")
         return args.func(args)
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,9 +5,9 @@ Every generator the package uses comes from ``make_rng``, seeded with a
 master seed, so a run is a pure function of its seed: same seed and same
 call sequence means a bit-identical variate stream, and concurrency
 cannot perturb results.  Streams are ``numpy.random.Generator``
-instances (PCG64); ``run_chain`` draws its normals and gammas from its
-generator directly.  A data subset is the ``int64`` array of its indices
-in coordinate order (``run_chain`` maps the sorted draw of
+instances (PCG64); ``run_chain`` draws each variate kind from its own
+generator (see ``gibbs``).  A data subset is the ``int64`` array of its
+indices in coordinate order (``run_chain`` maps the sorted draw of
 ``sample_active_indices`` through the coordinates' sorting permutation
 when they are not sorted); no other representation exists.
 """

@@ -23,9 +23,12 @@ every block from its conjugate full conditional given that subset:
     3. xi restricted to the subset: independent normals
     4. beta: p-dimensional normal
     5. prediction-set components outside the subset: prior refresh
-       (``draw_inactive_prediction_components``) or carry-over, per
-       SamplerConfig.prediction_refresh; both read the subset's
-       prediction indices off one N-length mask of the prediction set
+       or carry-over, per SamplerConfig.prediction_refresh.  The prior
+       refresh draws (eta, xi) from the prior for the whole prediction
+       set (``draw_inactive_prediction_components``), 2m normals every
+       sweep, and the subset's own draws of steps 2-3 then overwrite
+       its indices, so the normals it draws for indices in the subset
+       (all of them at n = N) go unused
     6. the four variances: inverse gamma under an IG(1, 1) prior each;
        skipped when SamplerConfig.fixed_variances pins all four
     7. per-index predictions over the prediction set, computed and
@@ -37,18 +40,13 @@ every block from its conjugate full conditional given that subset:
 
 Steps 2-5 condition on the previous sweep's variances.
 
-How many variates a sweep draws depends on n, p, the pins, the refresh
-policy and its subset, never on the chain's values: the subset draw, then
-2n + p standard normals for eta, xi and beta, then four standard-gamma
-draws for the variances (``Generator.gamma(shape, scale)`` is
-``scale * standard_gamma(shape)`` on the same variates; three of shape
-1 + n/2 and one of shape 1 + p/2, drawn by scalar shape, which gives the
-variates of the shape array at a third of its cost), then two normals
-per prediction index the prior refresh redraws.  ``run_chain`` therefore
-works in blocks of sweeps.  A block first draws every variate its sweeps
-use, sweep by sweep in exactly that order (the gammas precede the refresh
-normals, although step 5 runs before step 6), so the stream is the one a
-sweep-at-a-time chain would draw.  It then builds what depends on its
+Each variate kind has its own generator, ``make_rng(spawn_seed(seed, k))``
+for k = 0-3: the subsets, the 2n + p standard normals of steps 2-4, the
+four standard gammas of step 6 and the 2m normals of the prior refresh.
+``run_chain`` works in blocks of sweeps.  A block first draws its
+variates: one subset per sweep, then one call per other kind for the whole
+block, which draws what the block's sweeps would draw one at a time, so
+the block size changes no variate.  It then builds what depends on its
 subsets alone in one vectorized pass over the (B, n) stack of subsets: the
 gathers of y and x, every subset's X'X, and, for every subset whose scalar
 coordinates qualify, T and the band of T^2 (``model.banded_kernels``).
@@ -79,7 +77,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .distributions import _checked_int, make_rng, sample_active_indices
+from .distributions import _checked_int, make_rng, sample_active_indices, spawn_seed
 from .errors import InvalidParameterError, NumericalError
 from .model import (
     METRIC_ABS,
@@ -341,19 +339,21 @@ def variance_shapes(n: int, p: int) -> np.ndarray:
     return np.array([1.0 + n / 2.0] * 3 + [1.0 + p / 2.0])
 
 
-def draw_inactive_prediction_components(outside: np.ndarray, sigma2_eta: float,
+def draw_inactive_prediction_components(indices: np.ndarray, sigma2_eta: float,
                                         sigma2_xi: float, normals: np.ndarray):
-    """Prior draws of (eta_i, xi_i) for the prediction indices outside the subset.
+    """Prior draws of (eta_i, xi_i) for the prediction indices ``indices``.
 
     Both vectors are independent normals with mean zero and variances
     ``sigma2_eta`` and ``sigma2_xi``; ``normals`` holds two standard
-    normals per index in ``outside``, eta's first.  Returns (eta_draw,
-    xi_draw), one entry per index in ``outside``.
+    normals per index, eta's first.  Returns (eta_draw, xi_draw), one
+    entry per index.  ``run_chain`` passes the whole prediction set and
+    then writes the subset's own draws over it, so the indices outside
+    the subset keep these.
     """
     if sigma2_eta <= 0.0 or sigma2_xi <= 0.0:
         raise InvalidParameterError("variances must be strictly positive")
-    eta_draw = math.sqrt(sigma2_eta) * normals[:outside.size]
-    xi_draw = math.sqrt(sigma2_xi) * normals[outside.size:]
+    eta_draw = math.sqrt(sigma2_eta) * normals[:indices.size]
+    xi_draw = math.sqrt(sigma2_xi) * normals[indices.size:]
     return eta_draw, xi_draw
 
 
@@ -410,7 +410,9 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
         pred_order = np.argsort(coords[pred], kind="stable")
         pred = pred[pred_order]
 
-    rng = make_rng(config.seed)
+    # one generator per variate kind (see the module docstring)
+    subset_rng, normal_rng, gamma_rng, refresh_rng = (
+        make_rng(spawn_seed(config.seed, k)) for k in range(4))
     fixed = config.fixed_variances
     p = data.n_covariates
     # zero effects; unit variances unless pinned, so that the first sweep
@@ -427,7 +429,6 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     psi_pred = _kernel_operator(coords[pred], config.basis)
     x_pred = data.x[pred]
 
-    # The prior refresh draws for the prediction indices the subset misses.
     # Under carry, a sweep changes eta and xi only on its subset, so the
     # prediction set's (Psi eta, xi) stays valid until a subset meets the
     # set; under prior refresh it is recomputed on every kept sweep.
@@ -442,38 +443,25 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     jitter_events = 0
     trace = np.empty((config.iterations, p + 4)) if collect_trace else None
 
-    # blocks of sweeps: variates first, in sweep order, then the subsets'
-    # designs, then the sweeps (see the module docstring)
-    # drawn by scalar shape: the shape array's variates, at a third of its cost
-    shape_n, _, _, shape_p = variance_shapes(n, p).tolist()
+    # blocks of sweeps: variates first, then the subsets' designs, then
+    # the sweeps (see the module docstring)
     sweeps_per_block = _sweeps_per_block(n, m if refresh_prior else 0)
+    shapes = np.tile(variance_shapes(n, p), (sweeps_per_block, 1))
     g = 0
     # every NumericalError a sweep raises gets its context here, once
     try:
         while g < config.iterations:
             size = min(sweeps_per_block, config.iterations - g)
             actives = np.empty((size, n), dtype=np.int64)
-            normals = np.empty((size, 2 * n + p))
-            gammas, refresh = [], []
             for b in range(size):
-                active = sample_active_indices(n, N, rng)
-                if rank is not None:
-                    active = rank[active]
-                actives[b] = active
-                # eta's, xi's and beta's normals: consecutive draws
-                rng.standard_normal(out=normals[b])
-                if fixed is None:
-                    gammas.append(rng.standard_gamma(shape_n, 3).tolist()
-                                  + [rng.standard_gamma(shape_p)])
-                if refresh_prior:
-                    hits = active[in_pred[active]]
-                    outside = pred
-                    if hits.size:
-                        # the set without the subset's own indices, read off the mask
-                        in_pred[hits] = False
-                        outside = pred[in_pred[pred]]
-                        in_pred[hits] = True
-                    refresh.append((outside, rng.standard_normal(2 * outside.size)))
+                actives[b] = sample_active_indices(n, N, subset_rng)
+            if rank is not None:
+                actives = rank[actives]
+            normals = normal_rng.standard_normal((size, 2 * n + p))
+            if fixed is None:
+                gammas = gamma_rng.standard_gamma(shapes[:size]).tolist()
+            if refresh_prior:
+                prior_normals = refresh_rng.standard_normal((size, 2 * m))
             kernels = banded_kernels(coords[actives], config.basis)
             x_block = data.x[actives]
             xtx_block = np.matmul(x_block.transpose(0, 2, 1), x_block)
@@ -497,20 +485,16 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
 
                 eta_delta, psi_eta = update_eta_active(
                     fit - xi[active], psi_delta, chol_eta, sigma2, z[:n])
-                eta[active] = eta_delta
-
                 xi_delta = update_xi_active(fit - psi_eta, sigma2, sigma2_xi, z[n:2 * n])
-                xi[active] = xi_delta
-
                 resid = y_delta - psi_eta - xi_delta
                 beta = update_beta(x_delta, resid, chol_beta, sigma2, z[2 * n:])
 
                 if refresh_prior:
-                    outside, prior_normals = refresh[b]
-                    eta_outside, xi_outside = draw_inactive_prediction_components(
-                        outside, sigma2_eta, sigma2_xi, prior_normals)
-                    eta[outside] = eta_outside
-                    xi[outside] = xi_outside
+                    # the whole set from the prior; the subset's own draws go over it next
+                    eta[pred], xi[pred] = draw_inactive_prediction_components(
+                        pred, sigma2_eta, sigma2_xi, prior_normals[b])
+                eta[active] = eta_delta
+                xi[active] = xi_delta
                 if stale[b]:
                     pred_parts = None
 

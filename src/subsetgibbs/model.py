@@ -112,7 +112,7 @@ class BasisConfig:
 
     def __post_init__(self):
         if not (self.rho > 0.0) or not np.isfinite(self.rho):
-            raise InvalidParameterError(f"rho must be > 0, got {self.rho}")
+            raise InvalidParameterError(f"rho must be finite and > 0, got {self.rho}")
         if self.metric not in (METRIC_ABS, METRIC_GREAT_CIRCLE):
             raise InvalidParameterError(
                 f"metric must be '{METRIC_ABS}' or '{METRIC_GREAT_CIRCLE}', got {self.metric!r}"

@@ -11,10 +11,11 @@ from one observation per index reaches 0.844 of it under the study's
 generating parameters.  The model falls further short, because the
 fine-scale and noise terms are iid per index under the same prior (their
 split is not identified) and the variance components drift for thousands
-of sweeps at n = 200.  Criterion 4c stays red at the prescribed 2,000
-sweeps: each prediction index is visited about once, and the resulting
-hump in the pairwise-diff curve moves its largest drop away from the
-error curve's.  The README's acceptance section gives the numbers.
+of sweeps at n = 200.  Criterion 4c passes or fails with the variate
+stream at the prescribed 2,000 sweeps: each prediction index is visited
+about once, and the resulting hump in the pairwise-diff curve moves its
+largest drop away from the error curve's at most master seeds.  The
+README's acceptance section gives the numbers.
 """
 
 import time
@@ -227,15 +228,18 @@ def test_criterion_3_mixture_posterior():
 # criterion 4: scaled simulation study
 # --------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def simulation_study():
+def run_simulation_study(master_seed=7, max_parallel=4):
+    """Criterion 4's study: its data, grid and sweeps, at one master seed.
+
+    ``tools/acceptance_figures.py`` runs it at other master seeds too.
+    """
     config = sg.Ar1Config(N=100_000, phi=0.9, noise_var=0.1, seed=42,
                           prediction_count=1000)
     data, truth, pred = generate_ar1(config)
     sampler = sg.SamplerConfig(iterations=2000, burn_in=200, prediction_set=pred,
-                               basis=sg.BasisConfig(rho=0.3), seed=7)
+                               basis=sg.BasisConfig(rho=0.3), seed=master_seed)
     plan = sg.SweepPlan(n_grid=tuple(range(10, 201, 10)), budget_seconds=300.0,
-                        max_parallel=4)
+                        max_parallel=max_parallel)
     start = time.perf_counter()
     report = sg.run_sweep(data, sampler, plan)
     elapsed = time.perf_counter() - start
@@ -251,6 +255,11 @@ def simulation_study():
         "rmspes": rmspes,
         "elapsed": elapsed,
     }
+
+
+@pytest.fixture(scope="module")
+def simulation_study():
+    return run_simulation_study()
 
 
 def test_criterion_4a_rmspe_monotone(simulation_study):
@@ -278,15 +287,16 @@ def _posterior_mean_given_own_observation(data, prediction_set, kept_trace):
     return per_sweep.mean(axis=1)
 
 
-def test_criterion_4b_variance_transition(simulation_study):
-    """Prediction variance relative to the model's own per-index posterior mean.
+def variance_ratios(study):
+    """Criterion 4b's variance ratios at the first and last grid points.
 
-    The chains at the first and last grid points are re-run outside any
-    timed region with their sweep seeds and ``collect_trace=True``; the
-    trace does not touch the random stream, so each re-run must reproduce
-    the sweep's predictions bit for bit.
+    Returns the variance of the predictions over that of the model's own
+    per-index posterior mean, and over that of the truth.  The chains at
+    the two points are re-run outside any timed region with their sweep
+    seeds and ``collect_trace=True``; the trace does not touch the random
+    stream, so each re-run must reproduce the sweep's predictions bit for
+    bit.
     """
-    study = simulation_study
     data, sampler, plan = study["data"], study["sampler"], study["plan"]
     ratios, truth_ratios = [], []
     for i in (0, len(plan.n_grid) - 1):
@@ -300,7 +310,13 @@ def test_criterion_4b_variance_transition(simulation_study):
             data, sampler.prediction_set, rerun.trace[sampler.burn_in:])
         ratios.append(swept.var(ddof=1) / reference.var(ddof=1))
         truth_ratios.append(swept.var(ddof=1) / study["truth"].var(ddof=1))
-    low, high = ratios
+    return ratios, truth_ratios
+
+
+def test_criterion_4b_variance_transition(simulation_study):
+    """Prediction variance relative to the model's own per-index posterior mean."""
+    (low, high), truth_ratios = variance_ratios(simulation_study)
+    plan = simulation_study["plan"]
     n_low, n_high = plan.n_grid[0], plan.n_grid[-1]
     _report("criterion 4b (over-smoothing to faithful transition)",
             low < 0.5 and high > 0.8,
@@ -310,11 +326,14 @@ def test_criterion_4b_variance_transition(simulation_study):
             f"{truth_ratios[1]:.3f})")
 
 
-def test_criterion_4c_elbow_colocation(simulation_study):
-    study = simulation_study
+def largest_drops(study):
+    """Grid indices of the largest drop in RMSPE and in the pairwise diff (criterion 4c)."""
     diffs = np.array([d for _, d in study["report"].pairwise_diffs])
-    rmspe_drop = int(np.argmax(-np.diff(study["rmspes"])))
-    diff_drop = int(np.argmax(-np.diff(diffs)))
+    return int(np.argmax(-np.diff(study["rmspes"]))), int(np.argmax(-np.diff(diffs)))
+
+
+def test_criterion_4c_elbow_colocation(simulation_study):
+    rmspe_drop, diff_drop = largest_drops(simulation_study)
     _report("criterion 4c (co-located largest drops)",
             abs(rmspe_drop - diff_drop) <= 3,
             f"largest RMSPE drop at grid index {rmspe_drop}, largest "

@@ -100,6 +100,33 @@ class TestSimulate:
         assert manifest["version"] == f"subsetgibbs-{__version__}"
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--seed", "-3"), ("simulate", "--seed", str(2**64)),
+    ("fit", "--seed", "-3"), ("calibrate", "--seed", "-3"), ("score", "--seed", "-1"),
+    ("fit", "--rho", "0"), ("fit", "--rho", "inf"), ("calibrate", "--rho", "-1"),
+    ("calibrate", "--rho", "nan"), ("simulate", "--N", "0"), ("simulate", "--phi", "nan"),
+    ("simulate", "--phi", "inf"),
+])
+def test_bad_value_names_the_flag(tmp_path, capsys, command, flag, value):
+    # argparse keeps the last occurrence of a repeated flag
+    sim = simulate(tmp_path, N=30, pred_count=5)
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_text("index,mu_hat,var_hat\n1,0.5,0.0\n")
+    out = tmp_path / "bad"
+    argv = {
+        "simulate": ["simulate", "--N", "10", "--pred-count", "5"],
+        "fit": ["fit", "--data", str(sim / "data.csv"), "--n", "5", "--pred-count", "5"],
+        "calibrate": ["calibrate", "--data", str(sim / "data.csv"), "--n-grid", "5,10",
+                      "--budget-seconds", "1", "--pred-count", "5"],
+        "score": ["score", "--predictions", str(predictions),
+                  "--truth", str(sim / "truth.csv")],
+    }[command]
+    capsys.readouterr()
+    assert run(argv + [flag, value, "--output-dir", str(out)]) == EXIT_USAGE
+    assert f"error: {flag} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestReadDataCsv:
     def test_intercept_and_coord_defaults(self, tmp_path):
         path = tmp_path / "d.csv"

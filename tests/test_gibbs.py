@@ -6,6 +6,7 @@ own linear algebra.
 """
 
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +24,7 @@ from subsetgibbs import (
     kernel_matrix,
     make_rng,
     run_chain,
+    spawn_seed,
 )
 from subsetgibbs.gibbs import (
     _banded_eta_factor,
@@ -264,18 +266,22 @@ class TestBandedEtaFactor:
 
 
 class TestVarianceGammaDraws:
-    @pytest.mark.parametrize("n, p", [(1, 1), (2, 2), (57, 3), (1000, 1)])
-    def test_scalar_shapes_draw_the_shape_arrays_variates(self, n, p):
-        # run_chain draws three gammas of shape 1 + n/2, then one of shape
-        # 1 + p/2: the variates of the shape array, and the same stream after
-        rng_array, rng_scalar = make_rng(n), make_rng(n)
-        shape_n, _, _, shape_p = variance_shapes(n, p).tolist()
-        for _ in range(20):
-            expected = rng_array.standard_gamma(variance_shapes(n, p)).tolist()
-            got = rng_scalar.standard_gamma(shape_n, 3).tolist() + [
-                rng_scalar.standard_gamma(shape_p)]
-            assert got == expected
-        assert rng_scalar.standard_normal() == rng_array.standard_normal()
+    @pytest.mark.parametrize("n, p", [(1, 1), (2, 2), (10, 1), (57, 3), (1000, 1)])
+    def test_one_call_per_block_draws_the_per_sweep_variates(self, n, p):
+        # run_chain draws a block's gammas in one call on a (B, 4) array of
+        # shapes: the variates of B per-sweep draws, whatever B is, and the
+        # same stream after
+        shapes = variance_shapes(n, p)
+        rng_sweep, rng_block, rng_blocks_of_7 = make_rng(n), make_rng(n), make_rng(n)
+        per_sweep = np.array([rng_sweep.standard_gamma(shapes) for _ in range(50)])
+        tiled = np.tile(shapes, (7, 1))
+        assert np.array_equal(rng_block.standard_gamma(np.tile(shapes, (50, 1))), per_sweep)
+        blocks = [rng_blocks_of_7.standard_gamma(tiled[:min(7, 50 - start)])
+                  for start in range(0, 50, 7)]
+        assert np.array_equal(np.vstack(blocks), per_sweep)
+        after = rng_sweep.standard_gamma(shapes)
+        assert np.array_equal(rng_block.standard_gamma(shapes), after)
+        assert np.array_equal(rng_blocks_of_7.standard_gamma(shapes), after)
 
 
 class TestUpdateXiActive:
@@ -442,27 +448,43 @@ class TestDrawInactivePredictionComponents:
         np.testing.assert_allclose(eta_a, 3.0 * z)
 
     def test_outside_indices_before_between_and_after_subset(self, monkeypatch):
-        # the chain hands the helper exactly the prediction indices its
-        # subset misses, wherever they fall relative to the subset
+        # the chain hands the helper the whole prediction set; after the
+        # sweep, the prediction indices its subset misses hold the prior
+        # draws and the others the subset's own, wherever they fall
+        # relative to the subset.  The chain's eta there is read off the
+        # prediction kernel's product, which runs on every kept sweep
         record = record_draws(monkeypatch)
+        products = []
+        matmul = BandedKernel.__matmul__
+        monkeypatch.setattr(BandedKernel, "__matmul__",
+                            lambda kernel, v: products.append(v.copy()) or matmul(kernel, v))
         pred = np.array([0, 2, 3, 6, 9, 11])
         config = small_config(12, iterations=60, burn_in=0, prediction_set=pred,
                               prediction_refresh="prior")
         run_chain(small_dataset(), config, 4)
-        assert len(record["refresh"]) == len(record["subsets"]) == config.iterations
+        assert len(record["refresh"]) == len(products) == config.iterations
         seen = set()
-        for active, (outside, eta, xi) in zip(record["subsets"], record["refresh"]):
-            np.testing.assert_array_equal(outside, np.setdiff1d(pred, active))
-            assert eta.size == xi.size == outside.size
+        for g, active in enumerate(record["subsets"]):
+            indices, eta_prior, xi_prior = record["refresh"][g]
+            np.testing.assert_array_equal(indices, pred)
+            assert eta_prior.size == xi_prior.size == pred.size
+            inside = np.isin(pred, active)
+            outside = pred[~inside]
+            np.testing.assert_array_equal(products[g][~inside], eta_prior[~inside])
+            np.testing.assert_array_equal(products[g][inside],
+                                          record["eta"][g][np.isin(active, pred)])
             seen.update(place for place, where in (
                 ("before", outside < active[0]),
                 ("between", (outside > active[0]) & (outside < active[-1])),
                 ("after", outside > active[-1])) if where.any())
-            seen.add("hit" if outside.size < pred.size else "miss")
+            seen.add("hit" if inside.any() else "miss")
         assert seen == {"before", "between", "after", "hit", "miss"}
-        # a subset that covers the set leaves nothing to draw
-        run_chain(small_dataset(), config, 12)
-        assert all(outside.size == 0 for outside, _, _ in record["refresh"][60:])
+        # a subset that covers the set overwrites every prior draw: at n = N
+        # the prior chain is the carry chain
+        prior = run_chain(small_dataset(), config, 12, collect_trace=True)
+        carry = run_chain(small_dataset(), replace(config, prediction_refresh="carry"), 12,
+                          collect_trace=True)
+        assert_same_chain(prior, carry)
 
 
 class TestSampleMvnPrecision:
@@ -565,7 +587,9 @@ def _chain_and_direct_sampler(basis, eta_step, N=6, p=1, iterations=30):
                            prediction_refresh="prior")
     ours = run_chain(data, config, N, collect_trace=True)
 
-    rng = make_rng(33)
+    # the subset stream (0) always gives the full set here and the refresh
+    # stream (3) is overwritten at n = N, so only normals and gammas matter
+    normal_rng, gamma_rng = (make_rng(spawn_seed(33, k)) for k in (1, 2))
     psi = kernel_matrix(data.index_coords, data.index_coords, basis)
     x = data.x
     y = data.y
@@ -575,20 +599,19 @@ def _chain_and_direct_sampler(basis, eta_step, N=6, p=1, iterations=30):
     s2 = s2_eta = s2_xi = s2_beta = 1.0
     trace = np.empty((iterations, p + 4))
     for g in range(iterations):
-        rng.choice(N, N, replace=False, shuffle=False)  # the subset draw's consumption
-        eta = eta_step(psi, y - x @ beta - xi, s2, s2_eta, rng)
+        eta = eta_step(psi, y - x @ beta - xi, s2, s2_eta, normal_rng)
         shrink = s2_xi / (s2 + s2_xi)
         xi = shrink * (y - x @ beta - psi @ eta) + np.sqrt(
-            s2 * s2_xi / (s2 + s2_xi)) * rng.standard_normal(N)
+            s2 * s2_xi / (s2 + s2_xi)) * normal_rng.standard_normal(N)
         prec_beta = x.T @ x / s2 + np.eye(p) / s2_beta
         lower_b = np.linalg.cholesky(prec_beta)
         mean_beta = np.linalg.solve(prec_beta, x.T @ (y - psi @ eta - xi) / s2)
-        beta = mean_beta + np.linalg.solve(lower_b.T, rng.standard_normal(p))
+        beta = mean_beta + np.linalg.solve(lower_b.T, normal_rng.standard_normal(p))
         residual = y - x @ beta - psi @ eta - xi
-        s2 = 1.0 / rng.gamma(1.0 + N / 2.0, 1.0 / (1.0 + residual @ residual / 2.0))
-        s2_eta = 1.0 / rng.gamma(1.0 + N / 2.0, 1.0 / (1.0 + eta @ eta / 2.0))
-        s2_xi = 1.0 / rng.gamma(1.0 + N / 2.0, 1.0 / (1.0 + xi @ xi / 2.0))
-        s2_beta = 1.0 / rng.gamma(1.0 + p / 2.0, 1.0 / (1.0 + beta @ beta / 2.0))
+        s2 = 1.0 / gamma_rng.gamma(1.0 + N / 2.0, 1.0 / (1.0 + residual @ residual / 2.0))
+        s2_eta = 1.0 / gamma_rng.gamma(1.0 + N / 2.0, 1.0 / (1.0 + eta @ eta / 2.0))
+        s2_xi = 1.0 / gamma_rng.gamma(1.0 + N / 2.0, 1.0 / (1.0 + xi @ xi / 2.0))
+        s2_beta = 1.0 / gamma_rng.gamma(1.0 + p / 2.0, 1.0 / (1.0 + beta @ beta / 2.0))
         trace[g] = (*beta, s2, s2_eta, s2_xi, s2_beta)
     return ours.trace, trace
 
@@ -672,8 +695,8 @@ def record_draws(monkeypatch):
 
     ``psi_eta`` holds the eta step's Psi eta, and ``eta_residual``,
     ``xi_residual`` and ``beta_residual`` the residual each block step was
-    given.  ``refresh`` holds the prior refresh's (outside, eta draw, xi
-    draw) per sweep and stays empty under carry.
+    given.  ``refresh`` holds the prior refresh's (prediction set, eta draw,
+    xi draw) per sweep and stays empty under carry.
     """
     record = {name: [] for name in ("subsets", "eta", "psi_eta", "xi", "beta", "refresh",
                                     "eta_residual", "xi_residual", "beta_residual")}
@@ -709,12 +732,13 @@ def replay(record, N):
     refresh = record["refresh"] or [None] * len(record["subsets"])
     for active, eta_draw, xi_draw, beta, prior_draws in zip(
             record["subsets"], record["eta"], record["xi"], record["beta"], refresh):
+        if prior_draws is not None:
+            # the whole prediction set from the prior, then the subset's own draws
+            pred, eta_prior, xi_prior = prior_draws
+            eta[pred] = eta_prior
+            xi[pred] = xi_prior
         eta[active] = eta_draw
         xi[active] = xi_draw
-        if prior_draws is not None:
-            outside, eta_outside, xi_outside = prior_draws
-            eta[outside] = eta_outside
-            xi[outside] = xi_outside
         yield beta, eta, xi
 
 
@@ -826,9 +850,9 @@ class TestRunChain:
             np.testing.assert_allclose(record["beta_residual"][g],
                                        y - psi_eta - xi_delta, **close)
             prior_values_used += int(from_prior[active].sum())
-            from_prior[active] = False
             if record["refresh"]:
                 from_prior[record["refresh"][g][0]] = True
+            from_prior[active] = False
             beta, xi = record["beta"][g], next_xi.copy()
         assert len(record["subsets"]) == config.iterations
         assert (prior_values_used > 0) == (policy == "prior")
@@ -1210,14 +1234,9 @@ class TestSweepBlocks:
             np.testing.assert_array_equal(xtx, x_delta.T @ x_delta)
 
     def test_datasets_with_one_seed_draw_one_subset_sequence(self, monkeypatch):
-        # how much of the stream a sweep consumes depends on n, p, the pins
-        # and, under prior refresh, on how many prediction indices its
-        # subset holds; not on the values or the path the kernel takes.
-        # So under carry every layout draws the seed's subset sequence.
-        # Under prior refresh the sorted layouts still do, but an unsorted
-        # layout maps each draw through its coordinates' sorting
-        # permutation, its subsets meet the prediction set at other sweeps,
-        # and its stream moves apart
+        # the subsets have a stream of their own, so under either policy
+        # every layout draws the seed's sequence of positions, whatever path
+        # its kernels take and wherever its subsets meet the prediction set
         recorded = []
         draw = gibbs.sample_active_indices
         monkeypatch.setattr(gibbs, "sample_active_indices",
@@ -1231,8 +1250,35 @@ class TestSweepBlocks:
                 recorded.clear()
             assert len(sequences["banded"]) == config.iterations
             np.testing.assert_array_equal(sequences["mixed"], sequences["banded"])
-            assert np.array_equal(sequences["unsorted"], sequences["banded"]) == (
-                policy == "carry")
+            np.testing.assert_array_equal(sequences["unsorted"], sequences["banded"])
+
+    def test_pins_and_policy_change_no_subset_and_no_block_normal(self, monkeypatch):
+        # the gammas a sampled chain draws and the refresh normals a prior
+        # chain draws come from streams of their own: pinned or sampled,
+        # carry or prior, a seed draws the same subsets and block normals
+        seen = {"sample_active_indices": [], "update_xi_active": []}
+        draw, xi_step = gibbs.sample_active_indices, gibbs.update_xi_active
+        monkeypatch.setattr(gibbs, "sample_active_indices", lambda n, N, rng: (
+            seen["sample_active_indices"].append(draw(n, N, rng))
+            or seen["sample_active_indices"][-1]))
+        monkeypatch.setattr(gibbs, "update_xi_active", lambda *args: (
+            seen["update_xi_active"].append(args[3].copy()) or xi_step(*args)))
+        data = layout_dataset("banded")
+        draws = []
+        for policy in ("carry", "prior"):
+            for pins in (None, FixedVariances(0.8, 0.5, 0.4, 2.0)):
+                config = small_config(data.n_obs, iterations=50, burn_in=10,
+                                      prediction_set=np.array([1, 7, 8, 20, 33]),
+                                      prediction_refresh=policy, fixed_variances=pins)
+                run_chain(data, config, 6)
+                draws.append({name: np.array(values) for name, values in seen.items()})
+                for values in seen.values():
+                    values.clear()
+        assert draws[0]["sample_active_indices"].shape == (50, 6)
+        assert draws[0]["update_xi_active"].shape == (50, 6)
+        for other in draws[1:]:
+            for name, values in draws[0].items():
+                np.testing.assert_array_equal(other[name], values)
 
 
 class TestCoordinateOrder:

@@ -59,6 +59,8 @@ class TestBasisConfig:
     def test_rejects_bad_rho_and_metric(self):
         with pytest.raises(InvalidParameterError):
             BasisConfig(rho=0.0)
+        with pytest.raises(InvalidParameterError, match="rho must be finite and > 0, got inf"):
+            BasisConfig(rho=np.inf)
         with pytest.raises(InvalidParameterError):
             BasisConfig(rho=1.0, metric="euclid")
 

@@ -185,3 +185,87 @@ class TestBetaMixture:
         spec = TinyModelSpec(N=2, n=1)
         values = beta_mixture_cdf(spec, np.array([0.2, -0.4]), np.linspace(-4, 4, 33))
         assert np.all(np.diff(values) > 0)
+
+
+def joint_posterior_given_mask(spec, mask, y):
+    """Mean and covariance of (beta, eta_delta, xi_delta) given one subset.
+
+    Given the subset and the pins the three blocks are jointly Gaussian:
+    y_delta = beta + Psi_delta eta_delta + xi_delta + noise, with the
+    independent priors N(0, sigma2_beta), N(0, sigma2_eta I) and
+    N(0, sigma2_xi I).
+    """
+    v = spec.fixed_variances
+    n = mask.size
+    design = np.hstack([np.ones((n, 1)), spec.full_kernel()[np.ix_(mask, mask)], np.eye(n)])
+    prior = np.concatenate([[v.sigma2_beta], np.full(n, v.sigma2_eta), np.full(n, v.sigma2_xi)])
+    cov = np.linalg.inv(np.diag(1.0 / prior) + design.T @ design / v.sigma2)
+    return cov @ design.T @ y[mask] / v.sigma2, cov
+
+
+def prediction_oracle(spec, y, pred):
+    """Exact mixture mean and variance of mu_i over the prediction set ``pred``.
+
+    mu_i = beta + sum_{j in pred} K(i, j) eta_j + xi_i, as the chain
+    predicts it.  Given a subset, the terms inside it come from
+    :func:`joint_posterior_given_mask` and the eta_j and xi_i outside it
+    from their priors, as under the ``prior`` refresh; the pins make every
+    subset equally likely a posteriori (criterion 1), so the mixture
+    weights the subsets equally.
+    """
+    v = spec.fixed_variances
+    kernel = spec.full_kernel()
+    masks = enumerate_masks(spec.N, spec.n)
+    first = second = 0.0
+    for mask in masks:
+        mean, cov = joint_posterior_given_mask(spec, mask, y)
+        n = mask.size
+        inside = np.isin(pred, mask)
+        at = np.searchsorted(mask, pred[inside])
+        load = np.zeros((pred.size, 1 + 2 * n))
+        load[:, 0] = 1.0
+        load[:, 1 + at] = kernel[np.ix_(pred, pred[inside])]
+        load[inside, 1 + n + at] = 1.0
+        prior_var = (v.sigma2_eta * (kernel[np.ix_(pred, pred[~inside])] ** 2).sum(axis=1)
+                     + v.sigma2_xi * ~inside)
+        given = load @ mean
+        first = first + given
+        second = second + np.einsum("ij,jk,ik->i", load, cov, load) + prior_var + given**2
+    first, second = first / len(masks), second / len(masks)
+    return first, second - first**2
+
+
+class TestPredictionOracle:
+    Y = np.array([1.0, -0.5, 0.8])  # criterion 3's data
+
+    @pytest.mark.parametrize("pins, exact", [
+        ((1.0, 0.05, 0.05, 1.0), (0.3054, 0.4636)),
+        ((0.1, 1.0, 1.0, 1.0), (0.6357, 1.3332)),
+        ((1.0, 1.0, 1.0, 1.0), (0.4579, 1.6336)),
+    ])
+    def test_reproduces_the_exact_rows_on_criterion_3s_model(self, pins, exact):
+        spec = TinyModelSpec(N=3, n=2, fixed_variances=FixedVariances(*pins))
+        mean, var = prediction_oracle(spec, self.Y, np.array([0]))
+        np.testing.assert_allclose([mean[0], var[0]], exact, atol=1e-4)
+
+    @pytest.mark.parametrize("N, n", [(3, 2), (4, 2), (3, 1)])
+    def test_beta_block_is_the_beta_posterior_of_each_subset(self, N, n):
+        spec = TinyModelSpec(N=N, n=n, fixed_variances=FixedVariances(0.5, 1.5, 0.25, 2.0))
+        y = np.array([1.0, -0.5, 0.8, 0.3])[:N]
+        for mask in enumerate_masks(N, n):
+            mean, cov = joint_posterior_given_mask(spec, mask, y)
+            beta_mean, beta_var = beta_posterior_given_mask(spec, mask, y)
+            assert mean[0] == pytest.approx(beta_mean, rel=1e-12, abs=1e-12)
+            assert cov[0, 0] == pytest.approx(beta_var, rel=1e-12, abs=1e-12)
+
+    def test_full_subset_is_the_gaussian_posterior_of_mu(self):
+        # independent route at n = N: mu and y are jointly Gaussian, so
+        # mu | y follows from their marginal covariances
+        spec = TinyModelSpec(N=3, n=3, fixed_variances=FixedVariances(0.5, 1.5, 0.25, 2.0))
+        v, psi = spec.fixed_variances, spec.full_kernel()
+        cov_mu = v.sigma2_beta + v.sigma2_eta * psi @ psi.T + v.sigma2_xi * np.eye(3)
+        cov_y = cov_mu + v.sigma2 * np.eye(3)
+        mean, var = prediction_oracle(spec, self.Y, np.arange(3))
+        np.testing.assert_allclose(mean, cov_mu @ np.linalg.solve(cov_y, self.Y), rtol=1e-12)
+        np.testing.assert_allclose(
+            var, np.diag(cov_mu - cov_mu @ np.linalg.solve(cov_y, cov_mu)), rtol=1e-12)
