@@ -22,7 +22,7 @@ from .distributions import (
     spawn_seed,
 )
 from .errors import InvalidParameterError, NumericalError
-from .gibbs import ChainOutput, Clock, run_chain
+from .gibbs import ChainOutput, run_chain
 from .model import (
     BasisConfig,
     DatasetView,
@@ -45,7 +45,6 @@ __all__ = [
     "BasisConfig",
     "CalibrationReport",
     "ChainOutput",
-    "Clock",
     "DatasetView",
     "FixedVariances",
     "InvalidParameterError",

@@ -25,10 +25,10 @@ every block from its conjugate full conditional given that subset:
     5. prediction-set components outside the subset: prior refresh
        or carry-over, per SamplerConfig.prediction_refresh.  The prior
        refresh draws (eta, xi) from the prior for the whole prediction
-       set (``draw_inactive_prediction_components``), 2m normals every
-       sweep, and the subset's own draws of steps 2-3 then overwrite
-       its indices, so the normals it draws for indices in the subset
-       (all of them at n = N) go unused
+       set (``draw_inactive_prediction_components``), 2m normals drawn
+       in one call every sweep, and the subset's own draws of steps 2-3
+       then overwrite its indices, so the normals it draws for indices in
+       the subset (all of them at n = N) go unused
     6. the four variances: inverse gamma under an IG(1, 1) prior each;
        skipped when SamplerConfig.fixed_variances pins all four
     7. per-index predictions over the prediction set, computed and
@@ -43,17 +43,20 @@ Steps 2-5 condition on the previous sweep's variances.
 Each variate kind has its own generator, ``make_rng(spawn_seed(seed, k))``
 for k = 0-3: the subsets, the 2n + p standard normals of steps 2-4, the
 four standard gammas of step 6 and the 2m normals of the prior refresh.
-``run_chain`` works in blocks of sweeps.  A block first draws its
-variates: one subset per sweep, then one call per other kind for the whole
-block, which draws what the block's sweeps would draw one at a time, so
-the block size changes no variate.  It then builds what depends on its
-subsets alone in one vectorized pass over the (B, n) stack of subsets: the
-gathers of y and x, every subset's X'X, and, for every subset whose scalar
-coordinates qualify, T and the band of T^2 (``model.banded_kernels``).
+``run_chain`` works in blocks of sweeps.  A block first draws the
+variates whose count is set by n: one subset per sweep, then one call for
+the whole block's normals and one for its gammas, which draw what the
+block's sweeps would draw one at a time, so the block size changes no
+variate.  The refresh's normals, whose count is set by m, are drawn in
+their own sweep.  The block then builds what depends on its subsets alone
+in one vectorized pass over the (B, n) stack of subsets: the gathers of y
+and x, every subset's X'X, and, for every subset whose scalar coordinates
+qualify, T and the band of T^2 (``model.banded_kernels``).
 Its sweeps do only the work that depends on the chain's state.  A subset
 that does not qualify (great-circle or too-close coordinates) gets the
 dense kernel matrix in its own sweep.  ``_sweeps_per_block`` caps a block
-at ``_BLOCK_ENTRIES`` subset entries, so its stacks stay small.
+at ``_BLOCK_ENTRIES`` subset entries, so its stacks stay small; the cap
+depends on n alone, so both refresh policies run the same blocks.
 
 Each step is a conditional draw that takes values, not a chain state:
 the residual it conditions on, the variances it needs and its standard
@@ -72,7 +75,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -95,7 +98,6 @@ from .model import (
 _BLOCK_ENTRIES = 4096
 
 __all__ = [
-    "Clock",
     "ChainOutput",
     "update_eta_active",
     "update_xi_active",
@@ -105,14 +107,6 @@ __all__ = [
     "draw_inactive_prediction_components",
     "run_chain",
 ]
-
-
-@dataclass(frozen=True)
-class Clock:
-    """Injectable time source; the default reads the process clocks."""
-
-    wall: Callable[[], float] = time.perf_counter
-    cpu: Callable[[], float] = time.process_time
 
 
 @dataclass
@@ -172,14 +166,14 @@ def _sample_mvn_precision(chol: np.ndarray, linear: np.ndarray,
     return draw
 
 
-def _sweeps_per_block(n: int, refreshed: int) -> int:
-    """Sweeps per block: as many as keep it within ``_BLOCK_ENTRIES`` entries.
+def _sweeps_per_block(n: int) -> int:
+    """Sweeps per block: as many as keep it within ``_BLOCK_ENTRIES`` subset entries.
 
-    A sweep counts its n subset entries plus two for each of the
-    ``refreshed`` prediction indices whose prior-refresh normals the block
-    draws ahead.
+    Only work whose size is set by n is done ahead in a block; the prior
+    refresh draws its 2m normals in its own sweep, so both refresh
+    policies run the same blocks.
     """
-    return max(1, _BLOCK_ENTRIES // (n + 2 * refreshed))
+    return max(1, _BLOCK_ENTRIES // n)
 
 
 def _kernel_operator(coords: np.ndarray, basis):
@@ -358,7 +352,7 @@ def draw_inactive_prediction_components(indices: np.ndarray, sigma2_eta: float,
 
 
 def run_chain(data: DatasetView, config: SamplerConfig, n: int,
-              *, collect_trace: bool = False, clock: Optional[Clock] = None) -> ChainOutput:
+              *, collect_trace: bool = False) -> ChainOutput:
     """Run one chain of the subset-resampling sampler.
 
     Parameters
@@ -372,8 +366,6 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     collect_trace : bool
         Record (beta, sigma2, sigma2_eta, sigma2_xi, sigma2_beta) per
         sweep for trace export and diagnostics.
-    clock : Clock, optional
-        Injectable time source for the recorded wall/CPU durations.
 
     Returns
     -------
@@ -393,9 +385,8 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     pred = config.prediction_set
     if pred[-1] >= N:
         raise InvalidParameterError("prediction_set contains indices beyond the dataset")
-    clock = clock or Clock()
-    wall_start = clock.wall()
-    cpu_start = clock.cpu()
+    wall_start = time.perf_counter()
+    cpu_start = time.process_time()
 
     # the banded kernel needs sorted coordinates: when scalar coordinates
     # are not sorted, each drawn subset maps through their stable sorting
@@ -445,8 +436,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
 
     # blocks of sweeps: variates first, then the subsets' designs, then
     # the sweeps (see the module docstring)
-    sweeps_per_block = _sweeps_per_block(n, m if refresh_prior else 0)
-    shapes = np.tile(variance_shapes(n, p), (sweeps_per_block, 1))
+    sweeps_per_block = _sweeps_per_block(n)
     g = 0
     # every NumericalError a sweep raises gets its context here, once
     try:
@@ -459,9 +449,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
                 actives = rank[actives]
             normals = normal_rng.standard_normal((size, 2 * n + p))
             if fixed is None:
-                gammas = gamma_rng.standard_gamma(shapes[:size]).tolist()
-            if refresh_prior:
-                prior_normals = refresh_rng.standard_normal((size, 2 * m))
+                gammas = gamma_rng.standard_gamma(variance_shapes(n, p), (size, 4)).tolist()
             kernels = banded_kernels(coords[actives], config.basis)
             x_block = data.x[actives]
             xtx_block = np.matmul(x_block.transpose(0, 2, 1), x_block)
@@ -492,7 +480,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
                 if refresh_prior:
                     # the whole set from the prior; the subset's own draws go over it next
                     eta[pred], xi[pred] = draw_inactive_prediction_components(
-                        pred, sigma2_eta, sigma2_xi, prior_normals[b])
+                        pred, sigma2_eta, sigma2_xi, refresh_rng.standard_normal(2 * m))
                 eta[active] = eta_delta
                 xi[active] = xi_delta
                 if stale[b]:
@@ -530,8 +518,8 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     return ChainOutput(
         mu_hat=mu_mean,
         mu_var=mu_var,
-        elapsed_cpu_seconds=clock.cpu() - cpu_start,
-        elapsed_wall_seconds=clock.wall() - wall_start,
+        elapsed_cpu_seconds=time.process_time() - cpu_start,
+        elapsed_wall_seconds=time.perf_counter() - wall_start,
         jitter_events=jitter_events,
         trace=trace,
     )

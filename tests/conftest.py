@@ -1,9 +1,10 @@
 """Fixtures shared by the calibration, command-line and acceptance tests."""
 
+import dataclasses
+
 import pytest
 
 import subsetgibbs.calibrate as calibrate
-from subsetgibbs import Clock
 
 
 @pytest.fixture
@@ -12,17 +13,16 @@ def scripted_timings(monkeypatch):
 
     ``scripted_timings(wall, cpu=None)`` maps each grid point n to the wall
     (and CPU) seconds its chain reports; CPU seconds not scripted read 0.
-    The chain itself runs unchanged, timed by a fake ``gibbs.Clock``, and
-    pool workers see the patch when they are forked.
+    The chain itself runs unchanged and its output gets the scripted
+    durations, and pool workers see the patch when they are forked.
     """
     real_run_chain = calibrate.run_chain
 
     def install(wall, cpu=None):
         def timed(data, config, n, **kwargs):
-            walls = iter([0.0, wall[n]])
-            cpus = iter([0.0, cpu[n] if cpu else 0.0])
-            clock = Clock(wall=lambda: next(walls), cpu=lambda: next(cpus))
-            return real_run_chain(data, config, n, clock=clock, **kwargs)
+            out = real_run_chain(data, config, n, **kwargs)
+            return dataclasses.replace(out, elapsed_wall_seconds=wall[n],
+                                       elapsed_cpu_seconds=cpu[n] if cpu else 0.0)
 
         monkeypatch.setattr(calibrate, "run_chain", timed)
 

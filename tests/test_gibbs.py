@@ -268,15 +268,14 @@ class TestBandedEtaFactor:
 class TestVarianceGammaDraws:
     @pytest.mark.parametrize("n, p", [(1, 1), (2, 2), (10, 1), (57, 3), (1000, 1)])
     def test_one_call_per_block_draws_the_per_sweep_variates(self, n, p):
-        # run_chain draws a block's gammas in one call on a (B, 4) array of
-        # shapes: the variates of B per-sweep draws, whatever B is, and the
-        # same stream after
+        # run_chain draws a block's gammas in one call, the four shapes
+        # broadcast to size (B, 4): the variates of B per-sweep draws,
+        # whatever B is, and the same stream after
         shapes = variance_shapes(n, p)
         rng_sweep, rng_block, rng_blocks_of_7 = make_rng(n), make_rng(n), make_rng(n)
         per_sweep = np.array([rng_sweep.standard_gamma(shapes) for _ in range(50)])
-        tiled = np.tile(shapes, (7, 1))
-        assert np.array_equal(rng_block.standard_gamma(np.tile(shapes, (50, 1))), per_sweep)
-        blocks = [rng_blocks_of_7.standard_gamma(tiled[:min(7, 50 - start)])
+        assert np.array_equal(rng_block.standard_gamma(shapes, (50, 4)), per_sweep)
+        blocks = [rng_blocks_of_7.standard_gamma(shapes, (min(7, 50 - start), 4))
                   for start in range(0, 50, 7)]
         assert np.array_equal(np.vstack(blocks), per_sweep)
         after = rng_sweep.standard_gamma(shapes)
@@ -1165,7 +1164,7 @@ class TestSweepBlocks:
         reference = run_chain(data, config, n, collect_trace=True)
         for size in (1, 7):
             with monkeypatch.context() as patch:
-                patch.setattr(gibbs, "_sweeps_per_block", lambda n_, refreshed_: size)
+                patch.setattr(gibbs, "_sweeps_per_block", lambda n_: size)
                 assert_same_chain(run_chain(data, config, n, collect_trace=True), reference)
         return reference
 
@@ -1181,7 +1180,7 @@ class TestSweepBlocks:
                               basis=BasisConfig(rho=0.3, metric=metric), prediction_refresh=policy,
                               fixed_variances=pins)
         # 60 sweeps of n = 6 fit in one default block; 7 leaves a short last block
-        assert gibbs._sweeps_per_block(6, 5 if policy == "prior" else 0) >= config.iterations
+        assert gibbs._sweeps_per_block(6) >= config.iterations
         kinds = record_kernel_kinds(monkeypatch)
         self.run_with_block_sizes(monkeypatch, data, config, 6)
         expected = {"banded": {BandedKernel}, "greatcircle": {np.ndarray},
@@ -1197,6 +1196,21 @@ class TestSweepBlocks:
                               fixed_variances=fixed and FixedVariances(*fixed))
         out = self.run_with_block_sizes(monkeypatch, small_dataset(N=N), config, n)
         assert out.jitter_events > 0
+
+    def test_prior_refresh_runs_the_blocks_of_carry(self, monkeypatch):
+        # a block is sized by n alone: the refresh's 2m normals, drawn in
+        # its own sweep, do not shrink it, so a prior chain with a large
+        # prediction set builds one kernel for that set and one block pass
+        calls = count_calls(monkeypatch, ["banded_kernels"])
+        data = layout_dataset("banded", N=4000)
+        counts = {}
+        for policy in ("carry", "prior"):
+            config = small_config(data.n_obs, iterations=60, burn_in=10,
+                                  prediction_set=np.arange(3000), prediction_refresh=policy)
+            run_chain(data, config, 6)
+            counts[policy] = calls["banded_kernels"]
+            calls["banded_kernels"] = 0
+        assert counts == {"carry": 2, "prior": 2}
 
     def test_unsorted_subsets_get_their_kernels_from_the_block(self, monkeypatch):
         # only the prediction set's kernel is built on its own; every
@@ -1226,7 +1240,7 @@ class TestSweepBlocks:
         monkeypatch.setattr(gibbs, "_beta_factor",
                             lambda xtx, *args: grams.append(xtx.copy()) or factor(xtx, *args))
         data = layout_dataset("banded", p=3)
-        monkeypatch.setattr(gibbs, "_sweeps_per_block", lambda n_, refreshed_: 7)
+        monkeypatch.setattr(gibbs, "_sweeps_per_block", lambda n_: 7)
         run_chain(data, small_config(data.n_obs, iterations=20, burn_in=5), 6)
         assert len(grams) == len(subsets) == 20
         for active, xtx in zip(subsets, grams):

@@ -1,5 +1,7 @@
 """Closed-form versus quadrature agreement and the model identity checks."""
 
+import functools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -269,3 +271,96 @@ class TestPredictionOracle:
         np.testing.assert_allclose(mean, cov_mu @ np.linalg.solve(cov_y, self.Y), rtol=1e-12)
         np.testing.assert_allclose(
             var, np.diag(cov_mu - cov_mu @ np.linalg.solve(cov_y, cov_mu)), rtol=1e-12)
+
+
+def beta_given_variances(psi, y_delta, variances):
+    """Log marginal of y_delta, and beta's conditional mean and variance,
+    for each row (sigma2, sigma2_eta, sigma2_xi, sigma2_beta) of ``variances``.
+
+    The algebra of :func:`beta_posterior_given_mask` with the variances as
+    arrays: with eta, xi and the noise integrated out, y_delta | beta has
+    covariance C = sigma2_eta Psi Psi' + (sigma2 + sigma2_xi) I, which one
+    eigendecomposition of Psi Psi' diagonalizes for every row at once;
+    adding sigma2_beta 1 1' for the marginal is a rank-one update.
+    """
+    lam, q = np.linalg.eigh(psi @ psi.T)
+    ones, data = q.T @ np.ones(y_delta.size), q.T @ y_delta
+    s2, s2_eta, s2_xi, s2_beta = variances.T
+    diagonal = s2_eta[:, None] * lam + (s2 + s2_xi)[:, None]
+    xcx = (ones**2 / diagonal).sum(axis=1)
+    xcy = (ones * data / diagonal).sum(axis=1)
+    ycy = (data**2 / diagonal).sum(axis=1)
+    update = 1.0 + s2_beta * xcx
+    log_marginal = -0.5 * (ycy - s2_beta * xcy**2 / update + np.log(diagonal).sum(axis=1)
+                           + np.log(update) + y_delta.size * np.log(2.0 * np.pi))
+    precision = xcx + 1.0 / s2_beta
+    return log_marginal, xcy / precision, 1.0 / precision
+
+
+def sampled_variance_reference(spec, y, draws, seed, replicates=10):
+    """Mixture mean and variance of beta with IG(1, 1) priors on all four
+    variances, and their standard errors.
+
+    Each replicate estimates, for every subset, beta's posterior mean and
+    second moment by self-normalized importance sampling from the prior:
+    ``draws // replicates`` prior draws of the variances, each weighted by
+    the Gaussian marginal of y_delta and contributing beta's conditional
+    moments (:func:`beta_given_variances`).  The subsets mix equally.  The
+    estimate is the mean over the independent replicates and its standard
+    error their spread over sqrt(replicates).  ``spec``'s pins are unused.
+    """
+    rng = np.random.default_rng(seed)
+    kernel = spec.full_kernel()
+    masks = enumerate_masks(spec.N, spec.n)
+    estimates = np.empty((replicates, 2))
+    for replicate in range(replicates):
+        first = second = 0.0
+        for mask in masks:
+            variances = 1.0 / rng.standard_exponential((draws // replicates, 4))
+            log_weight, mean, var = beta_given_variances(
+                kernel[np.ix_(mask, mask)], y[mask], variances)
+            weight = np.exp(log_weight - log_weight.max())
+            first += weight @ mean / weight.sum()
+            second += weight @ (var + mean**2) / weight.sum()
+        first, second = first / len(masks), second / len(masks)
+        estimates[replicate] = first, second - first**2
+    return estimates.mean(axis=0), estimates.std(axis=0, ddof=1) / np.sqrt(replicates)
+
+
+class TestSampledVarianceReference:
+    """The reference for beta on the tiny model with sampled variances."""
+
+    Y = np.array([1.0, -0.5, 0.8, 0.3])  # criterion 3's data, then one more row
+    DRAWS = 2_000_000  # per subset; 1-3 s per seed on a 2-core machine
+    BOUND = 4.0  # standard errors
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return functools.lru_cache(lambda N, seed: sampled_variance_reference(
+            TinyModelSpec(N=N, n=2), self.Y[:N], self.DRAWS, seed))
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_summands_are_the_pinned_closed_forms(self, N):
+        # at any one draw of the variances, the weight is marginal_m and
+        # the conditional moments are beta_posterior_given_mask's
+        y = self.Y[:N]
+        for pins in [(0.5, 1.5, 0.25, 2.0), (1.0, 0.05, 0.05, 1.0), (0.1, 1.0, 1.0, 1.0)]:
+            spec = TinyModelSpec(N=N, n=2, fixed_variances=FixedVariances(*pins))
+            for mask in enumerate_masks(N, 2):
+                log_weight, mean, var = beta_given_variances(
+                    spec.full_kernel()[np.ix_(mask, mask)], y[mask], np.array([pins]))
+                assert np.exp(log_weight[0]) == pytest.approx(marginal_m(spec, mask, y),
+                                                              rel=1e-12)
+                expected = beta_posterior_given_mask(spec, mask, y)
+                np.testing.assert_allclose([mean[0], var[0]], expected, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_two_seeds_agree(self, reference, N):
+        (first, first_se), (second, second_se) = reference(N, 1), reference(N, 2)
+        assert np.all(np.abs(first - second) <= self.BOUND * np.hypot(first_se, second_se))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_reproduces_the_exact_row_on_criterion_3s_model(self, reference, seed):
+        # ROADMAP's exact (mean, variance) row, from 20 million draws per subset
+        estimate, se = reference(3, seed)
+        assert np.all(np.abs(estimate - [0.1400, 1.1770]) <= self.BOUND * se)

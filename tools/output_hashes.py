@@ -11,8 +11,10 @@ Each line names a case, then gives the first 16 hex digits of the
 SHA-256 of the chain's ``mu_hat``, ``mu_var`` and trace bytes and, after
 ``j=``, its jitter count.  The ``sweep20`` line hashes every chain of
 the acceptance study's 20-point sweep together with the pairwise
-diffs, and sums the jitter counts.  The cases cover the banded path
-(n = 1 and 2 included, where some of the band's slices are empty),
+diffs, and sums the jitter counts; ``prior_m1000_n10`` runs the study's
+data at n = 10 under ``prior`` with its m = 1,000 prediction indices, so
+the refresh draws 2,000 normals every sweep.  The cases cover the banded
+path (n = 1 and 2 included, where some of the band's slices are empty),
 the dense great-circle path, unsorted and too-close coordinates, blocks
 that mix banded and dense subsets (on sorted and on unsorted
 coordinates), pinned and sampled variances, both refresh policies,
@@ -154,6 +156,8 @@ def cases():
     parts.append(("diffs", np.array([diff for _, diff in report.pairwise_diffs])))
     jitter = sum(out.jitter_events for _, out in report.per_n)
     yield "sweep20", (parts, jitter)
+    yield "prior_m1000_n10", chain(study, 10, pred=study_pred, iterations=300,
+                                   refresh="prior", seed=7)
 
     ar1, _, pred = sg.generate_ar1(sg.Ar1Config(N=100_000, seed=3, prediction_count=1000))
     yield "n1_carry", chain(ar1, 1, pred=pred)
