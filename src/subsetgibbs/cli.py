@@ -189,20 +189,23 @@ def _parse_n_grid(text: str, N: int) -> List[int]:
     return grid
 
 
-def _sampler_config(args, N: int) -> SamplerConfig:
-    # name the flags the user typed; SamplerConfig's own message names its fields
+def _check_sampler_flags(args) -> None:
+    # these need no data, so they are checked before --data is read; name the
+    # flags the user typed, where SamplerConfig's own message names its fields
     if not (0 <= args.burn_in < args.iterations):
         raise InvalidParameterError(f"need 0 <= --burn-in < --iterations, got --burn-in "
                                     f"{args.burn_in} and --iterations {args.iterations}")
     if not (args.rho > 0.0 and np.isfinite(args.rho)):
         raise InvalidParameterError(f"--rho must be finite and > 0, got {args.rho}")
-    pred_count = args.pred_count
-    if not (1 <= pred_count <= N):
-        raise InvalidParameterError(f"--pred-count must be in [1, {N}], got {pred_count}")
+
+
+def _sampler_config(args, N: int) -> SamplerConfig:
+    if not (1 <= args.pred_count <= N):
+        raise InvalidParameterError(f"--pred-count must be in [1, {N}], got {args.pred_count}")
     return SamplerConfig(
         iterations=args.iterations,
         burn_in=args.burn_in,
-        prediction_set=equally_spaced_indices(pred_count, N),
+        prediction_set=equally_spaced_indices(args.pred_count, N),
         basis=BasisConfig(rho=args.rho, metric=args.metric),
         seed=args.seed,
         prediction_refresh=args.prediction_refresh,
@@ -238,11 +241,8 @@ def cmd_simulate(args) -> int:
         raise InvalidParameterError(f"--phi must be finite, got {args.phi}")
     if not (args.noise_var > 0.0 and np.isfinite(args.noise_var)):
         raise InvalidParameterError(f"--noise-var must be finite and > 0, got {args.noise_var}")
-    if not (1 <= args.pred_count <= args.N):
-        raise InvalidParameterError(f"--pred-count must be in [1, {args.N}], got {args.pred_count}")
-    config = Ar1Config(N=args.N, phi=args.phi, noise_var=args.noise_var,
-                       seed=args.seed, prediction_count=args.pred_count)
-    data, truth, _ = generate_ar1(config)
+    config = Ar1Config(N=args.N, phi=args.phi, noise_var=args.noise_var, seed=args.seed)
+    data, truth = generate_ar1(config)
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     index = range(1, config.N + 1)
@@ -254,6 +254,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    _check_sampler_flags(args)
     data = read_data_csv(args.data)
     config = _sampler_config(args, data.n_obs)
     if not (1 <= args.n <= data.n_obs):
@@ -284,10 +285,12 @@ def cmd_fit(args) -> int:
 
 def cmd_calibrate(args) -> int:
     # name the flags the user typed; SweepPlan's own message names its fields
-    if not (args.budget_seconds > 0.0):
-        raise InvalidParameterError(f"--budget-seconds must be > 0, got {args.budget_seconds}")
+    if not (args.budget_seconds > 0.0 and np.isfinite(args.budget_seconds)):
+        raise InvalidParameterError(
+            f"--budget-seconds must be finite and > 0, got {args.budget_seconds}")
     if args.max_parallel < 1:
         raise InvalidParameterError(f"--max-parallel must be >= 1, got {args.max_parallel}")
+    _check_sampler_flags(args)
     data = read_data_csv(args.data)
     config = _sampler_config(args, data.n_obs)
     grid = _parse_n_grid(args.n_grid, data.n_obs)
@@ -371,9 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--N", type=int, required=True, help="number of observations")
     p_sim.add_argument("--phi", type=float, default=0.9, help="autoregressive coefficient")
     p_sim.add_argument("--noise-var", type=float, default=0.1, help="innovation and error variance")
-    p_sim.add_argument("--pred-count", type=int, default=1000,
-                       help="prediction-set size, only checked against --N: no command reads "
-                            "it back (fit and calibrate take their own --pred-count)")
     add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 

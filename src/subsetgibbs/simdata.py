@@ -28,15 +28,13 @@ class Ar1Config:
 
     The latent path starts from its stationary distribution, steps as
     ``mu_i = phi * mu_{i-1} + innovation``, and observations add
-    independent noise of the same variance.  ``prediction_count`` equally
-    spaced indices form the prediction set.
+    independent noise of the same variance.
     """
 
     N: int
     phi: float = 0.9
     noise_var: float = 0.1
     seed: int = 0
-    prediction_count: int = 1
 
     def __post_init__(self):
         if _checked_int(self.N, "N") < 1:
@@ -49,10 +47,6 @@ class Ar1Config:
             warnings.warn(
                 f"|phi| = {abs(self.phi)} >= 1: the latent path is nonstationary",
                 stacklevel=2,
-            )
-        if not (1 <= _checked_int(self.prediction_count, "prediction_count") <= self.N):
-            raise InvalidParameterError(
-                f"prediction_count must be in [1, N], got {self.prediction_count} with N={self.N}"
             )
 
 
@@ -77,7 +71,7 @@ def equally_spaced_indices(count: int, N: int) -> np.ndarray:
 
 
 def generate_ar1(config: Ar1Config):
-    """Simulate the dataset; returns (data, truth_mu, prediction_indices).
+    """Simulate the dataset; returns (data, truth_mu).
 
     The covariate matrix is a single intercept column and the coordinate
     of row i is i itself, so the kernel distance between rows equals the
@@ -95,7 +89,7 @@ def generate_ar1(config: Ar1Config):
         x=np.ones((config.N, 1)),
         index_coords=np.arange(config.N, dtype=float),
     )
-    return data, mu, equally_spaced_indices(config.prediction_count, config.N)
+    return data, mu
 
 
 def _root_mean_square(truth: np.ndarray, pred: np.ndarray) -> float:

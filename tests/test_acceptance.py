@@ -233,9 +233,9 @@ def run_simulation_study(master_seed=7, max_parallel=4):
 
     ``tools/acceptance_figures.py`` runs it at other master seeds too.
     """
-    config = sg.Ar1Config(N=100_000, phi=0.9, noise_var=0.1, seed=42,
-                          prediction_count=1000)
-    data, truth, pred = generate_ar1(config)
+    config = sg.Ar1Config(N=100_000, phi=0.9, noise_var=0.1, seed=42)
+    data, truth = generate_ar1(config)
+    pred = sg.equally_spaced_indices(1000, config.N)
     sampler = sg.SamplerConfig(iterations=2000, burn_in=200, prediction_set=pred,
                                basis=sg.BasisConfig(rho=0.3), seed=master_seed)
     plan = sg.SweepPlan(n_grid=tuple(range(10, 201, 10)), budget_seconds=300.0,
@@ -394,7 +394,7 @@ def test_criterion_6_cli_determinism(tmp_path):
     def simulate(tag):
         out = tmp_path / f"sim_{tag}"
         assert cli.main(["simulate", "--N", "2000", "--seed", "9",
-                         "--pred-count", "100", "--output-dir", str(out)]) == 0
+                         "--output-dir", str(out)]) == 0
         return out
 
     def fit(sim, tag):

@@ -30,10 +30,9 @@ def run(argv):
     return main(argv)
 
 
-def simulate(tmp_path, name="sim", N=400, seed=7, pred_count=40):
+def simulate(tmp_path, name="sim", N=400, seed=7):
     out = tmp_path / name
-    code = run(["simulate", "--N", str(N), "--seed", str(seed),
-                "--pred-count", str(pred_count), "--output-dir", str(out)])
+    code = run(["simulate", "--N", str(N), "--seed", str(seed), "--output-dir", str(out)])
     assert code == EXIT_OK
     return out
 
@@ -60,33 +59,33 @@ class TestSimulate:
         assert (a / "data.csv").read_bytes() == (b / "data.csv").read_bytes()
         assert (a / "truth.csv").read_bytes() == (b / "truth.csv").read_bytes()
 
-    def test_pred_count_over_N_is_usage_error(self, tmp_path):
-        code = run(["simulate", "--N", "10", "--pred-count", "11",
-                    "--output-dir", str(tmp_path / "x")])
-        assert code == EXIT_USAGE
-        assert not (tmp_path / "x").exists()
+    def test_default_flags_accept_fewer_than_1000_rows(self, tmp_path):
+        # simulate used to check a prediction-set size it never used, 1,000
+        # by default, against --N, so --N 500 exited 2
+        out = tmp_path / "x"
+        assert run(["simulate", "--N", "500", "--output-dir", str(out)]) == EXIT_OK
+        assert len((out / "data.csv").read_text().splitlines()) == 501
+        assert len((out / "truth.csv").read_text().splitlines()) == 501
 
-    @pytest.mark.parametrize("flag, value", [("--pred-count", "0"), ("--pred-count", "11"),
-                                             ("--noise-var", "-1"), ("--noise-var", "0"),
+    @pytest.mark.parametrize("flag, value", [("--noise-var", "-1"), ("--noise-var", "0"),
                                              ("--noise-var", "nan"), ("--noise-var", "inf")])
     def test_invalid_value_names_its_flag_before_any_directory(self, tmp_path, capsys,
                                                                flag, value):
-        # argparse keeps the last occurrence of --pred-count
-        code = run(["simulate", "--N", "10", "--pred-count", "5", flag, value,
+        code = run(["simulate", "--N", "10", flag, value,
                     "--output-dir", str(tmp_path / "x")])
         assert code == EXIT_USAGE
         assert f"error: {flag} must be" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_nan_phi_is_usage_error_before_any_directory(self, tmp_path, capsys):
-        code = run(["simulate", "--N", "10", "--pred-count", "5", "--phi", "nan",
+        code = run(["simulate", "--N", "10", "--phi", "nan",
                     "--output-dir", str(tmp_path / "x")])
         assert code == EXIT_USAGE
         assert "phi" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_bad_seed_is_usage_error_before_any_directory(self, tmp_path):
-        code = run(["simulate", "--N", "10", "--pred-count", "5", "--seed", "-1",
+        code = run(["simulate", "--N", "10", "--seed", "-1",
                     "--output-dir", str(tmp_path / "x")])
         assert code == EXIT_USAGE
         assert not (tmp_path / "x").exists()
@@ -109,12 +108,12 @@ class TestSimulate:
 ])
 def test_bad_value_names_the_flag(tmp_path, capsys, command, flag, value):
     # argparse keeps the last occurrence of a repeated flag
-    sim = simulate(tmp_path, N=30, pred_count=5)
+    sim = simulate(tmp_path, N=30)
     predictions = tmp_path / "predictions.csv"
     predictions.write_text("index,mu_hat,var_hat\n1,0.5,0.0\n")
     out = tmp_path / "bad"
     argv = {
-        "simulate": ["simulate", "--N", "10", "--pred-count", "5"],
+        "simulate": ["simulate", "--N", "10"],
         "fit": ["fit", "--data", str(sim / "data.csv"), "--n", "5", "--pred-count", "5"],
         "calibrate": ["calibrate", "--data", str(sim / "data.csv"), "--n-grid", "5,10",
                       "--budget-seconds", "1", "--pred-count", "5"],
@@ -207,7 +206,7 @@ class TestFit:
         assert timing["wall_seconds"] >= 0.0
 
     def test_full_subset_boundary(self, tmp_path):
-        sim = simulate(tmp_path, N=50, pred_count=10)
+        sim = simulate(tmp_path, N=50)
         out = tmp_path / "fitN"
         code = run(["fit", "--data", str(sim / "data.csv"), "--n", "50",
                     "--iterations", "60", "--burn-in", "10",
@@ -216,7 +215,7 @@ class TestFit:
         assert json.loads((out / "timing.json").read_text())["n"] == 50
 
     def test_oversized_subset_is_usage_error(self, tmp_path):
-        sim = simulate(tmp_path, N=30, pred_count=5)
+        sim = simulate(tmp_path, N=30)
         code = run(["fit", "--data", str(sim / "data.csv"), "--n", "31",
                     "--pred-count", "5", "--output-dir", str(tmp_path / "bad")])
         assert code == EXIT_USAGE
@@ -225,7 +224,7 @@ class TestFit:
                                                 ("fit", "31")])
     def test_pred_count_outside_one_to_N_names_the_flag(self, tmp_path, capsys, command,
                                                          count):
-        sim = simulate(tmp_path, N=30, pred_count=5)
+        sim = simulate(tmp_path, N=30)
         argv = [command, "--data", str(sim / "data.csv"), "--pred-count", count,
                 "--output-dir", str(tmp_path / "bad")]
         argv += (["--n", "5"] if command == "fit"
@@ -242,11 +241,12 @@ class TestFit:
         ("calibrate", ["--budget-seconds", "-1"], "--budget-seconds"),
         ("calibrate", ["--budget-seconds", "nan"], "--budget-seconds"),
         ("calibrate", ["--max-parallel", "0"], "--max-parallel"),
+        ("calibrate", ["--budget-seconds", "inf"], "--budget-seconds"),
     ])
     def test_invalid_sampler_or_plan_value_names_its_flag(self, tmp_path, capsys, command,
                                                           extra, flag):
         # argparse keeps the last occurrence of a repeated flag
-        sim = simulate(tmp_path, N=30, pred_count=5)
+        sim = simulate(tmp_path, N=30)
         argv = [command, "--data", str(sim / "data.csv"), "--pred-count", "5",
                 "--output-dir", str(tmp_path / "bad")]
         argv += (["--n", "5"] if command == "fit"
@@ -256,9 +256,27 @@ class TestFit:
         assert err.startswith("error: ") and flag in err
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("command, extra, flag", [
+        ("fit", ["--rho", "nan"], "--rho"),
+        ("fit", ["--burn-in", "5", "--iterations", "5"], "--burn-in"),
+        ("calibrate", ["--rho", "0"], "--rho"),
+        ("calibrate", ["--burn-in", "5", "--iterations", "5"], "--burn-in"),
+    ])
+    def test_data_free_flag_is_checked_before_the_data_is_read(self, tmp_path, capsys,
+                                                               command, extra, flag):
+        # these checks ran after the read, so a missing file exited 4 first
+        argv = [command, "--data", str(tmp_path / "missing.csv"),
+                "--output-dir", str(tmp_path / "bad")]
+        argv += (["--n", "5"] if command == "fit"
+                 else ["--n-grid", "5", "--budget-seconds", "1"])
+        assert run(argv + extra) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert not (tmp_path / "bad").exists()
+
     def test_huge_rho_fits_the_identity_kernel_without_warnings(self, tmp_path, capsys):
         # rho * gap overflows to inf, whose exponential limits are exact
-        sim = simulate(tmp_path, N=30, pred_count=5)
+        sim = simulate(tmp_path, N=30)
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -432,7 +450,7 @@ class TestScore:
 
 class TestCalibrate:
     def test_singleton_grid_echoes_selection(self, tmp_path):
-        sim = simulate(tmp_path, N=200, pred_count=20)
+        sim = simulate(tmp_path, N=200)
         out = tmp_path / "cal"
         code = run(["calibrate", "--data", str(sim / "data.csv"), "--n-grid", "9",
                     "--budget-seconds", "60", "--iterations", "80", "--burn-in", "20",
@@ -442,7 +460,7 @@ class TestCalibrate:
         assert summary["selected_n"] == 9
 
     def test_report_rows_match_grid(self, tmp_path):
-        sim = simulate(tmp_path, N=200, pred_count=20)
+        sim = simulate(tmp_path, N=200)
         out = tmp_path / "cal"
         code = run(["calibrate", "--data", str(sim / "data.csv"),
                     "--n-grid", "4:12:4", "--budget-seconds", "60",
@@ -457,7 +475,7 @@ class TestCalibrate:
 
     def test_report_and_summary_round_trip(self, tmp_path, scripted_timings):
         scripted_timings({4: 10.0, 8: 20.0, 12: 45.0})
-        sim = simulate(tmp_path, N=200, pred_count=20)
+        sim = simulate(tmp_path, N=200)
         out = tmp_path / "cal"
         code = run(["calibrate", "--data", str(sim / "data.csv"),
                     "--n-grid", "4:12:4", "--budget-seconds", "30",
@@ -486,7 +504,7 @@ class TestCalibrate:
     def test_use_cpu_time_selects_on_cpu_seconds(self, tmp_path, scripted_timings):
         # by wall time nothing fits the budget; by CPU time n = 8 does
         scripted_timings(wall={4: 1000.0, 8: 1000.0}, cpu={4: 100.0, 8: 40.0})
-        sim = simulate(tmp_path, N=200, pred_count=20)
+        sim = simulate(tmp_path, N=200)
         out = tmp_path / "cal"
         code = run(["calibrate", "--data", str(sim / "data.csv"),
                     "--n-grid", "4,8", "--budget-seconds", "50", "--use-cpu-time",
@@ -509,7 +527,7 @@ class TestCalibrate:
             return real(data, config, n, **kwargs)
 
         monkeypatch.setattr(calibrate, "run_chain", failing_at_8)
-        sim = simulate(tmp_path, N=200, pred_count=20)
+        sim = simulate(tmp_path, N=200)
         out = tmp_path / "cal"
         code = run(["calibrate", "--data", str(sim / "data.csv"),
                     "--n-grid", "4:12:4", "--budget-seconds", "60",
@@ -537,7 +555,7 @@ class TestCalibrate:
             assert f"n={n}: variance conditionals" in err and f"[n={n}] [iteration=" in err
 
     def test_grid_parsing_rejects_garbage(self, tmp_path):
-        sim = simulate(tmp_path, N=100, pred_count=10)
+        sim = simulate(tmp_path, N=100)
         code = run(["calibrate", "--data", str(sim / "data.csv"),
                     "--n-grid", "5:1:2", "--budget-seconds", "10",
                     "--pred-count", "10", "--output-dir", str(tmp_path / "c")])
@@ -549,7 +567,7 @@ class TestCalibrate:
     ])
     def test_grid_outside_one_to_N_names_the_flag(self, tmp_path, capsys, grid):
         # N = 50; a range is checked before it is built, so 1e20 allocates nothing
-        sim = simulate(tmp_path, N=50, pred_count=5)
+        sim = simulate(tmp_path, N=50)
         code = run(["calibrate", "--data", str(sim / "data.csv"),
                     "--n-grid", grid, "--budget-seconds", "10",
                     "--pred-count", "5", "--output-dir", str(tmp_path / "c")])
@@ -559,7 +577,7 @@ class TestCalibrate:
 
     @pytest.mark.parametrize("grid", ["a,b", "10,x", "1:x:1", "1:5:1.5"])
     def test_non_integer_grid_is_usage_error(self, tmp_path, capsys, grid):
-        sim = simulate(tmp_path, N=100, pred_count=10)
+        sim = simulate(tmp_path, N=100)
         code = run(["calibrate", "--data", str(sim / "data.csv"),
                     "--n-grid", grid, "--budget-seconds", "10",
                     "--pred-count", "10", "--output-dir", str(tmp_path / "c")])
@@ -647,7 +665,7 @@ class TestReplayManifest:
             assert (out / name).read_bytes() == (replayed / name).read_bytes()
 
     def test_calibrate(self, tmp_path):
-        sim = simulate(tmp_path, N=200, pred_count=20)
+        sim = simulate(tmp_path, N=200)
         out = tmp_path / "cal"
         assert run(["calibrate", "--data", str(sim / "data.csv"),
                     "--n-grid", "4:12:4", "--budget-seconds", "60",

@@ -34,25 +34,24 @@ class TestAr1Path:
 
 class TestGenerateAr1:
     def test_deterministic_under_seed(self):
-        config = Ar1Config(N=500, seed=99, prediction_count=10)
-        data_a, mu_a, pred_a = generate_ar1(config)
-        data_b, mu_b, pred_b = generate_ar1(config)
+        config = Ar1Config(N=500, seed=99)
+        data_a, mu_a = generate_ar1(config)
+        data_b, mu_b = generate_ar1(config)
         np.testing.assert_array_equal(data_a.y, data_b.y)
         np.testing.assert_array_equal(mu_a, mu_b)
-        np.testing.assert_array_equal(pred_a, pred_b)
 
     def test_lag_one_autocorrelation(self):
-        _, mu, _ = generate_ar1(Ar1Config(N=10**6, seed=12, prediction_count=1))
+        _, mu = generate_ar1(Ar1Config(N=10**6, seed=12))
         centered = mu - mu.mean()
         acf1 = centered[:-1] @ centered[1:] / (centered @ centered)
         assert acf1 == pytest.approx(0.9, abs=0.005)
 
     def test_measurement_error_variance(self):
-        data, mu, _ = generate_ar1(Ar1Config(N=10**6, seed=5, prediction_count=1))
+        data, mu = generate_ar1(Ar1Config(N=10**6, seed=5))
         assert (data.y - mu).var() == pytest.approx(0.1, abs=0.002)
 
     def test_stationary_marginal_variance(self):
-        _, mu, _ = generate_ar1(Ar1Config(N=10**6, seed=31, prediction_count=1))
+        _, mu = generate_ar1(Ar1Config(N=10**6, seed=31))
         target = 0.1 / (1.0 - 0.81)
         # AR(1) variance estimates carry serial correlation; a 3-sigma
         # bound from the effective sample size covers it
@@ -60,12 +59,7 @@ class TestGenerateAr1:
         se = target * np.sqrt(2.0 / ess)
         assert abs(mu.var() - target) < 3.0 * se
 
-    def test_rejects_oversized_prediction_count(self):
-        with pytest.raises(InvalidParameterError):
-            Ar1Config(N=10, prediction_count=11)
-
-    @pytest.mark.parametrize("fields", [dict(N=100.5), dict(N=100.0),
-                                        dict(N=100, prediction_count=2.5)])
+    @pytest.mark.parametrize("fields", [dict(N=100.5), dict(N=100.0)])
     def test_rejects_non_integer_sizes(self, fields):
         # N=100.5 used to pass here and fail inside the generator
         with pytest.raises(InvalidParameterError, match="integer"):
@@ -75,14 +69,14 @@ class TestGenerateAr1:
     def test_rejects_non_finite_phi(self, phi):
         # a NaN phi used to pass here and fail in the generator, naming y
         with pytest.raises(InvalidParameterError, match="phi"):
-            Ar1Config(N=10, phi=phi, prediction_count=1)
+            Ar1Config(N=10, phi=phi)
 
     def test_warns_on_nonstationary_phi(self):
         with pytest.warns(UserWarning):
-            Ar1Config(N=10, phi=1.01, prediction_count=1)
+            Ar1Config(N=10, phi=1.01)
 
     def test_intercept_only_covariates(self):
-        data, _, _ = generate_ar1(Ar1Config(N=50, seed=1, prediction_count=5))
+        data, _ = generate_ar1(Ar1Config(N=50, seed=1))
         np.testing.assert_array_equal(data.x, np.ones((50, 1)))
         np.testing.assert_array_equal(data.index_coords, np.arange(50.0))
 

@@ -39,7 +39,7 @@ def pinned_great_circle_chain():
 
 
 def test_traced_fit_calibrate_and_pinned_chain_record_every_stage(tmp_path):
-    assert cli.main(["simulate", "--N", "60", "--seed", "2", "--pred-count", "6",
+    assert cli.main(["simulate", "--N", "60", "--seed", "2",
                      "--output-dir", str(tmp_path / "sim")]) == 0
     common = ["--data", str(tmp_path / "sim" / "data.csv"), "--iterations", "12",
               "--burn-in", "2", "--pred-count", "6", "--seed", "1"]

@@ -144,8 +144,8 @@ def cli_cases():
 
 def cases():
     """Yield (name, (parts, jitter)) per chain case; parts are (label, array) pairs."""
-    study, _, study_pred = sg.generate_ar1(sg.Ar1Config(
-        N=100_000, phi=0.9, noise_var=0.1, seed=42, prediction_count=1000))
+    study, _ = sg.generate_ar1(sg.Ar1Config(N=100_000, phi=0.9, noise_var=0.1, seed=42))
+    study_pred = sg.equally_spaced_indices(1000, study.n_obs)
     sampler = sg.SamplerConfig(iterations=2000, burn_in=200, prediction_set=study_pred,
                                basis=sg.BasisConfig(rho=0.3), seed=7)
     plan = sg.SweepPlan(n_grid=tuple(range(10, 201, 10)), budget_seconds=300.0,
@@ -159,7 +159,8 @@ def cases():
     yield "prior_m1000_n10", chain(study, 10, pred=study_pred, iterations=300,
                                    refresh="prior", seed=7)
 
-    ar1, _, pred = sg.generate_ar1(sg.Ar1Config(N=100_000, seed=3, prediction_count=1000))
+    ar1, _ = sg.generate_ar1(sg.Ar1Config(N=100_000, seed=3))
+    pred = sg.equally_spaced_indices(1000, ar1.n_obs)
     yield "n1_carry", chain(ar1, 1, pred=pred)
     yield "n1_prior_pinned", chain(ar1, 1, pred=pred, refresh="prior", fixed=PINS)
     yield "n2_carry", chain(ar1, 2, pred=pred)
