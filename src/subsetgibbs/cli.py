@@ -72,7 +72,7 @@ def _write_json(path, document: dict) -> None:
 
 
 def write_manifest(output_dir: Path, command: str, argv: Sequence[str],
-                   seed: int, dataset_path: Optional[str]) -> None:
+                   seed: Optional[int], dataset_path: Optional[str]) -> None:
     _write_json(output_dir / "manifest.json", {
         "command": command,
         "argv": list(argv),
@@ -342,7 +342,8 @@ def cmd_score(args) -> int:
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     _write_json(output_dir / "metrics.json", {metric_name: value, "count": len(indices)})
-    write_manifest(output_dir, "score", args.raw_argv, args.seed, args.predictions)
+    # scoring draws no variate, so it takes no seed
+    write_manifest(output_dir, "score", args.raw_argv, None, args.predictions)
     print(f"{metric_name} = {value:.6f} over {len(indices)} indices")
     return EXIT_OK
 
@@ -354,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
+    def add_common(p, seed=True):
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
         p.add_argument("--output-dir", required=True, help="directory for outputs")
 
     def add_sampler_flags(p):
@@ -403,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--predictions", required=True, help="predictions.csv path")
     p_score.add_argument("--truth", help="truth.csv path (latent-truth error)")
     p_score.add_argument("--holdout", help="holdout data.csv path (testing error)")
-    add_common(p_score)
+    add_common(p_score, seed=False)
     p_score.set_defaults(func=cmd_score)
     return parser
 
@@ -417,9 +419,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     args.raw_argv = argv
     try:
-        if not (0 <= args.seed < 2**64):  # every command takes --seed
+        seed = getattr(args, "seed", 0)  # every command but score takes --seed
+        if not (0 <= seed < 2**64):
             raise InvalidParameterError(
-                f"--seed must be a 64-bit unsigned integer, got {args.seed}")
+                f"--seed must be a 64-bit unsigned integer, got {seed}")
         return args.func(args)
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,9 +7,10 @@ call sequence means a bit-identical variate stream, and concurrency
 cannot perturb results.  Streams are ``numpy.random.Generator``
 instances (PCG64); ``run_chain`` draws each variate kind from its own
 generator (see ``gibbs``).  A data subset is the ``int64`` array of its
-indices in coordinate order (``run_chain`` maps the sorted draw of
-``sample_active_indices`` through the coordinates' sorting permutation
-when they are not sorted); no other representation exists.
+indices in coordinate order (``run_chain`` maps the sorted rows of
+``sample_active_indices``, one block of sweeps' subsets per call, through
+the coordinates' sorting permutation when they are not sorted); no other
+representation exists.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InvalidParameterError
 
@@ -71,21 +71,101 @@ def spawn_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def sample_active_indices(n: int, N: int, rng: np.random.Generator) -> np.ndarray:
-    """Sorted indices of a uniform size-n subset of range(N); ``run_chain``
-    reads them as positions in coordinate order.
+def sample_active_indices(n: int, N: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` uniform size-n subsets of range(N), one sorted row each;
+    ``run_chain`` reads them as positions in coordinate order.
 
-    ``Generator.choice`` without replacement and without shuffling: NumPy
-    draws with Floyd's algorithm over a hash set unless n exceeds N/50 of
-    a population above 10,000, so the cost follows n, not N.
+    Row b is what the b-th of ``count`` successive calls of
+    ``rng.choice(N, n, replace=False, shuffle=False)`` returns, sorted,
+    and ``rng`` ends in the same state, so the number of rows drawn at
+    once changes no subset.  NumPy draws with Floyd's algorithm (Bentley
+    and Floyd, CACM 30(9), 1987) unless n exceeds N/50 of a population
+    above 10,000, so the cost follows n, not N.  Where
+    :func:`_floyd_block_pays` says so, all rows come from one
+    vectorized pass over the same variates (:func:`_floyd_subsets`);
+    otherwise ``choice`` draws each row.
     """
     n = _checked_int(n, "subset size n")
     N = _checked_int(N, "population size N")
+    count = _checked_int(count, "subset count")
     if not (1 <= n <= N):
         raise InvalidParameterError(f"subset size must satisfy 1 <= n <= N, got n={n}, N={N}")
-    active = rng.choice(N, n, replace=False, shuffle=False)
-    active.sort()
-    return active
+    if count < 1:
+        raise InvalidParameterError(f"subset count must be positive, got {count}")
+    if _floyd_block_pays(n, N):
+        return _floyd_subsets(n, N, rng, count)
+    return _choice_subsets(n, N, rng, count)
+
+
+def _floyd_block_pays(n: int, N: int) -> bool:
+    """Whether :func:`_floyd_subsets` beats one ``choice`` call per subset.
+
+    Its cost per subset grows with n log n and with the draws a row
+    repeats, about n^2 / 2N (at most 20 here), while ``choice`` spends
+    some 7 µs per call in Python before its C loop (README, "Cost per
+    sweep", has the measured table).  n <= 200 also keeps the draw inside ``choice``'s
+    Floyd regime, which a population above 10,000 leaves only for
+    n > N // 50 >= 200.
+    """
+    return n <= 200 and n * n <= 40 * N
+
+
+def _choice_subsets(n: int, N: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` sorted rows from one ``choice`` call each."""
+    actives = np.empty((count, n), dtype=np.int64)
+    for b in range(count):
+        actives[b] = rng.choice(N, n, replace=False, shuffle=False)
+    actives.sort(axis=1)
+    return actives
+
+
+def _floyd_subsets(n: int, N: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` sorted rows of Floyd's algorithm from one ``integers`` call.
+
+    Floyd's loop takes, for j = N - n, ..., N - 1, a draw d uniform on
+    0..j and keeps d unless an earlier step kept it, in which case it
+    keeps j.  ``choice`` draws each d by ``random_bounded_uint64(0, j)``;
+    ``integers(0, j + 1)`` over the (count, n) grid of loop values makes
+    the same calls in the same order.  A row without a repeated draw is
+    its draws, sorted; the rows that repeat one are resolved by
+    :func:`_resolve_repeats`.
+    """
+    base = N - n
+    draws = rng.integers(0, np.arange(base + 1, N + 1), size=(count, n))
+    actives = np.sort(draws, axis=1)
+    repeats = (actives[:, 1:] == actives[:, :-1]).any(axis=1)
+    if repeats.any():
+        actives[repeats] = _resolve_repeats(draws[repeats], base)
+    return actives
+
+
+def _resolve_repeats(draws: np.ndarray, base: int) -> np.ndarray:
+    """Floyd's kept values, sorted, for rows of draws in loop order.
+
+    Step k of a row (loop value j = base + k) keeps j in place of its draw
+    when the draw repeats an earlier one, or when it equals the loop
+    value that an earlier replaced step kept; a replacement can so set
+    off a chain of them, followed here one link per pass.
+    """
+    rows, n = draws.shape
+    # sort by value, then by step: each later occurrence of a value repeats it
+    key = draws * n + np.arange(n)
+    key.sort(axis=1)
+    value, step = np.divmod(key, n)
+    later = value[:, 1:] == value[:, :-1]
+    replaced = np.zeros((rows, n), dtype=bool)
+    replaced[np.nonzero(later)[0], step[:, 1:][later]] = True
+    # the draws that equal a loop value, and the step that owns it
+    row, at = np.nonzero(draws >= base)
+    owner = draws[row, at] - base
+    while True:
+        chained = replaced[row, owner] & ~replaced[row, at]
+        if not chained.any():
+            break
+        replaced[row[chained], at[chained]] = True
+    kept = np.where(replaced, base + np.arange(n), draws)
+    kept.sort(axis=1)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -162,6 +242,9 @@ def mlb_log_density(eta: np.ndarray, params: MlbParams) -> float:
         )
     if not np.all(np.isfinite(eta)):
         raise InvalidParameterError("eta must be finite")
+    # imported here: scipy.special alone adds hundreds of modules to every import
+    from scipy.special import gammaln
+
     z = params.v_inverse @ (eta - params.mu)
     log_det = float(np.sum(np.log(np.diag(params.v_inverse))))
     log_gamma = float(

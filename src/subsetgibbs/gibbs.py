@@ -44,10 +44,10 @@ Each variate kind has its own generator, ``make_rng(spawn_seed(seed, k))``
 for k = 0-3: the subsets, the 2n + p standard normals of steps 2-4, the
 four standard gammas of step 6 and the 2m normals of the prior refresh.
 ``run_chain`` works in blocks of sweeps.  A block first draws the
-variates whose count is set by n: one subset per sweep, then one call for
-the whole block's normals and one for its gammas, which draw what the
-block's sweeps would draw one at a time, so the block size changes no
-variate.  The refresh's normals, whose count is set by m, are drawn in
+variates whose count is set by n: one ``sample_active_indices`` call for
+the block's (B, n) stack of subsets, one call for its normals and one for
+its gammas, which draw what the block's sweeps would draw one at a time,
+so the block size changes no variate.  The refresh's normals, whose count is set by m, are drawn in
 their own sweep.  The block then builds what depends on its subsets alone
 in one vectorized pass over the (B, n) stack of subsets: the gathers of y
 and x, every subset's X'X, and, for every subset whose scalar coordinates
@@ -442,9 +442,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     try:
         while g < config.iterations:
             size = min(sweeps_per_block, config.iterations - g)
-            actives = np.empty((size, n), dtype=np.int64)
-            for b in range(size):
-                actives[b] = sample_active_indices(n, N, subset_rng)
+            actives = sample_active_indices(n, N, subset_rng, size)
             if rank is not None:
                 actives = rank[actives]
             normals = normal_rng.standard_normal((size, 2 * n + p))

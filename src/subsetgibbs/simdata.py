@@ -6,7 +6,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .distributions import _checked_int, make_rng
 from .errors import InvalidParameterError
@@ -57,6 +56,9 @@ def ar1_path(start: float, phi: float, innovations: np.ndarray) -> np.ndarray:
     Exposed separately so the recursion can be verified without any
     randomness (zero innovations give an exact geometric decay).
     """
+    # imported here: scipy.signal alone adds hundreds of modules to every import
+    from scipy.signal import lfilter
+
     innovations = np.asarray(innovations, dtype=float)
     driven = np.concatenate(([float(start)], innovations))
     return lfilter([1.0], [1.0, -float(phi)], driven)

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -101,7 +104,7 @@ class TestSimulate:
 
 @pytest.mark.parametrize("command, flag, value", [
     ("simulate", "--seed", "-3"), ("simulate", "--seed", str(2**64)),
-    ("fit", "--seed", "-3"), ("calibrate", "--seed", "-3"), ("score", "--seed", "-1"),
+    ("fit", "--seed", "-3"), ("calibrate", "--seed", "-3"),
     ("fit", "--rho", "0"), ("fit", "--rho", "inf"), ("calibrate", "--rho", "-1"),
     ("calibrate", "--rho", "nan"), ("simulate", "--N", "0"), ("simulate", "--phi", "nan"),
     ("simulate", "--phi", "inf"),
@@ -109,16 +112,12 @@ class TestSimulate:
 def test_bad_value_names_the_flag(tmp_path, capsys, command, flag, value):
     # argparse keeps the last occurrence of a repeated flag
     sim = simulate(tmp_path, N=30)
-    predictions = tmp_path / "predictions.csv"
-    predictions.write_text("index,mu_hat,var_hat\n1,0.5,0.0\n")
     out = tmp_path / "bad"
     argv = {
         "simulate": ["simulate", "--N", "10"],
         "fit": ["fit", "--data", str(sim / "data.csv"), "--n", "5", "--pred-count", "5"],
         "calibrate": ["calibrate", "--data", str(sim / "data.csv"), "--n-grid", "5,10",
                       "--budget-seconds", "1", "--pred-count", "5"],
-        "score": ["score", "--predictions", str(predictions),
-                  "--truth", str(sim / "truth.csv")],
     }[command]
     capsys.readouterr()
     assert run(argv + [flag, value, "--output-dir", str(out)]) == EXIT_USAGE
@@ -370,6 +369,20 @@ class TestScore:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["rmspe"] == 0.0
         assert metrics["count"] == 2
+
+    def test_takes_no_seed(self, tmp_path):
+        # scoring draws no variate: the manifest records no seed, and a
+        # --seed flag is unknown
+        pred = tmp_path / "p.csv"
+        truth = tmp_path / "t.csv"
+        pred.write_text("index,mu_hat,var_hat\n1,0.5,0.0\n")
+        truth.write_text("index,mu\n1,0.5\n")
+        argv = ["score", "--predictions", str(pred), "--truth", str(truth)]
+        out = tmp_path / "score"
+        assert run(argv + ["--output-dir", str(out)]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["master_seed"] is None
+        assert run(argv + ["--seed", "1", "--output-dir", str(tmp_path / "seeded")]) == EXIT_USAGE
+        assert not (tmp_path / "seeded").exists()
 
     def test_holdout_mode_emits_rste(self, tmp_path):
         pred = tmp_path / "p.csv"
@@ -694,3 +707,15 @@ class TestReplayManifest:
                     "--truth", str(sim / "truth.csv"), "--output-dir", str(out)]) == EXIT_OK
         replayed = self.replay(tmp_path, out)
         assert (out / "metrics.json").read_bytes() == (replayed / "metrics.json").read_bytes()
+
+
+def test_import_leaves_the_heavy_scipy_modules_unloaded():
+    # each pulls in hundreds of modules; the functions that need one
+    # import it when they run
+    heavy = ("scipy.signal", "scipy.special", "scipy.stats")
+    code = f"import sys, subsetgibbs.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    assert loaded.strip() == "[]"

@@ -651,6 +651,24 @@ def count_calls(monkeypatch, names):
     return calls
 
 
+def record_subsets(monkeypatch, rows):
+    """Append each subset the chain draws to ``rows``, one row per sweep."""
+    draw = gibbs.sample_active_indices
+
+    def drawing(n, N, rng, count):
+        actives = draw(n, N, rng, count)
+        rows.extend(actives.copy())
+        return actives
+
+    monkeypatch.setattr(gibbs, "sample_active_indices", drawing)
+
+
+def pin_subsets(monkeypatch, active):
+    """Make ``active`` the subset of every sweep."""
+    monkeypatch.setattr(gibbs, "sample_active_indices",
+                        lambda n, N, rng, count: np.tile(active, (count, 1)))
+
+
 def record_prediction_products(monkeypatch):
     """Record the chain's subsets and the sweeps that multiply by the prediction kernel.
 
@@ -659,14 +677,9 @@ def record_prediction_products(monkeypatch):
     1-based sweep index (a block draws its subsets before its sweeps run).
     """
     record = {"subsets": [], "products": [], "kernels": [], "sweeps": 0}
-    draw, kernel_operator = gibbs.sample_active_indices, gibbs._kernel_operator
-    eta_step = gibbs.update_eta_active
+    record_subsets(monkeypatch, record["subsets"])
+    kernel_operator, eta_step = gibbs._kernel_operator, gibbs.update_eta_active
     matmul = BandedKernel.__matmul__
-
-    def drawing(n, N, rng):
-        active = draw(n, N, rng)
-        record["subsets"].append(active.copy())
-        return active
 
     def stepping(*args):
         record["sweeps"] += 1
@@ -681,7 +694,6 @@ def record_prediction_products(monkeypatch):
             record["products"].append(record["sweeps"])
         return matmul(kernel, v)
 
-    monkeypatch.setattr(gibbs, "sample_active_indices", drawing)
     monkeypatch.setattr(gibbs, "update_eta_active", stepping)
     monkeypatch.setattr(gibbs, "_kernel_operator", building)
     monkeypatch.setattr(BandedKernel, "__matmul__", multiplying)
@@ -700,7 +712,6 @@ def record_draws(monkeypatch):
     record = {name: [] for name in ("subsets", "eta", "psi_eta", "xi", "beta", "refresh",
                                     "eta_residual", "xi_residual", "beta_residual")}
     hooks = {
-        "sample_active_indices": lambda args, result: {"subsets": result},
         "update_eta_active": lambda args, result: {
             "eta": result[0], "psi_eta": result[1], "eta_residual": args[0]},
         "update_xi_active": lambda args, result: {"xi": result, "xi_residual": args[0]},
@@ -719,6 +730,7 @@ def record_draws(monkeypatch):
 
     for attr, keep in hooks.items():
         monkeypatch.setattr(gibbs, attr, recording(getattr(gibbs, attr), keep))
+    record_subsets(monkeypatch, record["subsets"])
     return record
 
 
@@ -897,14 +909,16 @@ class TestRunChain:
     @pytest.mark.parametrize("metric", ["abs", "greatcircle"])
     def test_stage_hooks_are_resolved_every_sweep(self, monkeypatch, metric):
         # the per-stage benchmark timings wrap these module attributes, so
-        # the chain must look each one up at call time, once per sweep
-        stages = ["sample_active_indices", "update_eta_active", "update_xi_active",
-                  "update_beta", "update_variances"]
-        calls = count_calls(monkeypatch, stages + ["kernel_matrix"])
+        # the chain must look each one up at call time: the subset draw
+        # once per block of sweeps, every other stage once per sweep
+        stages = ["update_eta_active", "update_xi_active", "update_beta", "update_variances"]
+        calls = count_calls(monkeypatch, stages + ["sample_active_indices", "kernel_matrix"])
+        monkeypatch.setattr(gibbs, "_sweeps_per_block", lambda n_: 4)
         config = small_config(12, iterations=15, burn_in=0,
                               basis=BasisConfig(rho=0.3, metric=metric))
         run_chain(small_dataset(), config, 4)
         assert {name: calls[name] for name in stages} == dict.fromkeys(stages, 15)
+        assert calls["sample_active_indices"] == 4
         if metric == "greatcircle":
             assert calls["kernel_matrix"] >= config.iterations
 
@@ -1006,14 +1020,7 @@ class TestRunChain:
 
     def test_subset_draws_consume_no_data_values(self, monkeypatch):
         recorded = []
-        original = gibbs.sample_active_indices
-
-        def recording(n, N, rng):
-            active = original(n, N, rng)
-            recorded.append(active.copy())
-            return active
-
-        monkeypatch.setattr(gibbs, "sample_active_indices", recording)
+        record_subsets(monkeypatch, recorded)
         config = small_config(12, iterations=30, burn_in=0)
         data_a = small_dataset(seed=1)
         data_b = DatasetView(y=data_a.y + 250.0, x=data_a.x,
@@ -1028,9 +1035,7 @@ class TestRunChain:
     def test_unselected_data_outside_predictions_is_ignored(self, monkeypatch):
         # with the subset pinned, perturbing a datum that is neither in
         # the subset nor in the prediction set must not move the chain
-        fixed_active = np.array([0, 1, 2])
-        monkeypatch.setattr(gibbs, "sample_active_indices",
-                            lambda n, N, rng: fixed_active)
+        pin_subsets(monkeypatch, np.array([0, 1, 2]))
         config = small_config(6, iterations=50, burn_in=0,
                               prediction_set=np.array([0, 1]))
         data_a = small_dataset(N=6, seed=3)
@@ -1043,9 +1048,7 @@ class TestRunChain:
         np.testing.assert_array_equal(a.mu_hat, b.mu_hat)
 
     def test_carry_policy_keeps_untouched_components_at_zero(self, monkeypatch):
-        fixed_active = np.array([0, 1, 2])
-        monkeypatch.setattr(gibbs, "sample_active_indices",
-                            lambda n, N, rng: fixed_active)
+        pin_subsets(monkeypatch, np.array([0, 1, 2]))
         data = small_dataset(N=6, seed=3)
         config = small_config(6, iterations=60, burn_in=0,
                               prediction_set=np.array([5]),
@@ -1056,9 +1059,7 @@ class TestRunChain:
         assert out.mu_hat[0] == pytest.approx(out.trace[:, 0].mean(), rel=1e-9)
 
     def test_prior_policy_adds_prior_noise_to_untouched_components(self, monkeypatch):
-        fixed_active = np.array([0, 1, 2])
-        monkeypatch.setattr(gibbs, "sample_active_indices",
-                            lambda n, N, rng: fixed_active)
+        pin_subsets(monkeypatch, np.array([0, 1, 2]))
         data = small_dataset(N=6, seed=3)
         config = small_config(6, iterations=4000, burn_in=0,
                               prediction_set=np.array([5]),
@@ -1233,9 +1234,7 @@ class TestSweepBlocks:
         # the block's one stacked product gives each sweep's beta factor
         # the X'X of that sweep's subset
         subsets, grams = [], []
-        draw = gibbs.sample_active_indices
-        monkeypatch.setattr(gibbs, "sample_active_indices",
-                            lambda n, N, rng: subsets.append(draw(n, N, rng)) or subsets[-1])
+        record_subsets(monkeypatch, subsets)
         factor = gibbs._beta_factor
         monkeypatch.setattr(gibbs, "_beta_factor",
                             lambda xtx, *args: grams.append(xtx.copy()) or factor(xtx, *args))
@@ -1252,9 +1251,7 @@ class TestSweepBlocks:
         # every layout draws the seed's sequence of positions, whatever path
         # its kernels take and wherever its subsets meet the prediction set
         recorded = []
-        draw = gibbs.sample_active_indices
-        monkeypatch.setattr(gibbs, "sample_active_indices",
-                            lambda n, N, rng: recorded.append(draw(n, N, rng)) or recorded[-1])
+        record_subsets(monkeypatch, recorded)
         for policy in ("carry", "prior"):
             config = small_config(40, iterations=50, burn_in=0, prediction_refresh=policy)
             sequences = {}
@@ -1271,10 +1268,8 @@ class TestSweepBlocks:
         # chain draws come from streams of their own: pinned or sampled,
         # carry or prior, a seed draws the same subsets and block normals
         seen = {"sample_active_indices": [], "update_xi_active": []}
-        draw, xi_step = gibbs.sample_active_indices, gibbs.update_xi_active
-        monkeypatch.setattr(gibbs, "sample_active_indices", lambda n, N, rng: (
-            seen["sample_active_indices"].append(draw(n, N, rng))
-            or seen["sample_active_indices"][-1]))
+        record_subsets(monkeypatch, seen["sample_active_indices"])
+        xi_step = gibbs.update_xi_active
         monkeypatch.setattr(gibbs, "update_xi_active", lambda *args: (
             seen["update_xi_active"].append(args[3].copy()) or xi_step(*args)))
         data = layout_dataset("banded")

@@ -139,9 +139,7 @@ class TestBuildSubsetDesign:
 
     def test_symmetric_with_unit_diagonal(self):
         data = make_data(30)
-        rng = make_rng(4)
-        for _ in range(10):
-            active = sample_active_indices(7, 30, rng)
+        for active in sample_active_indices(7, 30, make_rng(4), 10):
             psi = subset_kernel(data, BasisConfig(rho=0.55), active)
             np.testing.assert_array_equal(psi, psi.T)
             np.testing.assert_array_equal(np.diag(psi), np.ones(7))
@@ -150,9 +148,7 @@ class TestBuildSubsetDesign:
         data = make_data(12)
         basis = BasisConfig(rho=0.4)
         full = subset_kernel(data, basis, np.arange(12))
-        rng = make_rng(9)
-        for _ in range(10):
-            active = sample_active_indices(5, 12, rng)
+        for active in sample_active_indices(5, 12, make_rng(9), 10):
             sub = subset_kernel(data, basis, active)
             np.testing.assert_array_equal(sub, full[np.ix_(active, active)])
 

@@ -16,7 +16,9 @@ from subsetgibbs import calibrate, cli, gibbs
 from subsetgibbs.model import BasisConfig, DatasetView, FixedVariances, SamplerConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-SWEEP_STAGES = {"distributions.subset_draw", "gibbs.eta", "gibbs.xi", "gibbs.beta"}
+SWEEP_STAGES = {"gibbs.eta", "gibbs.xi", "gibbs.beta"}
+# drawn once per block of sweeps; each chain here fits in one block
+SUBSET_DRAW = "distributions.subset_draw"
 
 
 def load_tracing():
@@ -66,13 +68,16 @@ def test_traced_fit_calibrate_and_pinned_chain_record_every_stage(tmp_path):
         restore()
     assert [dict(vars(module)) for module in modules] == before
 
-    assert {"cli.read", "gibbs.run_chain", "gibbs.variances"} | SWEEP_STAGES <= set(fit)
+    assert {"cli.read", "gibbs.run_chain", "gibbs.variances",
+            SUBSET_DRAW} | SWEEP_STAGES <= set(fit)
     assert all(fit[name]["calls"] == 12 for name in SWEEP_STAGES | {"gibbs.variances"})
+    assert fit[SUBSET_DRAW]["calls"] == 1
     assert {"cli.read", "calibrate.run_sweep", "gibbs.run_chain",
-            "gibbs.variances"} | SWEEP_STAGES <= set(sweep)
-    assert sweep["gibbs.run_chain"]["calls"] == 2
-    assert SWEEP_STAGES | {"gibbs.run_chain", "model.kernel"} <= set(pinned)
+            "gibbs.variances", SUBSET_DRAW} | SWEEP_STAGES <= set(sweep)
+    assert sweep["gibbs.run_chain"]["calls"] == sweep[SUBSET_DRAW]["calls"] == 2
+    assert SWEEP_STAGES | {"gibbs.run_chain", "model.kernel", SUBSET_DRAW} <= set(pinned)
     assert all(pinned[name]["calls"] == config.iterations for name in SWEEP_STAGES)
+    assert pinned[SUBSET_DRAW]["calls"] == 1
     assert "gibbs.variances" not in pinned
     assert out.trace.shape == (config.iterations, 5)
     assert recorder.counters["chain_wall_s"] > 0.0

@@ -18,8 +18,8 @@ path (n = 1 and 2 included, where some of the band's slices are empty),
 the dense great-circle path, unsorted and too-close coordinates, blocks
 that mix banded and dense subsets (on sorted and on unsorted
 coordinates), pinned and sampled variances, both refresh policies,
-n = N, and banded factors forced to fail so that every sweep takes the
-dense fallback.
+n = N, subsets whose draws repeat (``repeats_``), and banded factors
+forced to fail so that every sweep takes the dense fallback.
 
 ``cases`` yields each chain case as its name, its labelled output arrays
 and its jitter count, so other tools can compare the values themselves
@@ -194,6 +194,12 @@ def cases():
     yield "mixed_sampled_carry", chain(mixed, 20)
     yield "unsorted_mixed", chain(dataset(*scattered(400, 9, "unsorted_mixed")), 20,
                                   refresh="prior")
+    # the subset draw's block path where rows repeat draws: about one
+    # repeat per subset at N = 1,000 and n = 45, chained replacements at
+    # N = 100 and n = 60
+    yield "repeats_N1000_n45", chain(dataset(*scattered(1000, 10, "sorted")), 45)
+    yield "repeats_N100_n60", chain(dataset(*scattered(100, 11, "sorted")), 60,
+                                    refresh="prior")
     latlon = dataset(*scattered(500, 8, "latlon"), p=2)
     for refresh in ("carry", "prior"):
         yield f"greatcircle_p2_{refresh}", chain(latlon, 30, metric="greatcircle",
