@@ -49,8 +49,9 @@ class SweepPlan:
             raise InvalidParameterError("n_grid must be nonempty")
         if any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
             raise InvalidParameterError("n_grid must be strictly increasing and >= 1")
-        if not (self.budget_seconds > 0.0):
-            raise InvalidParameterError(f"budget_seconds must be > 0, got {self.budget_seconds}")
+        if not (0.0 < self.budget_seconds < np.inf):
+            raise InvalidParameterError(
+                f"budget_seconds must be finite and > 0, got {self.budget_seconds}")
         if _checked_int(self.max_parallel, "max_parallel") < 1:
             raise InvalidParameterError(f"max_parallel must be >= 1, got {self.max_parallel}")
 
@@ -99,8 +100,8 @@ def select_budget_n(timings: Sequence[Tuple[int, float]], budget_seconds: float)
     -------
     (selected_n, met)
     """
-    if not (budget_seconds > 0.0):
-        raise InvalidParameterError(f"budget_seconds must be > 0, got {budget_seconds}")
+    if not (0.0 < budget_seconds < np.inf):
+        raise InvalidParameterError(f"budget_seconds must be finite and > 0, got {budget_seconds}")
     entries = [(int(n), float(t)) for n, t in timings]
     if not entries:
         raise InvalidParameterError("no timings supplied")

@@ -13,7 +13,11 @@ With the variance components pinned, every layer of the model is
 Gaussian, so each identity can be checked numerically on instances small
 enough to enumerate every subset: marginals come both from a closed-form
 convolution and from tensor-grid Gauss-Hermite quadrature, and the checks
-compare the two routes.  Everything here is deterministic.
+compare the two routes.  :func:`beta_given_variances` is the one closed
+form with eta, xi and the noise integrated out, and
+:func:`joint_posterior_given_mask` the independent route through the
+full (beta, eta, xi) precision.  Everything here is deterministic except
+:func:`sampled_variance_reference`, which is seeded Monte Carlo.
 """
 
 from __future__ import annotations
@@ -40,8 +44,12 @@ __all__ = [
     "check_marginal_preserved",
     "check_subset_independence",
     "check_posterior_equivalence",
+    "beta_given_variances",
     "beta_posterior_given_mask",
     "beta_mixture_cdf",
+    "joint_posterior_given_mask",
+    "prediction_oracle",
+    "sampled_variance_reference",
 ]
 
 # tensor-grid quadrature is kept to (1 + n) dimensions; subsets larger
@@ -123,12 +131,53 @@ def enumerate_masks(N: int, n: int) -> List[np.ndarray]:
     return [np.array(c, dtype=np.int64) for c in itertools.combinations(range(N), n)]
 
 
-def _subset_theta_free_cov(spec: TinyModelSpec, mask: np.ndarray) -> np.ndarray:
-    # covariance of y_active given beta only: eta, xi and the observation
-    # noise are all Gaussian and integrate out in closed form
+def _checked_indices(indices, N: int, name: str) -> np.ndarray:
+    """``indices`` as an array; raises unless sorted distinct integers in range(N)."""
+    a = np.asarray(indices)
+    if (a.ndim != 1 or a.size < 1 or a.dtype.kind not in "iu" or a[0] < 0 or a[-1] >= N
+            or np.any(a[1:] <= a[:-1])):
+        raise InvalidParameterError(
+            f"{name} must be sorted distinct integers in range({N}), got {indices!r}")
+    return a
+
+
+def _subset(spec: TinyModelSpec, mask, y) -> Tuple[np.ndarray, np.ndarray]:
+    """The subset's kernel Psi_delta and data y_delta, with y and the mask checked."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (spec.N,):
+        raise InvalidParameterError(f"y must have shape ({spec.N},), got {y.shape}")
+    mask = _checked_indices(mask, spec.N, "mask")
+    return spec.full_kernel()[np.ix_(mask, mask)], y[mask]
+
+
+def beta_given_variances(psi, y_delta, variances) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log marginal of y_delta, and beta's conditional mean and variance,
+    for each row (sigma2, sigma2_eta, sigma2_xi, sigma2_beta) of ``variances``.
+
+    With eta, xi and the noise integrated out, y_delta | beta has
+    covariance C = sigma2_eta Psi Psi' + (sigma2 + sigma2_xi) I, which one
+    eigendecomposition of Psi Psi' diagonalizes for every row at once;
+    adding sigma2_beta 1 1' for the marginal is a rank-one update.
+    """
+    lam, q = np.linalg.eigh(psi @ psi.T)
+    ones, data = q.T @ np.ones(y_delta.size), q.T @ y_delta
+    s2, s2_eta, s2_xi, s2_beta = variances.T
+    diagonal = s2_eta[:, None] * lam + (s2 + s2_xi)[:, None]
+    xcx = (ones**2 / diagonal).sum(axis=1)
+    xcy = (ones * data / diagonal).sum(axis=1)
+    ycy = (data**2 / diagonal).sum(axis=1)
+    update = 1.0 + s2_beta * xcx
+    log_marginal = -0.5 * (ycy - s2_beta * xcy**2 / update + np.log(diagonal).sum(axis=1)
+                           + np.log(update) + y_delta.size * np.log(2.0 * np.pi))
+    precision = xcx + 1.0 / s2_beta
+    return log_marginal, xcy / precision, 1.0 / precision
+
+
+def _at_pins(spec: TinyModelSpec, mask, y) -> Tuple[float, float, float]:
+    """:func:`beta_given_variances` on one subset, at the spec's pins."""
     v = spec.fixed_variances
-    psi = spec.full_kernel()[np.ix_(mask, mask)]
-    return v.sigma2_eta * (psi @ psi.T) + (v.sigma2 + v.sigma2_xi) * np.eye(mask.size)
+    pins = np.array([[v.sigma2, v.sigma2_eta, v.sigma2_xi, v.sigma2_beta]])
+    return tuple(float(a[0]) for a in beta_given_variances(*_subset(spec, mask, y), pins))
 
 
 def marginal_m(spec: TinyModelSpec, mask: np.ndarray, y: np.ndarray) -> float:
@@ -141,14 +190,7 @@ def marginal_m(spec: TinyModelSpec, mask: np.ndarray, y: np.ndarray) -> float:
 
     evaluated on the active rows.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (spec.N,):
-        raise InvalidParameterError(f"y must have shape ({spec.N},), got {y.shape}")
-    if mask.size < 1 or mask.min() < 0 or mask.max() >= spec.N:
-        raise InvalidParameterError("mask must select at least one of the N indices")
-    x = np.ones((mask.size, 1))
-    cov = spec.fixed_variances.sigma2_beta * (x @ x.T) + _subset_theta_free_cov(spec, mask)
-    value = float(stats.multivariate_normal(mean=np.zeros(mask.size), cov=cov).pdf(y[mask]))
+    value = float(np.exp(_at_pins(spec, mask, y)[0]))
     if not np.isfinite(value) or value <= 0.0:
         raise InvalidParameterError("marginal density is not finite and positive")
     return value
@@ -176,14 +218,12 @@ def marginal_m_quadrature(spec: TinyModelSpec, mask: np.ndarray, y: np.ndarray,
     a tensor-product Gauss-Hermite sum.  Only exact for Gaussian layers,
     which is the whole point: it must agree with :func:`marginal_m`.
     """
-    y = np.asarray(y, dtype=float)
-    n = mask.size
+    psi, y_active = _subset(spec, mask, y)
+    n = y_active.size
     if n > MAX_QUADRATURE_SUBSET:
         raise InvalidParameterError(
             f"quadrature limited to subsets of size <= {MAX_QUADRATURE_SUBSET}, got {n}"
         )
-    psi = spec.full_kernel()[np.ix_(mask, mask)]
-    y_active = y[mask]
     v = spec.fixed_variances
     noise_var = v.sigma2 + v.sigma2_xi
 
@@ -270,10 +310,9 @@ def _conditional_log_posterior_grid(spec: TinyModelSpec, mask: np.ndarray,
     depends on the full data vector but not on the parameters; the check
     verifies it cancels under normalization.
     """
-    psi = spec.full_kernel()[np.ix_(mask, mask)]
+    psi, y_active = _subset(spec, mask, y)
     v = spec.fixed_variances
     noise_var = v.sigma2 + v.sigma2_xi
-    y_active = y[mask]
     beta = grid_points[:, 0]
     eta = grid_points[:, 1:]
     means = beta[:, None] + eta @ psi.T
@@ -329,21 +368,96 @@ def beta_posterior_given_mask(spec: TinyModelSpec, mask: np.ndarray,
     With the other layers integrated out, y_active | beta is normal with
     mean X beta, so beta's posterior is the usual Gaussian update.
     """
-    y = np.asarray(y, dtype=float)
-    cov = _subset_theta_free_cov(spec, mask)
-    x = np.ones(mask.size)
-    solve = np.linalg.solve(cov, np.column_stack([x, y[mask]]))
-    precision = float(x @ solve[:, 0]) + 1.0 / spec.fixed_variances.sigma2_beta
-    mean = float(x @ solve[:, 1]) / precision
-    return mean, 1.0 / precision
+    _, mean, var = _at_pins(spec, mask, y)
+    return mean, var
 
 
 def beta_mixture_cdf(spec: TinyModelSpec, y: np.ndarray, points: np.ndarray) -> np.ndarray:
     """CDF of the coefficient's posterior mixed over all equally likely subsets."""
     points = np.atleast_1d(np.asarray(points, dtype=float))
+    moments = np.array([beta_posterior_given_mask(spec, mask, y)
+                        for mask in enumerate_masks(spec.N, spec.n)])
+    return stats.norm.cdf(points[:, None], moments[:, 0], np.sqrt(moments[:, 1])).mean(axis=1)
+
+
+def joint_posterior_given_mask(spec: TinyModelSpec, mask, y) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of (beta, eta_delta, xi_delta) given one subset.
+
+    Given the subset and the pins the three blocks are jointly Gaussian:
+    y_delta = beta + Psi_delta eta_delta + xi_delta + noise, with the
+    independent priors N(0, sigma2_beta), N(0, sigma2_eta I) and
+    N(0, sigma2_xi I).  Its beta block is the independent route to beta.
+    """
+    psi, y_active = _subset(spec, mask, y)
+    v = spec.fixed_variances
+    n = y_active.size
+    design = np.hstack([np.ones((n, 1)), psi, np.eye(n)])
+    prior = np.concatenate([[v.sigma2_beta], np.full(n, v.sigma2_eta), np.full(n, v.sigma2_xi)])
+    cov = np.linalg.inv(np.diag(1.0 / prior) + design.T @ design / v.sigma2)
+    return cov @ design.T @ y_active / v.sigma2, cov
+
+
+def prediction_oracle(spec: TinyModelSpec, y, pred) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact mixture mean and variance of mu_i over the prediction set ``pred``.
+
+    mu_i = beta + sum_{j in pred} K(i, j) eta_j + xi_i, as the chain
+    predicts it.  Given a subset, the terms inside it come from
+    :func:`joint_posterior_given_mask` and the eta_j and xi_i outside it
+    from their priors, as under the ``prior`` refresh; the pins make every
+    subset equally likely a posteriori (criterion 1), so the mixture
+    weights the subsets equally.  ``pred`` is sorted, as a prediction set is.
+    """
+    pred = _checked_indices(pred, spec.N, "pred")
+    v = spec.fixed_variances
+    kernel = spec.full_kernel()
     masks = enumerate_masks(spec.N, spec.n)
-    total = np.zeros(points.shape[0])
+    first = second = 0.0
     for mask in masks:
-        mean, var = beta_posterior_given_mask(spec, mask, y)
-        total += stats.norm.cdf(points, loc=mean, scale=np.sqrt(var))
-    return total / len(masks)
+        mean, cov = joint_posterior_given_mask(spec, mask, y)
+        n = mask.size
+        inside = np.isin(pred, mask)
+        at = np.searchsorted(mask, pred[inside])
+        load = np.zeros((pred.size, 1 + 2 * n))
+        load[:, 0] = 1.0
+        load[:, 1 + at] = kernel[np.ix_(pred, pred[inside])]
+        load[inside, 1 + n + at] = 1.0
+        prior_var = (v.sigma2_eta * (kernel[np.ix_(pred, pred[~inside])] ** 2).sum(axis=1)
+                     + v.sigma2_xi * ~inside)
+        given = load @ mean
+        first = first + given
+        second = second + np.einsum("ij,jk,ik->i", load, cov, load) + prior_var + given**2
+    first, second = first / len(masks), second / len(masks)
+    return first, second - first**2
+
+
+def sampled_variance_reference(spec: TinyModelSpec, y: np.ndarray, draws: int, seed: int,
+                               replicates: int = 10) -> Tuple[np.ndarray, np.ndarray]:
+    """Mixture mean and variance of beta with IG(1, 1) priors on all four
+    variances, and their standard errors.
+
+    Each replicate estimates, for every subset, beta's posterior mean and
+    second moment by self-normalized importance sampling from the prior:
+    ``draws // replicates`` prior draws of the variances, each weighted by
+    the Gaussian marginal of y_delta and contributing beta's conditional
+    moments (:func:`beta_given_variances`).  The subsets mix equally.  The
+    estimate is the mean over the independent replicates and its standard
+    error their spread over sqrt(replicates).  ``spec``'s pins are unused.
+    """
+    draws, replicates = _checked_int(draws, "draws"), _checked_int(replicates, "replicates")
+    if not 2 <= replicates <= draws:
+        raise InvalidParameterError(
+            f"need 2 <= replicates <= draws, got replicates={replicates}, draws={draws}")
+    rng = make_rng(seed)
+    masks = enumerate_masks(spec.N, spec.n)
+    estimates = np.empty((replicates, 2))
+    for replicate in range(replicates):
+        first = second = 0.0
+        for mask in masks:
+            variances = 1.0 / rng.standard_exponential((draws // replicates, 4))
+            log_weight, mean, var = beta_given_variances(*_subset(spec, mask, y), variances)
+            weight = np.exp(log_weight - log_weight.max())
+            first += weight @ mean / weight.sum()
+            second += weight @ (var + mean**2) / weight.sum()
+        first, second = first / len(masks), second / len(masks)
+        estimates[replicate] = first, second - first**2
+    return estimates.mean(axis=0), estimates.std(axis=0, ddof=1) / np.sqrt(replicates)

@@ -43,6 +43,12 @@ class TestSelectBudgetN:
         with pytest.raises(InvalidParameterError):
             select_budget_n([], 10.0)
 
+    @pytest.mark.parametrize("budget", [np.inf, np.nan, 0.0, -1.0])
+    def test_rejects_a_budget_that_is_not_finite_and_positive(self, budget):
+        # an infinite budget used to select the largest n as met
+        with pytest.raises(InvalidParameterError, match="finite"):
+            select_budget_n([(1, 0.5), (2, 0.9)], budget)
+
     timing_lists = st.lists(
         st.tuples(st.integers(min_value=1, max_value=10**6),
                   st.floats(min_value=0.01, max_value=10_000.0)),
@@ -124,6 +130,12 @@ class TestSweepPlan:
             SweepPlan(n_grid=(5, 4), budget_seconds=10.0)
         with pytest.raises(InvalidParameterError):
             SweepPlan(n_grid=(5,), budget_seconds=0.0)
+
+    @pytest.mark.parametrize("budget", [np.inf, -np.inf, np.nan])
+    def test_rejects_a_budget_that_is_not_finite(self, budget):
+        # an infinite budget used to construct, and only the CLI rejected it
+        with pytest.raises(InvalidParameterError, match="finite"):
+            SweepPlan(n_grid=(1, 2), budget_seconds=budget)
 
     @pytest.mark.parametrize("fields", [dict(n_grid=(2.5, 4.9)), dict(n_grid=(2.0, 4)),
                                         dict(n_grid=(2, 4), max_parallel=2.5)])

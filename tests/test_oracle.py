@@ -9,14 +9,18 @@ from scipy import stats
 from subsetgibbs import BasisConfig, FixedVariances, InvalidParameterError
 from subsetgibbs.oracle import (
     TinyModelSpec,
+    beta_given_variances,
     beta_mixture_cdf,
     beta_posterior_given_mask,
     check_marginal_preserved,
     check_posterior_equivalence,
     check_subset_independence,
     enumerate_masks,
+    joint_posterior_given_mask,
     marginal_m,
     marginal_m_quadrature,
+    prediction_oracle,
+    sampled_variance_reference,
 )
 
 
@@ -77,6 +81,15 @@ class TestMarginal:
             marginal_m(spec, np.array([], dtype=np.int64), np.zeros(2))
         with pytest.raises(InvalidParameterError):
             marginal_m(spec, np.array([2]), np.zeros(2))  # outside range(N)
+
+    @pytest.mark.parametrize("oracle", [marginal_m, marginal_m_quadrature,
+                                        beta_posterior_given_mask, joint_posterior_given_mask])
+    @pytest.mark.parametrize("mask, y", [([0, 1], np.zeros(2)), ([0, 5], np.zeros(3)),
+                                         ([1, 0], np.zeros(3)), ([0.0, 1.0], np.zeros(3))])
+    def test_every_subset_oracle_checks_the_mask_and_y(self, oracle, mask, y):
+        # a short y used to give beta (0.0, 0.7155), and a 5 an IndexError
+        with pytest.raises(InvalidParameterError, match="mask|y"):
+            oracle(TinyModelSpec(N=3, n=2), np.array(mask), y)
 
     def test_quadrature_matches_closed_form_at_200_nodes(self):
         spec = TinyModelSpec(N=2, n=2)
@@ -178,8 +191,8 @@ class TestBetaMixture:
         points = np.linspace(-2, 2, 9)
         total = np.zeros_like(points)
         for mask in enumerate_masks(3, 2):
-            mean, var = beta_posterior_given_mask(spec, mask, y)
-            total += stats.norm.cdf(points, loc=mean, scale=np.sqrt(var))
+            mean, cov = joint_posterior_given_mask(spec, mask, y)
+            total += stats.norm.cdf(points, loc=mean[0], scale=np.sqrt(cov[0, 0]))
         np.testing.assert_allclose(beta_mixture_cdf(spec, y, points), total / 3.0,
                                    rtol=1e-12)
 
@@ -187,54 +200,6 @@ class TestBetaMixture:
         spec = TinyModelSpec(N=2, n=1)
         values = beta_mixture_cdf(spec, np.array([0.2, -0.4]), np.linspace(-4, 4, 33))
         assert np.all(np.diff(values) > 0)
-
-
-def joint_posterior_given_mask(spec, mask, y):
-    """Mean and covariance of (beta, eta_delta, xi_delta) given one subset.
-
-    Given the subset and the pins the three blocks are jointly Gaussian:
-    y_delta = beta + Psi_delta eta_delta + xi_delta + noise, with the
-    independent priors N(0, sigma2_beta), N(0, sigma2_eta I) and
-    N(0, sigma2_xi I).
-    """
-    v = spec.fixed_variances
-    n = mask.size
-    design = np.hstack([np.ones((n, 1)), spec.full_kernel()[np.ix_(mask, mask)], np.eye(n)])
-    prior = np.concatenate([[v.sigma2_beta], np.full(n, v.sigma2_eta), np.full(n, v.sigma2_xi)])
-    cov = np.linalg.inv(np.diag(1.0 / prior) + design.T @ design / v.sigma2)
-    return cov @ design.T @ y[mask] / v.sigma2, cov
-
-
-def prediction_oracle(spec, y, pred):
-    """Exact mixture mean and variance of mu_i over the prediction set ``pred``.
-
-    mu_i = beta + sum_{j in pred} K(i, j) eta_j + xi_i, as the chain
-    predicts it.  Given a subset, the terms inside it come from
-    :func:`joint_posterior_given_mask` and the eta_j and xi_i outside it
-    from their priors, as under the ``prior`` refresh; the pins make every
-    subset equally likely a posteriori (criterion 1), so the mixture
-    weights the subsets equally.
-    """
-    v = spec.fixed_variances
-    kernel = spec.full_kernel()
-    masks = enumerate_masks(spec.N, spec.n)
-    first = second = 0.0
-    for mask in masks:
-        mean, cov = joint_posterior_given_mask(spec, mask, y)
-        n = mask.size
-        inside = np.isin(pred, mask)
-        at = np.searchsorted(mask, pred[inside])
-        load = np.zeros((pred.size, 1 + 2 * n))
-        load[:, 0] = 1.0
-        load[:, 1 + at] = kernel[np.ix_(pred, pred[inside])]
-        load[inside, 1 + n + at] = 1.0
-        prior_var = (v.sigma2_eta * (kernel[np.ix_(pred, pred[~inside])] ** 2).sum(axis=1)
-                     + v.sigma2_xi * ~inside)
-        given = load @ mean
-        first = first + given
-        second = second + np.einsum("ij,jk,ik->i", load, cov, load) + prior_var + given**2
-    first, second = first / len(masks), second / len(masks)
-    return first, second - first**2
 
 
 class TestPredictionOracle:
@@ -252,12 +217,15 @@ class TestPredictionOracle:
 
     @pytest.mark.parametrize("N, n", [(3, 2), (4, 2), (3, 1)])
     def test_beta_block_is_the_beta_posterior_of_each_subset(self, N, n):
+        # independent route: the Gaussian update of beta, by dense solves
         spec = TinyModelSpec(N=N, n=n, fixed_variances=FixedVariances(0.5, 1.5, 0.25, 2.0))
         y = np.array([1.0, -0.5, 0.8, 0.3])[:N]
         for mask in enumerate_masks(N, n):
             mean, cov = joint_posterior_given_mask(spec, mask, y)
-            beta_mean, beta_var = beta_posterior_given_mask(spec, mask, y)
-            assert mean[0] == pytest.approx(beta_mean, rel=1e-12, abs=1e-12)
+            psi = spec.full_kernel()[np.ix_(mask, mask)]
+            solve = np.linalg.solve(1.5 * psi @ psi.T + 0.75 * np.eye(n), np.ones(n))
+            beta_var = 1.0 / (solve.sum() + 1.0 / 2.0)
+            assert mean[0] == pytest.approx(beta_var * solve @ y[mask], rel=1e-12, abs=1e-12)
             assert cov[0, 0] == pytest.approx(beta_var, rel=1e-12, abs=1e-12)
 
     def test_full_subset_is_the_gaussian_posterior_of_mu(self):
@@ -272,59 +240,10 @@ class TestPredictionOracle:
         np.testing.assert_allclose(
             var, np.diag(cov_mu - cov_mu @ np.linalg.solve(cov_y, cov_mu)), rtol=1e-12)
 
-
-def beta_given_variances(psi, y_delta, variances):
-    """Log marginal of y_delta, and beta's conditional mean and variance,
-    for each row (sigma2, sigma2_eta, sigma2_xi, sigma2_beta) of ``variances``.
-
-    The algebra of :func:`beta_posterior_given_mask` with the variances as
-    arrays: with eta, xi and the noise integrated out, y_delta | beta has
-    covariance C = sigma2_eta Psi Psi' + (sigma2 + sigma2_xi) I, which one
-    eigendecomposition of Psi Psi' diagonalizes for every row at once;
-    adding sigma2_beta 1 1' for the marginal is a rank-one update.
-    """
-    lam, q = np.linalg.eigh(psi @ psi.T)
-    ones, data = q.T @ np.ones(y_delta.size), q.T @ y_delta
-    s2, s2_eta, s2_xi, s2_beta = variances.T
-    diagonal = s2_eta[:, None] * lam + (s2 + s2_xi)[:, None]
-    xcx = (ones**2 / diagonal).sum(axis=1)
-    xcy = (ones * data / diagonal).sum(axis=1)
-    ycy = (data**2 / diagonal).sum(axis=1)
-    update = 1.0 + s2_beta * xcx
-    log_marginal = -0.5 * (ycy - s2_beta * xcy**2 / update + np.log(diagonal).sum(axis=1)
-                           + np.log(update) + y_delta.size * np.log(2.0 * np.pi))
-    precision = xcx + 1.0 / s2_beta
-    return log_marginal, xcy / precision, 1.0 / precision
-
-
-def sampled_variance_reference(spec, y, draws, seed, replicates=10):
-    """Mixture mean and variance of beta with IG(1, 1) priors on all four
-    variances, and their standard errors.
-
-    Each replicate estimates, for every subset, beta's posterior mean and
-    second moment by self-normalized importance sampling from the prior:
-    ``draws // replicates`` prior draws of the variances, each weighted by
-    the Gaussian marginal of y_delta and contributing beta's conditional
-    moments (:func:`beta_given_variances`).  The subsets mix equally.  The
-    estimate is the mean over the independent replicates and its standard
-    error their spread over sqrt(replicates).  ``spec``'s pins are unused.
-    """
-    rng = np.random.default_rng(seed)
-    kernel = spec.full_kernel()
-    masks = enumerate_masks(spec.N, spec.n)
-    estimates = np.empty((replicates, 2))
-    for replicate in range(replicates):
-        first = second = 0.0
-        for mask in masks:
-            variances = 1.0 / rng.standard_exponential((draws // replicates, 4))
-            log_weight, mean, var = beta_given_variances(
-                kernel[np.ix_(mask, mask)], y[mask], variances)
-            weight = np.exp(log_weight - log_weight.max())
-            first += weight @ mean / weight.sum()
-            second += weight @ (var + mean**2) / weight.sum()
-        first, second = first / len(masks), second / len(masks)
-        estimates[replicate] = first, second - first**2
-    return estimates.mean(axis=0), estimates.std(axis=0, ddof=1) / np.sqrt(replicates)
+    @pytest.mark.parametrize("pred", [[1, 0], [0, 3], [-1, 0], [0, 0], [0.0]])
+    def test_rejects_a_prediction_set_unsorted_or_out_of_range(self, pred):
+        with pytest.raises(InvalidParameterError, match="pred"):
+            prediction_oracle(TinyModelSpec(N=3, n=2), self.Y, np.array(pred))
 
 
 class TestSampledVarianceReference:
@@ -341,18 +260,27 @@ class TestSampledVarianceReference:
 
     @pytest.mark.parametrize("N", [3, 4])
     def test_summands_are_the_pinned_closed_forms(self, N):
-        # at any one draw of the variances, the weight is marginal_m and
-        # the conditional moments are beta_posterior_given_mask's
+        # at any one draw of the variances, the weight is y_delta's Gaussian
+        # density and the conditional moments the joint posterior's beta block
         y = self.Y[:N]
         for pins in [(0.5, 1.5, 0.25, 2.0), (1.0, 0.05, 0.05, 1.0), (0.1, 1.0, 1.0, 1.0)]:
             spec = TinyModelSpec(N=N, n=2, fixed_variances=FixedVariances(*pins))
+            s2, s2_eta, s2_xi, s2_beta = pins
             for mask in enumerate_masks(N, 2):
-                log_weight, mean, var = beta_given_variances(
-                    spec.full_kernel()[np.ix_(mask, mask)], y[mask], np.array([pins]))
-                assert np.exp(log_weight[0]) == pytest.approx(marginal_m(spec, mask, y),
-                                                              rel=1e-12)
-                expected = beta_posterior_given_mask(spec, mask, y)
-                np.testing.assert_allclose([mean[0], var[0]], expected, rtol=1e-12, atol=1e-15)
+                psi = spec.full_kernel()[np.ix_(mask, mask)]
+                log_weight, mean, var = beta_given_variances(psi, y[mask], np.array([pins]))
+                cov_y = s2_beta + s2_eta * psi @ psi.T + (s2 + s2_xi) * np.eye(2)
+                assert np.exp(log_weight[0]) == pytest.approx(
+                    stats.multivariate_normal(cov=cov_y).pdf(y[mask]), rel=1e-12)
+                joint_mean, joint_cov = joint_posterior_given_mask(spec, mask, y)
+                np.testing.assert_allclose([mean[0], var[0]], [joint_mean[0], joint_cov[0, 0]],
+                                           rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("draws, replicates", [(100, 1), (5, 10), (100, 0)])
+    def test_rejects_fewer_than_two_replicates_or_draws_than_replicates(self, draws, replicates):
+        # these gave NaN, or a ValueError on an empty draw
+        with pytest.raises(InvalidParameterError, match="replicates"):
+            sampled_variance_reference(TinyModelSpec(N=3, n=2), self.Y[:3], draws, 1, replicates)
 
     @pytest.mark.parametrize("N", [3, 4])
     def test_two_seeds_agree(self, reference, N):
