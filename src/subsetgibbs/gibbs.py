@@ -68,6 +68,14 @@ that residual less X beta for the new beta.  The
 factors of the eta and beta precisions are computed once per sweep, pinned
 variances or not.  Every dense Cholesky factor comes from
 ``_cholesky_with_jitter``.
+
+Calls made once per sweep or once per block take the short entry paths
+that give the same bits: products of 1-D and 2-D arrays are
+``ndarray.dot`` rather than ``@``, the LAPACK and BLAS wrappers get
+positional arguments (a comment names them), and the block
+gathers x with ``take``.  At the study's sizes a sweep is a few dozen
+calls of a few µs each, so the entry path is a share of its cost (see
+README, "Call paths").
 """
 
 from __future__ import annotations
@@ -135,7 +143,7 @@ def _cholesky_with_jitter(precision: np.ndarray):
     ten times that; returns (lower, jitter_events).  Raises NumericalError
     when the matrix is still numerically indefinite.
     """
-    lower, info = lapack.dpotrf(precision, lower=1)
+    lower, info = lapack.dpotrf(precision, 1)  # a, lower
     if info == 0:
         return lower, 0
     dim = precision.shape[0]
@@ -144,7 +152,7 @@ def _cholesky_with_jitter(precision: np.ndarray):
     for jitter_events in (1, 2):
         attempt = attempt + jitter * np.eye(dim)
         jitter *= 10.0
-        lower, info = lapack.dpotrf(attempt, lower=1)
+        lower, info = lapack.dpotrf(attempt, 1)  # a, lower
         if info == 0:
             return lower, jitter_events
     raise NumericalError("precision matrix not positive definite after jitter")
@@ -161,8 +169,8 @@ def _sample_mvn_precision(chol: np.ndarray, linear: np.ndarray,
     # LAPACK directly: the scipy.linalg wrappers cost more than the
     # solves themselves at the small sizes most sweeps use; at p = 1 an
     # in-place add, or overwriting the solve's input, is slower than this
-    half, _ = lapack.dtrtrs(chol, linear, lower=1)
-    draw, _ = lapack.dtrtrs(chol, half + normals, lower=1, trans=1)
+    half, _ = lapack.dtrtrs(chol, linear, 1)  # a, b, lower
+    draw, _ = lapack.dtrtrs(chol, half + normals, 1, 1)  # a, b, lower, trans
     return draw
 
 
@@ -208,7 +216,7 @@ def _banded_eta_factor(kernel: BandedKernel, sigma2: float, sigma2_eta: float):
     # Fortran order, so LAPACK factors the band in place without a copy
     band = (kernel.square_band / sigma2_eta).T
     band[0] += 1.0 / sigma2
-    lower, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+    lower, info = lapack.dpbtrf(band, 1, 3, 1)  # ab, lower, ldab, overwrite_ab
     return lower if info == 0 else None
 
 
@@ -255,10 +263,12 @@ def update_eta_active(residual: np.ndarray, psi_delta, chol: np.ndarray, sigma2:
     """
     if isinstance(psi_delta, BandedKernel):
         # the residual over sigma2 is a fresh array: the solves overwrite it
-        product = blas.dtbsv(2, chol, residual / sigma2, lower=1, overwrite_x=1)
+        # k, a, x, incx, offx, lower, trans, diag, overwrite_x
+        product = blas.dtbsv(2, chol, residual / sigma2, 1, 0, 1, 0, 0, 1)
         product += normals
-        product = blas.dtbsv(2, chol, product, lower=1, trans=1, overwrite_x=1)
-        return blas.dsbmv(1, 1.0, psi_delta.band, product, lower=1), product
+        product = blas.dtbsv(2, chol, product, 1, 0, 1, 1, 0, 1)
+        # k, alpha, a, x, incx, offx, beta, y, incy, offy, lower
+        return blas.dsbmv(1, 1.0, psi_delta.band, product, 1, 0, 0.0, None, 1, 0, 1), product
     linear = psi_delta.T @ residual / sigma2
     draw = _sample_mvn_precision(chol, linear, normals)
     return draw, psi_delta @ draw
@@ -291,7 +301,7 @@ def update_beta(x_delta: np.ndarray, residual: np.ndarray, chol: np.ndarray, sig
     lower Cholesky factor of that precision, as :func:`_beta_factor`
     returns it, and ``normals`` holds p standard normals.
     """
-    linear = x_delta.T @ residual / sigma2
+    linear = x_delta.T.dot(residual) / sigma2
     return _sample_mvn_precision(chol, linear, normals)
 
 
@@ -314,10 +324,10 @@ def update_variances(residual: np.ndarray, eta_delta: np.ndarray, xi_delta: np.n
     (overflowing data, or a NaN upstream) would give a zero or NaN gamma
     scale, so it raises NumericalError.
     """
-    ss = float(residual @ residual)
-    ss_eta = float(eta_delta @ eta_delta)
-    ss_xi = float(xi_delta @ xi_delta)
-    ss_beta = float(beta @ beta)
+    ss = float(residual.dot(residual))
+    ss_eta = float(eta_delta.dot(eta_delta))
+    ss_xi = float(xi_delta.dot(xi_delta))
+    ss_beta = float(beta.dot(beta))
     if not (math.isfinite(ss) and math.isfinite(ss_eta) and math.isfinite(ss_xi)
             and math.isfinite(ss_beta)):
         raise NumericalError("variance conditionals have a sum of squares that is not finite")
@@ -449,7 +459,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
             if fixed is None:
                 gammas = gamma_rng.standard_gamma(variance_shapes(n, p), (size, 4)).tolist()
             kernels = banded_kernels(coords[actives], config.basis)
-            x_block = data.x[actives]
+            x_block = data.x.take(actives, axis=0)
             xtx_block = np.matmul(x_block.transpose(0, 2, 1), x_block)
             y_block = data.y[actives]
             stale = (in_pred[actives].any(axis=1) | refresh_prior).tolist()
@@ -467,7 +477,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
                 jitter_events += jitter + jitter_beta
                 y_delta = y_block[b]
                 z = normals[b]
-                fit = y_delta - x_delta @ beta
+                fit = y_delta - x_delta.dot(beta)
 
                 eta_delta, psi_eta = update_eta_active(
                     fit - xi[active], psi_delta, chol_eta, sigma2, z[:n])
@@ -486,7 +496,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
 
                 if fixed is None:
                     sigma2, sigma2_eta, sigma2_xi, sigma2_beta = update_variances(
-                        resid - x_delta @ beta, eta_delta, xi_delta, beta, gammas[b])
+                        resid - x_delta.dot(beta), eta_delta, xi_delta, beta, gammas[b])
 
                 if collect_trace:
                     trace[g - 1, :-4] = beta
@@ -496,7 +506,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
                     if pred_parts is None:
                         pred_parts = (psi_pred @ eta[pred], xi[pred])
                     # Welford's update, in place
-                    mu_g = x_pred @ beta
+                    mu_g = x_pred.dot(beta)
                     mu_g += pred_parts[0]
                     mu_g += pred_parts[1]
                     kept += 1

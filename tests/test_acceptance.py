@@ -201,18 +201,15 @@ def test_criterion_3_mixture_posterior():
     assert beta.size == kept_target
 
     quantiles = np.linspace(0.0, 1.0, bins + 1)[1:-1]
-    lo, hi = beta.min() - 5.0, beta.max() + 5.0
-    edges = []
-    for q in quantiles:
-        a, b = lo, hi
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if beta_mixture_cdf(spec, y, np.array([mid]))[0] < q:
-                a = mid
-            else:
-                b = mid
-        edges.append(0.5 * (a + b))
-    edges = np.concatenate(([-np.inf], edges, [np.inf]))
+    # bisect every quantile at once, element by element as a scalar bisection would
+    a = np.full(quantiles.size, beta.min() - 5.0)
+    b = np.full(quantiles.size, beta.max() + 5.0)
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        below = beta_mixture_cdf(spec, y, mid) < quantiles
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+    edges = np.concatenate(([-np.inf], 0.5 * (a + b), [np.inf]))
     counts, _ = np.histogram(beta, bins=edges)
     expected = beta.size / bins
     statistic = float(((counts - expected) ** 2 / expected).sum())

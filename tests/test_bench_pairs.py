@@ -60,3 +60,35 @@ def test_operations_are_summed_per_side():
     assert part["correct"] == {"parent": 5, "change": 4}
     assert not part["all_correct"]
     assert bench_pairs.summarize(pairs(), END_TO_END)["all_correct"]
+
+
+PER_LAYER = [{"name": "gibbs.eta_us", "unit": "us", "better": "lower"},
+             {"name": "model.kernel_us", "unit": "us", "better": "lower"}]
+
+
+def traced_run(eta_us, kernel_us, *, correct=True, failed=0):
+    return {"correct": correct, "attempted": 4, "failed": failed,
+            "metrics": {"gibbs.eta_us": {"value": eta_us, "unit": "us"},
+                        "model.kernel_us": {"value": kernel_us, "unit": "us"}}}
+
+
+def test_traced_runs_give_both_values_and_their_ratio():
+    traced = {"seed": 12, "parent": traced_run(80.0, 0.0), "change": traced_run(60.0, 0.0)}
+    part = bench_pairs.summarize_traced(traced, PER_LAYER)
+    assert part["seed"] == 12 and part["all_correct"]
+    assert part["attempted"] == {"parent": 4, "change": 4}
+    assert part["failed"] == {"parent": 0, "change": 0}
+    eta = part["metrics"]["gibbs.eta_us"]
+    assert (eta["parent"], eta["change"]) == (80.0, 60.0)
+    assert eta["change_over_parent"] == pytest.approx(0.75)
+    assert eta["better"] == "lower" and eta["unit"] == "us"
+    # a layer the parent never entered has no ratio
+    assert part["metrics"]["model.kernel_us"]["change_over_parent"] is None
+
+
+def test_traced_run_failures_are_reported_per_side():
+    traced = {"seed": 3, "parent": traced_run(80.0, 1.0),
+              "change": traced_run(60.0, 1.0, correct=False, failed=2)}
+    part = bench_pairs.summarize_traced(traced, PER_LAYER)
+    assert not part["all_correct"]
+    assert part["failed"] == {"parent": 0, "change": 2}

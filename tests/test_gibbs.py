@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 import subsetgibbs.gibbs as gibbs
 from subsetgibbs import (
@@ -559,6 +559,78 @@ class TestBetaFactor:
         lower, jitter = _beta_factor(xtx, 1.0, np.inf)
         assert jitter >= 1
         assert np.all(np.isfinite(lower))
+
+
+# The block steps in the call forms they had before the sampler moved to
+# ndarray.dot, positional LAPACK and BLAS arguments and take gathers: the
+# same arithmetic by the keyword and operator routes.
+def keyword_banded_eta_factor(kernel, sigma2, sigma2_eta):
+    band = (kernel.square_band / sigma2_eta).T
+    band[0] += 1.0 / sigma2
+    lower, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+    return lower if info == 0 else None
+
+
+def keyword_banded_eta_draw(residual, kernel, chol, sigma2, normals):
+    product = blas.dtbsv(2, chol, residual / sigma2, lower=1, overwrite_x=1)
+    product += normals
+    product = blas.dtbsv(2, chol, product, lower=1, trans=1, overwrite_x=1)
+    return blas.dsbmv(1, 1.0, kernel.band, product, lower=1), product
+
+
+def keyword_beta_draw(x_delta, residual, xtx, sigma2, sigma2_beta, normals):
+    precision = xtx / sigma2
+    precision.ravel()[::precision.shape[0] + 1] += 1.0 / sigma2_beta
+    chol, info = lapack.dpotrf(precision, lower=1)
+    assert info == 0
+    half, _ = lapack.dtrtrs(chol, x_delta.T @ residual / sigma2, lower=1)
+    draw, _ = lapack.dtrtrs(chol, half + normals, lower=1, trans=1)
+    return chol, draw
+
+
+def operator_variances(residual, eta_delta, xi_delta, beta, gammas):
+    sums = [float(v @ v) for v in (residual, eta_delta, xi_delta, beta)]
+    return tuple(1.0 / ((1.0 / (1.0 + 0.5 * ss)) * gamma) for ss, gamma in zip(sums, gammas))
+
+
+class TestCallForms:
+    @pytest.mark.parametrize("n", [1, 2, 10, 200, 1000])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_steps_give_the_bits_of_the_keyword_and_operator_forms(self, n, p):
+        rng = np.random.default_rng(10 * n + p)
+        N, size = 2 * n + 5, 3
+        x = np.ones((N, p))
+        x[:, 1:] = rng.normal(size=(N, p - 1))
+        coords = np.cumsum(rng.uniform(0.5, 5.0, size=N))
+        actives = np.sort(rng.permuted(np.tile(np.arange(N), (size, 1)), axis=1)[:, :n], axis=1)
+        taken, indexed = x.take(actives, axis=0), x[actives]
+        assert np.array_equal(taken, indexed)
+        kernels = banded_kernels(coords[actives], BasisConfig(rho=0.4 if n < 1000 else 0.003))
+        sigma2, sigma2_eta, sigma2_beta = 0.7, 2.3, 1.9
+        for b in range(size):
+            kernel, x_delta = kernels[b], taken[b]
+            assert isinstance(kernel, BandedKernel)
+            residual, normals = rng.normal(size=n), rng.normal(size=n)
+            chol = _banded_eta_factor(kernel, sigma2, sigma2_eta)
+            assert np.array_equal(chol, keyword_banded_eta_factor(kernel, sigma2, sigma2_eta))
+            eta, product = update_eta_active(residual, kernel, chol, sigma2, normals)
+            want_eta, want_product = keyword_banded_eta_draw(residual, kernel, chol, sigma2,
+                                                             normals)
+            assert np.array_equal(eta, want_eta) and np.array_equal(product, want_product)
+
+            xtx, beta_normals = indexed[b].T @ indexed[b], rng.normal(size=p)
+            chol_beta, jitter = _beta_factor(xtx, sigma2, sigma2_beta)
+            beta = update_beta(x_delta, residual, chol_beta, sigma2, beta_normals)
+            want_chol, want_beta = keyword_beta_draw(indexed[b], residual, xtx, sigma2,
+                                                     sigma2_beta, beta_normals)
+            assert jitter == 0 and np.array_equal(chol_beta, want_chol)
+            assert np.array_equal(beta, want_beta)
+
+            xi, gammas = rng.normal(size=n), rng.gamma(1.0 + n / 2.0, size=4).tolist()
+            resid = residual - x_delta.dot(beta)
+            assert np.array_equal(resid, residual - indexed[b] @ beta)
+            assert (update_variances(resid, eta, xi, beta, gammas)
+                    == operator_variances(resid, eta, xi, beta, gammas))
 
 
 def small_dataset(N=12, seed=0):

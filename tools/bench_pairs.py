@@ -9,18 +9,25 @@ Each side runs from its own directory, so both build what they run from
 their own source.  For every workload in ``BENCHMARK.json`` and every
 pair, both sides run the benchmark command with ``--trace 0``, the
 pair's seed (``--seed`` plus the pair's index) and ``run_seconds``; odd
-pairs run the parent first, even pairs the change.
+pairs run the parent first, even pairs the change.  After its pairs, each
+workload runs once more per side with ``--trace 1`` at the seed after the
+last pair's, parent first, for the per-layer metrics.
 
-``OUTPUT.json`` gets the ``commits``, ``context`` and ``workloads`` parts
-of the ``BENCH_<PR>.json`` shape: per workload the seeds, which side ran
-first, the pair count, the attempted, failed and correct operations of
-each side, and per end-to-end metric both sides' runs, medians and
-quartiles, the change's median over the parent's and the pairs the
-change wins in the metric's ``better`` direction (ties count for
-neither).  The script leaves any bound to ``BENCHMARK.json``; it exits 1
-when a run fails, when an operation fails or when an output check fails.
-Each run takes ``run_seconds`` plus its input setup, so ten pairs of two
-workloads are forty runs.
+``OUTPUT.json`` gets the ``commits``, ``context``, ``workloads`` and
+``per_layer`` parts of the ``BENCH_<PR>.json`` shape.  ``workloads``
+holds per workload the seeds, which side ran first, the pair count, the
+attempted, failed and correct operations of each side, and per
+end-to-end metric both sides' runs, medians and quartiles, the change's
+median over the parent's and the pairs the change wins in the metric's
+``better`` direction (ties count for neither).  ``per_layer`` holds per
+workload the traced runs' seed, whether both were correct, their
+attempted and failed operations and, per metric of ``BENCHMARK.json``'s
+``per_layer`` list, both sides' values and the change's over the
+parent's (null where the parent's is 0).  The script leaves any bound to
+``BENCHMARK.json``; it exits 1 when a run fails, when an operation fails
+or when an output check fails.  Each run takes ``run_seconds`` plus its
+input setup, so ten pairs of two workloads are forty runs, and the traced
+runs four more.
 """
 
 from __future__ import annotations
@@ -61,10 +68,11 @@ def copy_working_tree(paths, target: Path) -> None:
         shutil.copy2(ROOT / name, target / name)
 
 
-def run_once(checkout: Path, command, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, command, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     """One benchmark run; returns its summary and machine context."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{workload} seed {seed} in {checkout} exited {proc.returncode}:\n"
@@ -117,6 +125,33 @@ def summarize(pairs, end_to_end) -> dict:
     return part
 
 
+def summarize_traced(traced, per_layer) -> dict:
+    """One workload's part of ``per_layer`` from its traced run per side.
+
+    ``traced`` holds the ``seed`` and, per side, the summary the
+    benchmark prints with ``--trace 1``; ``per_layer`` is
+    ``BENCHMARK.json``'s list of per-layer metrics.
+    """
+    part = {
+        "seed": traced["seed"],
+        "all_correct": all(traced[side]["correct"] for side in SIDES),
+        "attempted": {side: traced[side]["attempted"] for side in SIDES},
+        "failed": {side: traced[side]["failed"] for side in SIDES},
+        "metrics": {},
+    }
+    for metric in per_layer:
+        name = metric["name"]
+        parent, change = (traced[side]["metrics"][name]["value"] for side in SIDES)
+        part["metrics"][name] = {
+            "better": metric["better"],
+            "unit": metric["unit"],
+            "parent": parent,
+            "change": change,
+            "change_over_parent": change / parent if parent else None,
+        }
+    return part
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="git ref of the parent side")
@@ -139,9 +174,11 @@ def main(argv=None) -> int:
         },
         "benchmark": (f"{' '.join(benchmark['command'])} --workload W --seed S --seconds "
                       f"{benchmark['run_seconds']} --trace 0, each side from its own copy; "
-                      "odd pairs parent first; quartiles are numpy's linear percentiles"),
+                      "odd pairs parent first; quartiles are numpy's linear percentiles; "
+                      "then one --trace 1 run per side and workload, parent first"),
         "context": None,
         "workloads": {},
+        "per_layer": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {side: Path(tmp) / side for side in SIDES}
@@ -162,9 +199,19 @@ def main(argv=None) -> int:
                           f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr, flush=True)
                 pairs.append(pair)
             document["workloads"][workload["name"]] = summarize(pairs, benchmark["end_to_end"])
+            traced = {"seed": args.seed + args.pairs}
+            for side in SIDES:
+                traced[side] = run_once(checkouts[side], benchmark["command"], workload["name"],
+                                        traced["seed"], benchmark["run_seconds"], trace=1)
+                traced[side].pop("context")
+                print(f"{workload['name']} seed {traced['seed']} {side} traced: "
+                      f"{json.dumps(traced[side]['metrics'])}", file=sys.stderr, flush=True)
+            document["per_layer"][workload["name"]] = summarize_traced(
+                traced, benchmark["per_layer"])
     args.output.write_text(json.dumps(document, indent=1) + "\n")
-    failing = [name for name, part in document["workloads"].items()
-               if not part["all_correct"] or any(part["failed"].values())]
+    failing = [name for name in document["workloads"]
+               if any(not part[name]["all_correct"] or any(part[name]["failed"].values())
+                      for part in (document["workloads"], document["per_layer"]))]
     if failing:
         print(f"failed operations or checks in: {', '.join(failing)}", file=sys.stderr)
         return 1
