@@ -54,8 +54,10 @@ and x, every subset's X'X, and, for every subset whose scalar coordinates
 qualify, T and the band of T^2 (``model.banded_kernels``).
 Its sweeps do only the work that depends on the chain's state.  A subset
 that does not qualify (great-circle or too-close coordinates) gets the
-dense kernel matrix in its own sweep.  ``_sweeps_per_block`` caps a block
-at ``_BLOCK_ENTRIES`` subset entries, so its stacks stay small; the cap
+dense kernel matrix in its own sweep, built from the subset's
+coordinates in one place, ``_factor_eta_precision``, which also builds
+it when a banded factor fails.  ``_sweeps_per_block`` caps a block at
+``_BLOCK_ENTRIES`` subset entries, so its stacks stay small; the cap
 depends on n alone, so both refresh policies run the same blocks.
 
 Each step is a conditional draw that takes values, not a chain state:
@@ -185,9 +187,18 @@ def _sweeps_per_block(n: int) -> int:
 
 
 def _kernel_operator(coords: np.ndarray, basis):
-    """The prediction set's kernel: a BandedKernel where exact, else dense."""
+    """The prediction set's kernel product v -> Psi v: the solve T x = v by
+    T's LDL' factor (``dpttrf`` once, ``dpttrs`` per product) where the set
+    is banded, else the dense kernel matrix's ``dot``."""
     banded = banded_kernels(coords[None], basis)[0]
-    return banded if banded is not None else kernel_matrix(coords, coords, basis)
+    if banded is None:
+        return kernel_matrix(coords, coords, basis).dot
+    # the LAPACK wrapper insists on a length-1 off-diagonal at m = 1
+    off = banded.band[1, :-1] if coords.size > 1 else np.zeros(1)
+    d, e, info = lapack.dpttrf(banded.band[0], off)
+    if info != 0:
+        raise NumericalError("tridiagonal kernel inverse is not positive definite")
+    return lambda v: lapack.dpttrs(d, e, v)[0]
 
 
 def _beta_factor(xtx: np.ndarray, sigma2: float, sigma2_beta: float):
@@ -220,23 +231,23 @@ def _banded_eta_factor(kernel: BandedKernel, sigma2: float, sigma2_eta: float):
     return lower if info == 0 else None
 
 
-def _factor_eta_precision(psi_delta, sigma2: float, sigma2_eta: float):
-    """Factor the eta block's precision for the kernel at hand.
+def _factor_eta_precision(banded, coords: np.ndarray, basis, sigma2: float, sigma2_eta: float):
+    """Factor the eta block's precision for a subset's kernel.
 
-    Returns (psi_delta, factor, jitter_events).  A BandedKernel yields the
-    banded factor of M (see :func:`_banded_eta_factor`); when that fails
-    the kernel is replaced by its dense matrix, the failure counts as one
-    jitter event, and the dense path below takes over.  A dense kernel
+    Returns (psi_delta, factor, jitter_events).  The subset's BandedKernel
+    ``banded`` yields itself and the banded factor of M (see
+    :func:`_banded_eta_factor`).  Without one, or when that factor fails
+    (one jitter event), the dense kernel on ``coords`` is built here and
     yields the lower Cholesky factor of Psi'Psi/sigma2 + I/sigma2_eta,
     jittered if needed.
     """
     jitter_events = 0
-    if isinstance(psi_delta, BandedKernel):
-        factor = _banded_eta_factor(psi_delta, sigma2, sigma2_eta)
+    if banded is not None:
+        factor = _banded_eta_factor(banded, sigma2, sigma2_eta)
         if factor is not None:
-            return psi_delta, factor, 0
-        psi_delta = kernel_matrix(psi_delta.coords, psi_delta.coords, psi_delta.basis)
+            return banded, factor, 0
         jitter_events = 1
+    psi_delta = kernel_matrix(coords, coords, basis)
     precision = psi_delta.T @ psi_delta / sigma2 + np.eye(psi_delta.shape[0]) / sigma2_eta
     lower, jitter = _cholesky_with_jitter(precision)
     return psi_delta, lower, jitter_events + jitter
@@ -386,7 +397,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     NumericalError
         If a factorization fails (a precision Cholesky even after
         jitter, or the prediction set's tridiagonal kernel inverse); n
-        and the failing sweep index are attached.
+        and the failing sweep index (0 before the first sweep) are attached.
     """
     n = _checked_int(n, "subset size n")
     N = data.n_obs
@@ -427,7 +438,6 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     refresh_prior = config.prediction_refresh == REFRESH_PRIOR
 
     # prediction design is fixed across sweeps
-    psi_pred = _kernel_operator(coords[pred], config.basis)
     x_pred = data.x[pred]
 
     # Under carry, a sweep changes eta and xi only on its subset, so the
@@ -450,6 +460,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     g = 0
     # every NumericalError a sweep raises gets its context here, once
     try:
+        psi_pred = _kernel_operator(coords[pred], config.basis)
         while g < config.iterations:
             size = min(sweeps_per_block, config.iterations - g)
             actives = sample_active_indices(n, N, subset_rng, size)
@@ -458,7 +469,8 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
             normals = normal_rng.standard_normal((size, 2 * n + p))
             if fixed is None:
                 gammas = gamma_rng.standard_gamma(variance_shapes(n, p), (size, 4)).tolist()
-            kernels = banded_kernels(coords[actives], config.basis)
+            block_coords = coords[actives]
+            kernels = banded_kernels(block_coords, config.basis)
             x_block = data.x.take(actives, axis=0)
             xtx_block = np.matmul(x_block.transpose(0, 2, 1), x_block)
             y_block = data.y[actives]
@@ -468,11 +480,8 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
                 g += 1
                 active = actives[b]
                 x_delta = x_block[b]
-                psi_delta = kernels[b]
-                if psi_delta is None:
-                    active_coords = coords[active]
-                    psi_delta = kernel_matrix(active_coords, active_coords, config.basis)
-                psi_delta, chol_eta, jitter = _factor_eta_precision(psi_delta, sigma2, sigma2_eta)
+                psi_delta, chol_eta, jitter = _factor_eta_precision(
+                    kernels[b], block_coords[b], config.basis, sigma2, sigma2_eta)
                 chol_beta, jitter_beta = _beta_factor(xtx_block[b], sigma2, sigma2_beta)
                 jitter_events += jitter + jitter_beta
                 y_delta = y_block[b]
@@ -504,7 +513,7 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
 
                 if g > config.burn_in:
                     if pred_parts is None:
-                        pred_parts = (psi_pred @ eta[pred], xi[pred])
+                        pred_parts = (psi_pred(eta[pred]), xi[pred])
                     # Welford's update, in place
                     mu_g = x_pred.dot(beta)
                     mu_g += pred_parts[0]

@@ -8,7 +8,7 @@ where K is an exponential kernel over the row coordinates and the sum
 ranges over whichever index set is in play (the current subset for the
 likelihood, the prediction set for prediction).  This module owns the
 immutable inputs of a fit (the dataset, the basis, the variance pins and
-the sampler configuration) and the kernel (dense, or banded through its
+the sampler configuration) and the kernel (dense, or the bands of its
 tridiagonal inverse for the absolute-difference metric).  The sampled
 quantities are ``gibbs.run_chain``'s own locals; the sampler and the
 prediction rule live in ``gibbs``.
@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .distributions import _checked_int, _checked_seed
-from .errors import InvalidParameterError, NumericalError
+from .errors import InvalidParameterError
 
 __all__ = [
     "DatasetView",
@@ -238,46 +237,17 @@ class BandedKernel:
     diagonal 1 + a_{i-1}^2 / (1 - a_{i-1}^2) + a_i^2 / (1 - a_i^2).
     ``band`` holds T in LAPACK's lower band layout: a Fortran-ordered
     (2, n) array, row 0 the diagonal and row 1 the subdiagonal (its last
-    entry zero), which ``dsbmv`` reads as it is; ``diag`` and ``off`` are
-    views of those two rows.  ``square_band`` holds
+    entry zero), which ``dsbmv`` reads as it is.  ``square_band`` holds
     T^2 (pentadiagonal) in the same layout, transposed: an (n, 3) array
     whose ``.T`` is the Fortran-ordered band with row 0 the diagonal and
     rows 1 and 2 the first and second subdiagonals (entry j of row k is
     T^2[j + k, j], so the last k entries of row k are zero); the eta
     factor is computed in that layout (``gibbs._banded_eta_factor``).
-    ``coords`` (sorted) and ``basis`` are kept for a dense fallback.
-    ``kernel @ v`` is Psi v, computed as a tridiagonal solve, so the object
-    stands in for the dense matrix wherever only products with it are
-    taken.
     """
 
-    def __init__(self, coords: np.ndarray, basis: BasisConfig, band: np.ndarray,
-                 square_band: np.ndarray):
-        self.coords = coords
-        self.basis = basis
+    def __init__(self, band: np.ndarray, square_band: np.ndarray):
         self.band = band
         self.square_band = square_band
-        self._factor = None
-
-    @property
-    def diag(self) -> np.ndarray:
-        return self.band[0]
-
-    @property
-    def off(self) -> np.ndarray:
-        return self.band[1, :-1]
-
-    def __matmul__(self, v) -> np.ndarray:
-        # Psi v solves T x = v; T is factored once (LDL') on first use
-        if self._factor is None:
-            # the LAPACK wrapper insists on a length-1 off-diagonal at n = 1
-            off = self.off if self.off.size else np.zeros(1)
-            d, e, info = lapack.dpttrf(self.diag, off)
-            if info != 0:
-                raise NumericalError("tridiagonal kernel inverse is not positive definite")
-            self._factor = (d, e)
-        x, _ = lapack.dpttrs(*self._factor, np.asarray(v, dtype=float))
-        return x
 
 
 # a huge rho overflows rho * gap to inf; exp(-inf) = 0 and expm1(-inf) = -1
@@ -328,5 +298,5 @@ def banded_kernels(coords: np.ndarray, basis: BasisConfig) -> list:
     square[:, :-1, 1] = off * (diag[:, :-1] + diag[:, 1:])
     square[:, :-2, 2] = off[:, :-1] * off[:, 1:]
     for i, row in enumerate(rows.tolist()):
-        kernels[row] = BandedKernel(coords[row], basis, band[i].T, square[i])
+        kernels[row] = BandedKernel(band[i].T, square[i])
     return kernels

@@ -109,8 +109,8 @@ def test_criterion_2_conjugate_full_conditionals():
     start = time.perf_counter()
     rng_fix = np.random.default_rng(5)
 
-    coords = np.array([0.0, 1.0, 2.5, 4.0])
-    psi = sg.kernel_matrix(coords, coords, sg.BasisConfig(rho=0.4))
+    coords, basis = np.array([0.0, 1.0, 2.5, 4.0]), sg.BasisConfig(rho=0.4)
+    psi = sg.kernel_matrix(coords, coords, basis)
     x = np.ones((4, 1))
     y = rng_fix.normal(size=4)
     sigma2, sigma2_eta, sigma2_xi, sigma2_beta = 0.7, 2.3, 1.1, 3.0
@@ -122,7 +122,7 @@ def test_criterion_2_conjugate_full_conditionals():
     residual = y - x @ beta - xi
     precision = psi.T @ psi / sigma2 + np.eye(4) / sigma2_eta
     cov = np.linalg.inv(precision)
-    _, chol_eta, _ = _factor_eta_precision(psi, sigma2, sigma2_eta)
+    _, chol_eta, _ = _factor_eta_precision(None, coords, basis, sigma2, sigma2_eta)
     draws = np.array([update_eta_active(residual, psi, chol_eta, sigma2,
                                         rng.standard_normal(4))[0]
                       for _ in range(DRAWS)])

@@ -48,9 +48,12 @@ def moments(draw_one, count, seed=0):
     return draws.mean(axis=0), draws.var(axis=0, ddof=1), draws
 
 
-def eta_sampler(residual, psi, sigma2=1.0, sigma2_eta=1.0):
-    """The chain's eta call on a fixed subset: factor once, then draw eta."""
-    psi, chol, _ = _factor_eta_precision(psi, sigma2, sigma2_eta)
+def eta_sampler(residual, banded, coords, basis, sigma2=1.0, sigma2_eta=1.0):
+    """The chain's eta call on a fixed subset: factor once, then draw eta.
+
+    ``banded`` is the subset's BandedKernel, or None for the dense kernel
+    on ``coords``."""
+    psi, chol, _ = _factor_eta_precision(banded, coords, basis, sigma2, sigma2_eta)
     n = residual.shape[0]
     return lambda rng: update_eta_active(residual, psi, chol, sigma2,
                                          rng.standard_normal(n))[0]
@@ -66,22 +69,25 @@ class TestUpdateEtaActive:
     def test_scalar_half_shrinkage(self):
         # n=1, Psi=[1], unit variances: mean r/2, variance 1/2
         r = 1.8
-        draw = eta_sampler(np.array([r]), np.eye(1))
+        draw = eta_sampler(np.array([r]), None, np.zeros(1), BasisConfig(rho=1.0))
         mean, var, _ = moments(lambda rng: draw(rng)[0], 100_000)
         assert mean == pytest.approx(r / 2.0, abs=3.0 * np.sqrt(0.5 / 100_000))
         assert var == pytest.approx(0.5, rel=0.02)
 
     def test_flat_prior_limit_recovers_residual(self):
         y = np.array([0.5, -1.0, 2.0])
-        mean, var, _ = moments(eta_sampler(y, np.eye(3), sigma2_eta=1e12), 50_000)
+        # exp(-1e4) underflows to 0: the dense kernel is the identity
+        coords, basis = np.array([0.0, 1e4, 2e4]), BasisConfig(rho=1.0)
+        np.testing.assert_array_equal(kernel_matrix(coords, coords, basis), np.eye(3))
+        mean, var, _ = moments(eta_sampler(y, None, coords, basis, sigma2_eta=1e12), 50_000)
         np.testing.assert_allclose(mean, y, atol=3.0 * np.sqrt(1.0 / 50_000) + 1e-9)
         np.testing.assert_allclose(var, 1.0, rtol=0.03)
 
     def test_matches_closed_form_on_correlated_design(self):
         # moment oracle with a non-trivial kernel: the conditional is
         # N((Psi'Psi + (s/se) I)^-1 Psi' r, (Psi'Psi/s + I/se)^-1)
-        coords = np.array([0.0, 1.0, 2.5, 4.0])
-        psi = kernel_matrix(coords, coords, BasisConfig(rho=0.4))
+        coords, basis = np.array([0.0, 1.0, 2.5, 4.0]), BasisConfig(rho=0.4)
+        psi = kernel_matrix(coords, coords, basis)
         sigma2, sigma2_eta = 0.7, 2.3
         y = np.array([1.0, -0.5, 0.8, 0.2])
         residual = y - 0.4 - np.array([0.1, -0.2, 0.3, 0.0])
@@ -89,20 +95,22 @@ class TestUpdateEtaActive:
         cov = np.linalg.inv(precision)
         expected_mean = cov @ psi.T @ residual / sigma2
         count = 100_000
-        mean, var, _ = moments(eta_sampler(residual, psi, sigma2, sigma2_eta), count)
+        mean, var, _ = moments(eta_sampler(residual, None, coords, basis, sigma2, sigma2_eta),
+                               count)
         assert np.all(np.abs(mean - expected_mean) < 3.0 * np.sqrt(np.diag(cov) / count))
         np.testing.assert_allclose(var, np.diag(cov), rtol=0.03)
 
 
-def eta_law(residual, psi, sigma2, sigma2_eta):
+def eta_law(residual, banded, coords, basis, sigma2, sigma2_eta):
     """Exact mean and covariance of update_eta_active's draw and of Psi eta.
 
-    The draw is affine in the standard normals z: the draw at z = 0 is the
-    mean, and the draws at the unit vectors give the columns of a factor A
-    with covariance A A'.
+    ``banded`` is the subset's BandedKernel, or None for the dense kernel
+    on ``coords``.  The draw is affine in the standard normals z: the draw
+    at z = 0 is the mean, and the draws at the unit vectors give the
+    columns of a factor A with covariance A A'.
     """
     n = residual.shape[0]
-    psi, chol, _ = _factor_eta_precision(psi, sigma2, sigma2_eta)
+    psi, chol, _ = _factor_eta_precision(banded, coords, basis, sigma2, sigma2_eta)
     mean, product_mean = update_eta_active(residual, psi, chol, sigma2, np.zeros(n))
     columns, product_columns = [], []
     for k in range(n):
@@ -153,11 +161,10 @@ class TestBandedEtaDraw:
         basis = BasisConfig(rho=rho)
         banded = banded_kernels(coords[None], basis)[0]
         assert isinstance(banded, BandedKernel)
-        dense = kernel_matrix(coords, coords, basis)
         y = rng.normal(size=n)
         residual = y - 0.4 - 0.3 * rng.normal(size=n)
-        for got, want in zip(eta_law(residual, banded, 0.7, 2.3),
-                             eta_law(residual, dense, 0.7, 2.3)):
+        for got, want in zip(eta_law(residual, banded, coords, basis, 0.7, 2.3),
+                             eta_law(residual, None, coords, basis, 0.7, 2.3)):
             assert max_relative_error(got, want) < 1e-9
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 200, 1000])
@@ -175,19 +182,21 @@ class TestBandedEtaDraw:
         rhs = residual / sigma2 + dense_from_lower_band(chol) @ z
         product, info = lapack.dpbtrs(chol, rhs, lower=1)
         assert info == 0
-        t = np.diag(kernel.diag) + np.diag(kernel.off, 1) + np.diag(kernel.off, -1)
+        off = kernel.band[1, :-1]
+        t = np.diag(kernel.band[0]) + np.diag(off, 1) + np.diag(off, -1)
         draw, psi_eta = update_eta_active(residual, kernel, chol, sigma2, z)
         assert max_relative_error(psi_eta, product) < 1e-12
         assert max_relative_error(draw, t @ product) < 1e-12
 
     def test_dense_law_is_the_closed_form(self):
         # anchors eta_law's dense side to the stated conditional
-        coords = np.array([0.0, 1.0, 2.5, 4.0])
-        psi = kernel_matrix(coords, coords, BasisConfig(rho=0.4))
+        coords, basis = np.array([0.0, 1.0, 2.5, 4.0]), BasisConfig(rho=0.4)
+        psi = kernel_matrix(coords, coords, basis)
         residual = np.array([1.0, -0.5, 0.8, 0.2]) - 0.4 - np.array([0.1, -0.2, 0.3, 0.0])
         cov = np.linalg.inv(psi.T @ psi / 0.7 + np.eye(4) / 2.3)
         mean = cov @ psi.T @ residual / 0.7
-        got_mean, got_cov, product_mean, product_cov = eta_law(residual, psi, 0.7, 2.3)
+        got_mean, got_cov, product_mean, product_cov = eta_law(residual, None, coords, basis,
+                                                               0.7, 2.3)
         np.testing.assert_allclose(got_mean, mean, rtol=1e-12)
         np.testing.assert_allclose(got_cov, cov, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(product_mean, psi @ mean, rtol=1e-12)
@@ -206,7 +215,7 @@ class TestBandedEtaDraw:
         sigma2, sigma2_eta = 0.7, 2.3
         cov = np.linalg.inv(psi.T @ psi / sigma2 + np.eye(4) / sigma2_eta)
         mean = cov @ psi.T @ residual / sigma2
-        draw = eta_sampler(residual, banded, sigma2, sigma2_eta)
+        draw = eta_sampler(residual, banded, coords, basis, sigma2, sigma2_eta)
         rng = make_rng(101)
         draws = np.array([draw(rng) for _ in range(100_000)])
         assert_moments_within_3se(draws, mean, np.diag(cov))
@@ -454,12 +463,17 @@ class TestDrawInactivePredictionComponents:
         # prediction kernel's product, which runs on every kept sweep
         record = record_draws(monkeypatch)
         products = []
-        matmul = BandedKernel.__matmul__
-        monkeypatch.setattr(BandedKernel, "__matmul__",
-                            lambda kernel, v: products.append(v.copy()) or matmul(kernel, v))
+        kernel_operator = gibbs._kernel_operator
+
+        def building(coords, basis):
+            product = kernel_operator(coords, basis)
+            return lambda v: products.append(v.copy()) or product(v)
+
+        monkeypatch.setattr(gibbs, "_kernel_operator", building)
         pred = np.array([0, 2, 3, 6, 9, 11])
         config = small_config(12, iterations=60, burn_in=0, prediction_set=pred,
                               prediction_refresh="prior")
+        assert_banded(small_dataset().index_coords[pred], config.basis)
         run_chain(small_dataset(), config, 4)
         assert len(record["refresh"]) == len(products) == config.iterations
         seen = set()
@@ -688,20 +702,23 @@ def _chain_and_direct_sampler(basis, eta_step, N=6, p=1, iterations=30):
 
 
 def record_kernel_kinds(monkeypatch):
-    """Types of every kernel the chain builds one at a time (the prediction
-    set's, and a subset's outside the banded rows of its block) and of every
-    subset kernel whose eta precision it factors."""
+    """Kinds of the prediction set's kernel and of every subset kernel whose
+    eta precision the chain factors: np.ndarray where the chain builds the
+    dense matrix, else BandedKernel."""
     kinds = []
+    calls = count_calls(monkeypatch, ["kernel_matrix"])
     original, factor = gibbs._kernel_operator, gibbs._factor_eta_precision
 
     def recording(coords, basis):
-        kernel = original(coords, basis)
-        kinds.append(type(kernel))
-        return kernel
+        built = calls["kernel_matrix"]
+        product = original(coords, basis)
+        kinds.append(np.ndarray if calls["kernel_matrix"] > built else BandedKernel)
+        return product
 
-    def factoring(psi_delta, *args):
+    def factoring(*args):
+        psi_delta, chol, jitter = factor(*args)
         kinds.append(type(psi_delta))
-        return factor(psi_delta, *args)
+        return psi_delta, chol, jitter
 
     monkeypatch.setattr(gibbs, "_kernel_operator", recording)
     monkeypatch.setattr(gibbs, "_factor_eta_precision", factoring)
@@ -744,32 +761,35 @@ def pin_subsets(monkeypatch, active):
 def record_prediction_products(monkeypatch):
     """Record the chain's subsets and the sweeps that multiply by the prediction kernel.
 
-    The prediction kernel is the first one the chain builds.  Each product
-    with it is recorded as the number of eta steps run so far, which is the
-    1-based sweep index (a block draws its subsets before its sweeps run).
+    ``record["product"]`` holds the product function ``_kernel_operator``
+    built.  Each call of it is recorded as the number of eta steps run so
+    far, which is the 1-based sweep index (a block draws its subsets before
+    its sweeps run).
     """
-    record = {"subsets": [], "products": [], "kernels": [], "sweeps": 0}
+    record = {"subsets": [], "products": [], "product": None, "sweeps": 0}
     record_subsets(monkeypatch, record["subsets"])
     kernel_operator, eta_step = gibbs._kernel_operator, gibbs.update_eta_active
-    matmul = BandedKernel.__matmul__
 
     def stepping(*args):
         record["sweeps"] += 1
         return eta_step(*args)
 
-    def building(coords, basis):
-        record["kernels"].append(kernel_operator(coords, basis))
-        return record["kernels"][-1]
+    def multiplying(v):
+        record["products"].append(record["sweeps"])
+        return record["product"](v)
 
-    def multiplying(kernel, v):
-        if kernel is record["kernels"][0]:
-            record["products"].append(record["sweeps"])
-        return matmul(kernel, v)
+    def building(coords, basis):
+        record["product"] = kernel_operator(coords, basis)
+        return multiplying
 
     monkeypatch.setattr(gibbs, "update_eta_active", stepping)
     monkeypatch.setattr(gibbs, "_kernel_operator", building)
-    monkeypatch.setattr(BandedKernel, "__matmul__", multiplying)
     return record
+
+
+def assert_banded(pred_coords, basis):
+    """The prediction set is banded, so its product is the tridiagonal solve."""
+    assert isinstance(banded_kernels(pred_coords[None], basis)[0], BandedKernel)
 
 
 def record_draws(monkeypatch):
@@ -828,13 +848,13 @@ def replay(record, N):
 class TestRunChain:
     def test_carry_reuses_the_prediction_product_until_a_subset_meets_the_set(
             self, monkeypatch):
-        matmul = BandedKernel.__matmul__
         record = record_prediction_products(monkeypatch)
         draws = record_draws(monkeypatch)
         pred = np.array([5, 30, 55])
         data = small_dataset(N=60)
         config = small_config(60, iterations=120, burn_in=20, prediction_set=pred,
                               prediction_refresh="carry")
+        assert_banded(data.index_coords[pred], config.basis)
         out = run_chain(data, config, 4)
 
         expected, stale = [], True
@@ -849,11 +869,11 @@ class TestRunChain:
 
         # a reused product equals a fresh one bit for bit: a fresh product
         # on every kept sweep reproduces the chain's running moments exactly
-        kernel, x_pred = record["kernels"][0], data.x[pred]
+        product, x_pred = record["product"], data.x[pred]
         mean, m2, kept = np.zeros(pred.size), np.zeros(pred.size), 0
         for g, (beta, eta, xi) in enumerate(replay(draws, data.n_obs), start=1):
             if g > config.burn_in:
-                mu_g = x_pred @ beta + matmul(kernel, eta[pred]) + xi[pred]
+                mu_g = x_pred @ beta + product(eta[pred]) + xi[pred]
                 kept += 1
                 delta = mu_g - mean
                 mean += delta / kept
@@ -942,11 +962,22 @@ class TestRunChain:
 
     def test_prior_refresh_multiplies_once_per_kept_sweep(self, monkeypatch):
         record = record_prediction_products(monkeypatch)
-        config = small_config(60, iterations=50, burn_in=15,
-                              prediction_set=np.array([5, 30, 55]),
+        pred, data = np.array([5, 30, 55]), small_dataset(N=60)
+        config = small_config(60, iterations=50, burn_in=15, prediction_set=pred,
                               prediction_refresh="prior")
-        run_chain(small_dataset(N=60), config, 4)
+        assert_banded(data.index_coords[pred], config.basis)
+        run_chain(data, config, 4)
         assert record["products"] == list(range(config.burn_in + 1, config.iterations + 1))
+
+    def test_failed_prediction_kernel_factor_names_the_subset_size(self, monkeypatch):
+        # the prediction set is banded, and its tridiagonal factor reports
+        # a non-positive pivot: the chain raises with n attached
+        monkeypatch.setattr(lapack, "dpttrf", lambda d, e: (d, e, 1))
+        data, config = small_dataset(), small_config(12)
+        assert_banded(data.index_coords[config.prediction_set], config.basis)
+        with pytest.raises(NumericalError, match="tridiagonal kernel inverse") as err:
+            run_chain(data, config, 4)
+        assert err.value.n == 4
 
     @pytest.mark.parametrize("policy, per_sweep", [("prior", 1), ("carry", 0)])
     def test_prior_refresh_runs_the_tested_helper(self, monkeypatch, policy, per_sweep):
@@ -1292,15 +1323,15 @@ class TestSweepBlocks:
         calls = count_calls(monkeypatch, ["_kernel_operator", "kernel_matrix"])
         kernels = []
         factor = gibbs._factor_eta_precision
-        monkeypatch.setattr(gibbs, "_factor_eta_precision",
-                            lambda psi, *args: kernels.append(psi) or factor(psi, *args))
+        monkeypatch.setattr(gibbs, "_factor_eta_precision", lambda banded, coords, *args: (
+            kernels.append((banded, coords)) or factor(banded, coords, *args)))
         config = small_config(40, iterations=30, burn_in=5,
                               prediction_set=np.array([1, 7, 8, 20, 33]))
         run_chain(layout_dataset("unsorted"), config, 6)
         assert calls == {"_kernel_operator": 1, "kernel_matrix": 0}
         assert len(kernels) == config.iterations
-        assert all(isinstance(kernel, BandedKernel) and np.all(np.diff(kernel.coords) >= 0)
-                   for kernel in kernels)
+        assert all(isinstance(banded, BandedKernel) and np.all(np.diff(coords) >= 0)
+                   for banded, coords in kernels)
 
     def test_block_gram_is_each_subsets_x_transpose_x(self, monkeypatch):
         # the block's one stacked product gives each sweep's beta factor

@@ -17,6 +17,7 @@ from subsetgibbs import (
     make_rng,
 )
 from subsetgibbs.distributions import sample_active_indices
+from subsetgibbs.gibbs import _kernel_operator
 from subsetgibbs.model import _BANDED_MIN_RHO_GAP, BandedKernel, banded_kernels
 
 
@@ -181,6 +182,12 @@ def spread_coords(n, rho, seed, min_rho_gap=0.01):
     return coords
 
 
+def tridiagonal(kernel):
+    """T as a dense matrix, from the diagonal and subdiagonal rows of its band."""
+    diag, off = kernel.band[0], kernel.band[1, :-1]
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
 class TestBandedKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 50])
     @pytest.mark.parametrize("rho", [0.05, 0.7, 4.0])
@@ -190,7 +197,7 @@ class TestBandedKernel:
         kernel = banded_kernels(coords[None], basis)[0]
         assert isinstance(kernel, BandedKernel)
         # T from its stored diagonals
-        t = np.diag(kernel.diag) + np.diag(kernel.off, 1) + np.diag(kernel.off, -1)
+        t = tridiagonal(kernel)
         psi = kernel_matrix(coords, coords, basis)
         np.testing.assert_allclose(t @ psi, np.eye(n), atol=1e-10)
         np.testing.assert_allclose(psi @ t, np.eye(n), atol=1e-10)
@@ -202,10 +209,12 @@ class TestBandedKernel:
         v = rng.normal(size=n)
         block = rng.normal(size=(n, 3))
         coords = spread_coords(n, 0.4, seed=10 + n)
-        kernel = banded_kernels(coords[None], basis)[0]
+        # a banded row, so the product is the tridiagonal solve, not a dense dot
+        assert isinstance(banded_kernels(coords[None], basis)[0], BandedKernel)
+        product = _kernel_operator(coords, basis)
         psi = kernel_matrix(coords, coords, basis)
-        np.testing.assert_allclose(kernel @ v, psi @ v, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(kernel @ block, psi @ block, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(product(v), psi @ v, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(product(block), psi @ block, rtol=1e-10, atol=1e-12)
 
     def test_tridiagonal_entries(self):
         # a_i = exp(-rho gap_i): off-diagonal -a/(1-a^2), diagonal
@@ -213,19 +222,21 @@ class TestBandedKernel:
         coords = np.array([0.0, 1.0, 3.0])
         kernel = banded_kernels(coords[None], BasisConfig(rho=0.5))[0]
         a = np.exp(-0.5 * np.array([1.0, 2.0]))
-        np.testing.assert_allclose(kernel.off, -a / (1.0 - a**2), rtol=1e-14)
+        np.testing.assert_allclose(kernel.band[1, :-1], -a / (1.0 - a**2), rtol=1e-14)
         ratio = a**2 / (1.0 - a**2)
-        np.testing.assert_allclose(kernel.diag, [1.0 + ratio[0], 1.0 + ratio.sum(),
-                                                 1.0 + ratio[1]], rtol=1e-14)
+        np.testing.assert_allclose(kernel.band[0], [1.0 + ratio[0], 1.0 + ratio.sum(),
+                                                    1.0 + ratio[1]], rtol=1e-14)
 
     def test_far_apart_coordinates_give_the_identity(self):
         # gaps of rho * gap = 1e4 underflow a to 0 without overflow or NaN
         coords = np.array([0.0, 1e4, 2e4, 3e4])
+        basis = BasisConfig(rho=1.0)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            kernel = banded_kernels(coords[None], BasisConfig(rho=1.0))[0]
-            np.testing.assert_array_equal(kernel.diag, np.ones(4))
-            np.testing.assert_array_equal(kernel.off, np.zeros(3))
-            np.testing.assert_array_equal(kernel @ np.arange(4.0), np.arange(4.0))
+            kernel = banded_kernels(coords[None], basis)[0]
+            np.testing.assert_array_equal(kernel.band[0], np.ones(4))
+            np.testing.assert_array_equal(kernel.band[1, :-1], np.zeros(3))
+            product = _kernel_operator(coords, basis)(np.arange(4.0))
+            np.testing.assert_array_equal(product, np.arange(4.0))
 
     def test_huge_rho_gives_the_identity_without_warnings(self):
         # rho * gap overflows to inf: exp(-inf) = 0 and expm1(-inf) = -1 are
@@ -244,8 +255,8 @@ class TestBandedKernel:
         np.testing.assert_array_equal(great_circle, np.eye(3))
         kernel, unsorted = kernels
         assert unsorted is None
-        np.testing.assert_array_equal(kernel.diag, np.ones(4))
-        np.testing.assert_array_equal(kernel.off, np.zeros(3))
+        np.testing.assert_array_equal(kernel.band[0], np.ones(4))
+        np.testing.assert_array_equal(kernel.band[1, :-1], np.zeros(3))
         np.testing.assert_array_equal(kernel.square_band, np.tile([1.0, 0.0, 0.0], (4, 1)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50])
@@ -253,7 +264,7 @@ class TestBandedKernel:
         # entry j of column k is T^2[j + k, j]; the last k entries are zero
         coords = spread_coords(n, 0.4, seed=30 + n)
         kernel = banded_kernels(coords[None], BasisConfig(rho=0.4))[0]
-        t = np.diag(kernel.diag) + np.diag(kernel.off, 1) + np.diag(kernel.off, -1)
+        t = tridiagonal(kernel)
         square = t @ t
         for k in range(3):
             expected = np.zeros(n)
@@ -288,14 +299,18 @@ class TestBandedKernel:
         v = rng.normal(size=n)
         for coords, kernel in zip(rows, kernels):
             if kernel is not None:
-                np.testing.assert_allclose(kernel @ v, kernel_matrix(coords, coords, basis) @ v,
+                # Psi v = T^-1 v from this row's own band
+                np.testing.assert_allclose(np.linalg.solve(tridiagonal(kernel), v),
+                                           kernel_matrix(coords, coords, basis) @ v,
                                            rtol=1e-9, atol=1e-9)
 
     def test_stack_of_single_points(self):
-        kernels = banded_kernels(np.array([[0.3], [-2.0], [0.3]]), BasisConfig(rho=0.4))
-        for kernel in kernels:
-            np.testing.assert_array_equal(kernel.diag, [1.0])
-            np.testing.assert_array_equal(kernel @ np.array([1.5]), [1.5])
+        rows, basis = np.array([[0.3], [-2.0], [0.3]]), BasisConfig(rho=0.4)
+        for coords, kernel in zip(rows, banded_kernels(rows, basis)):
+            np.testing.assert_array_equal(kernel.band[0], [1.0])
+            # m = 1: the factor is given a length-1 off-diagonal
+            np.testing.assert_array_equal(_kernel_operator(coords, basis)(np.array([1.5])),
+                                          [1.5])
 
     def test_dense_cases_get_no_banded_kernel(self):
         duplicates = np.array([0.0, 1.0, 1.0, 2.0])

@@ -19,7 +19,10 @@ the dense great-circle path, unsorted and too-close coordinates, blocks
 that mix banded and dense subsets (on sorted and on unsorted
 coordinates), pinned and sampled variances, both refresh policies,
 n = N, subsets whose draws repeat (``repeats_``), and banded factors
-forced to fail so that every sweep takes the dense fallback.
+forced to fail so that every sweep takes the dense fallback
+(``dpbtrf_fail_``).  In ``dpbtrf_fail_unsorted_mixed`` some subsets are
+dense from the start and the others fall back, so every dense kernel
+there is built from a subset's coordinates in coordinate order.
 
 ``cases`` yields each chain case as its name, its labelled output arrays
 and its jitter count, so other tools can compare the values themselves
@@ -212,6 +215,8 @@ def cases():
         four = dataset(np.array([0.3, -1.2, 0.7, 0.1]), np.arange(4.0))
         yield "dpbtrf_fail_pinned_N4", chain(four, 2, iterations=200, burn_in=50,
                                              refresh="prior", fixed=PINS)
+        yield "dpbtrf_fail_unsorted_mixed", chain(
+            dataset(*scattered(400, 9, "unsorted_mixed")), 20, refresh="prior")
     finally:
         gibbs._banded_eta_factor = banded_factor
 
