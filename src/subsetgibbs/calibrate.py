@@ -20,8 +20,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .distributions import _checked_int, spawn_seed
-from .errors import InvalidParameterError, NumericalError
+from .distributions import spawn_seed
+from .errors import InvalidParameterError, NumericalError, _checked_int, _checked_positive
 from .gibbs import ChainOutput, run_chain
 from .model import DatasetView, SamplerConfig
 
@@ -49,11 +49,8 @@ class SweepPlan:
             raise InvalidParameterError("n_grid must be nonempty")
         if any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
             raise InvalidParameterError("n_grid must be strictly increasing and >= 1")
-        if not (0.0 < self.budget_seconds < np.inf):
-            raise InvalidParameterError(
-                f"budget_seconds must be finite and > 0, got {self.budget_seconds}")
-        if _checked_int(self.max_parallel, "max_parallel") < 1:
-            raise InvalidParameterError(f"max_parallel must be >= 1, got {self.max_parallel}")
+        _checked_positive(self.budget_seconds, "budget_seconds")
+        _checked_int(self.max_parallel, "max_parallel", low=1)
 
 
 @dataclass
@@ -100,8 +97,7 @@ def select_budget_n(timings: Sequence[Tuple[int, float]], budget_seconds: float)
     -------
     (selected_n, met)
     """
-    if not (0.0 < budget_seconds < np.inf):
-        raise InvalidParameterError(f"budget_seconds must be finite and > 0, got {budget_seconds}")
+    _checked_positive(budget_seconds, "budget_seconds")
     entries = [(int(n), float(t)) for n, t in timings]
     if not entries:
         raise InvalidParameterError("no timings supplied")

@@ -36,7 +36,13 @@ import numpy as np
 
 from . import __version__
 from .calibrate import CalibrationReport, SweepPlan, run_sweep
-from .errors import InvalidParameterError, NumericalError
+from .errors import (
+    InvalidParameterError,
+    NumericalError,
+    _checked_int,
+    _checked_positive,
+    _checked_seed,
+)
 from .gibbs import run_chain
 from .model import (
     METRIC_ABS,
@@ -195,13 +201,11 @@ def _check_sampler_flags(args) -> None:
     if not (0 <= args.burn_in < args.iterations):
         raise InvalidParameterError(f"need 0 <= --burn-in < --iterations, got --burn-in "
                                     f"{args.burn_in} and --iterations {args.iterations}")
-    if not (args.rho > 0.0 and np.isfinite(args.rho)):
-        raise InvalidParameterError(f"--rho must be finite and > 0, got {args.rho}")
+    _checked_positive(args.rho, "--rho")
 
 
 def _sampler_config(args, N: int) -> SamplerConfig:
-    if not (1 <= args.pred_count <= N):
-        raise InvalidParameterError(f"--pred-count must be in [1, {N}], got {args.pred_count}")
+    _checked_int(args.pred_count, "--pred-count", 1, N)
     return SamplerConfig(
         iterations=args.iterations,
         burn_in=args.burn_in,
@@ -235,12 +239,10 @@ def _write_report_csv(path, report: CalibrationReport) -> None:
 
 def cmd_simulate(args) -> int:
     # name the flags the user typed; Ar1Config's own message names its fields
-    if args.N < 1:
-        raise InvalidParameterError(f"--N must be >= 1, got {args.N}")
+    _checked_int(args.N, "--N", low=1)
     if not np.isfinite(args.phi):
         raise InvalidParameterError(f"--phi must be finite, got {args.phi}")
-    if not (args.noise_var > 0.0 and np.isfinite(args.noise_var)):
-        raise InvalidParameterError(f"--noise-var must be finite and > 0, got {args.noise_var}")
+    _checked_positive(args.noise_var, "--noise-var")
     config = Ar1Config(N=args.N, phi=args.phi, noise_var=args.noise_var, seed=args.seed)
     data, truth = generate_ar1(config)
     output_dir = Path(args.output_dir)
@@ -257,8 +259,7 @@ def cmd_fit(args) -> int:
     _check_sampler_flags(args)
     data = read_data_csv(args.data)
     config = _sampler_config(args, data.n_obs)
-    if not (1 <= args.n <= data.n_obs):
-        raise InvalidParameterError(f"--n must be in [1, {data.n_obs}], got {args.n}")
+    _checked_int(args.n, "--n", 1, data.n_obs)
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     out = run_chain(data, config, args.n, collect_trace=True)
@@ -285,11 +286,8 @@ def cmd_fit(args) -> int:
 
 def cmd_calibrate(args) -> int:
     # name the flags the user typed; SweepPlan's own message names its fields
-    if not (args.budget_seconds > 0.0 and np.isfinite(args.budget_seconds)):
-        raise InvalidParameterError(
-            f"--budget-seconds must be finite and > 0, got {args.budget_seconds}")
-    if args.max_parallel < 1:
-        raise InvalidParameterError(f"--max-parallel must be >= 1, got {args.max_parallel}")
+    _checked_positive(args.budget_seconds, "--budget-seconds")
+    _checked_int(args.max_parallel, "--max-parallel", low=1)
     _check_sampler_flags(args)
     data = read_data_csv(args.data)
     config = _sampler_config(args, data.n_obs)
@@ -419,10 +417,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     args.raw_argv = argv
     try:
-        seed = getattr(args, "seed", 0)  # every command but score takes --seed
-        if not (0 <= seed < 2**64):
-            raise InvalidParameterError(
-                f"--seed must be a 64-bit unsigned integer, got {seed}")
+        _checked_seed(getattr(args, "seed", 0), "--seed")  # every command but score takes --seed
         return args.func(args)
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

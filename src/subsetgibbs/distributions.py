@@ -15,12 +15,11 @@ representation exists.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _checked_int, _checked_seed
 
 __all__ = [
     "make_rng",
@@ -29,26 +28,6 @@ __all__ = [
     "MlbParams",
     "mlb_log_density",
 ]
-
-
-def _checked_int(value, name: str) -> int:
-    """``value`` as an int; raises InvalidParameterError unless it is an integer.
-
-    ``operator.index`` accepts Python and NumPy integers and rejects
-    floats, 2.0 included, so a count of 2.7 is an error rather than 2.
-    """
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _checked_seed(seed) -> int:
-    """The seed as an int; raises unless it is a 64-bit unsigned integer."""
-    value = _checked_int(seed, "seed")
-    if not (0 <= value < 2**64):
-        raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return value
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -64,9 +43,7 @@ def spawn_seed(master_seed: int, index: int) -> int:
     number of workers.
     """
     master_seed = _checked_seed(master_seed)
-    index = _checked_int(index, "spawn index")
-    if index < 0:
-        raise InvalidParameterError(f"spawn index must be nonnegative, got {index}")
+    index = _checked_int(index, "spawn index", low=0)
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -85,13 +62,9 @@ def sample_active_indices(n: int, N: int, rng: np.random.Generator, count: int) 
     vectorized pass over the same variates (:func:`_floyd_subsets`);
     otherwise ``choice`` draws each row.
     """
-    n = _checked_int(n, "subset size n")
     N = _checked_int(N, "population size N")
-    count = _checked_int(count, "subset count")
-    if not (1 <= n <= N):
-        raise InvalidParameterError(f"subset size must satisfy 1 <= n <= N, got n={n}, N={N}")
-    if count < 1:
-        raise InvalidParameterError(f"subset count must be positive, got {count}")
+    n = _checked_int(n, "subset size n", 1, N)
+    count = _checked_int(count, "subset count", low=1)
     if _floyd_block_pays(n, N):
         return _floyd_subsets(n, N, rng, count)
     return _choice_subsets(n, N, rng, count)

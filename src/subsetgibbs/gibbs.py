@@ -90,8 +90,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .distributions import _checked_int, make_rng, sample_active_indices, spawn_seed
-from .errors import InvalidParameterError, NumericalError
+from .distributions import make_rng, sample_active_indices, spawn_seed
+from .errors import InvalidParameterError, NumericalError, _checked_indices, _checked_int
 from .model import (
     METRIC_ABS,
     REFRESH_PRIOR,
@@ -399,13 +399,9 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
         jitter, or the prediction set's tridiagonal kernel inverse); n
         and the failing sweep index (0 before the first sweep) are attached.
     """
-    n = _checked_int(n, "subset size n")
     N = data.n_obs
-    if not (1 <= n <= N):
-        raise InvalidParameterError(f"subset size must satisfy 1 <= n <= N, got n={n}, N={N}")
-    pred = config.prediction_set
-    if pred[-1] >= N:
-        raise InvalidParameterError("prediction_set contains indices beyond the dataset")
+    n = _checked_int(n, "subset size n", 1, N)
+    pred = _checked_indices(config.prediction_set, "prediction_set", N)
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
 

@@ -21,8 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import _checked_int, _checked_seed
-from .errors import InvalidParameterError
+from .errors import (
+    InvalidParameterError,
+    _checked_indices,
+    _checked_int,
+    _checked_positive,
+    _checked_seed,
+)
 
 __all__ = [
     "DatasetView",
@@ -110,8 +115,7 @@ class BasisConfig:
     metric: str = METRIC_ABS
 
     def __post_init__(self):
-        if not (self.rho > 0.0) or not np.isfinite(self.rho):
-            raise InvalidParameterError(f"rho must be finite and > 0, got {self.rho}")
+        _checked_positive(self.rho, "rho")
         if self.metric not in (METRIC_ABS, METRIC_GREAT_CIRCLE):
             raise InvalidParameterError(
                 f"metric must be '{METRIC_ABS}' or '{METRIC_GREAT_CIRCLE}', got {self.metric!r}"
@@ -134,9 +138,7 @@ class FixedVariances:
 
     def __post_init__(self):
         for name in ("sigma2", "sigma2_eta", "sigma2_xi", "sigma2_beta"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0.0:
-                raise InvalidParameterError(f"fixed {name} must be strictly positive, got {value}")
+            _checked_positive(getattr(self, name), name)
 
     @staticmethod
     def all_of(sigma2: float, sigma2_eta: float, sigma2_xi: float, sigma2_beta: float) -> "FixedVariances":
@@ -174,24 +176,10 @@ class SamplerConfig:
     prediction_refresh: str = REFRESH_CARRY
 
     def __post_init__(self):
-        iterations = _checked_int(self.iterations, "iterations")
-        burn_in = _checked_int(self.burn_in, "burn_in")
-        if iterations < 1 or not (0 <= burn_in < iterations):
-            raise InvalidParameterError(
-                f"need 0 <= burn_in < iterations, got burn_in={burn_in}, "
-                f"iterations={iterations}"
-            )
-        a = np.asarray(self.prediction_set)
-        if a.ndim != 1 or a.size < 1:
-            raise InvalidParameterError("prediction_set must be a nonempty 1-d index list")
-        # the array form of _checked_int: integer dtypes only, so 0.5 is no index
-        if a.dtype.kind not in "iu":
-            raise InvalidParameterError(
-                f"prediction_set must hold integers, got dtype {a.dtype}")
-        a = a.astype(np.int64, copy=False)
-        object.__setattr__(self, "prediction_set", a)
-        if np.any(np.diff(a) <= 0) or a[0] < 0:
-            raise InvalidParameterError("prediction_set must be sorted, unique and nonnegative")
+        iterations = _checked_int(self.iterations, "iterations", low=1)
+        _checked_int(self.burn_in, "burn_in", 0, iterations - 1)
+        object.__setattr__(self, "prediction_set",
+                           _checked_indices(self.prediction_set, "prediction_set"))
         if self.prediction_refresh not in (REFRESH_PRIOR, REFRESH_CARRY):
             raise InvalidParameterError(
                 f"prediction_refresh must be '{REFRESH_PRIOR}' or '{REFRESH_CARRY}', "

@@ -31,8 +31,8 @@ from typing import List, Tuple
 import numpy as np
 from scipy import stats
 
-from .distributions import _checked_int, make_rng
-from .errors import InvalidParameterError
+from .distributions import make_rng
+from .errors import InvalidParameterError, _checked_indices, _checked_int
 from .model import BasisConfig, DatasetView, FixedVariances, kernel_matrix
 
 __all__ = [
@@ -76,10 +76,8 @@ class TinyModelSpec:
     basis: BasisConfig = BasisConfig(rho=0.3)
 
     def __post_init__(self):
-        if not (1 <= _checked_int(self.N, "N") <= 4):
-            raise InvalidParameterError(f"N must be in [1, 4], got {self.N}")
-        if not (1 <= _checked_int(self.n, "n") <= self.N):
-            raise InvalidParameterError(f"n must be in [1, N], got n={self.n}, N={self.N}")
+        N = _checked_int(self.N, "N", 1, 4)
+        _checked_int(self.n, "n", 1, N)
         if math.comb(self.N, self.n) > 6:
             raise InvalidParameterError("subset enumeration capped at 6 masks")
         if not isinstance(self.fixed_variances, FixedVariances):
@@ -131,22 +129,12 @@ def enumerate_masks(N: int, n: int) -> List[np.ndarray]:
     return [np.array(c, dtype=np.int64) for c in itertools.combinations(range(N), n)]
 
 
-def _checked_indices(indices, N: int, name: str) -> np.ndarray:
-    """``indices`` as an array; raises unless sorted distinct integers in range(N)."""
-    a = np.asarray(indices)
-    if (a.ndim != 1 or a.size < 1 or a.dtype.kind not in "iu" or a[0] < 0 or a[-1] >= N
-            or np.any(a[1:] <= a[:-1])):
-        raise InvalidParameterError(
-            f"{name} must be sorted distinct integers in range({N}), got {indices!r}")
-    return a
-
-
 def _subset(spec: TinyModelSpec, mask, y) -> Tuple[np.ndarray, np.ndarray]:
     """The subset's kernel Psi_delta and data y_delta, with y and the mask checked."""
     y = np.asarray(y, dtype=float)
     if y.shape != (spec.N,):
         raise InvalidParameterError(f"y must have shape ({spec.N},), got {y.shape}")
-    mask = _checked_indices(mask, spec.N, "mask")
+    mask = _checked_indices(mask, "mask", spec.N)
     return spec.full_kernel()[np.ix_(mask, mask)], y[mask]
 
 
@@ -407,7 +395,7 @@ def prediction_oracle(spec: TinyModelSpec, y, pred) -> Tuple[np.ndarray, np.ndar
     subset equally likely a posteriori (criterion 1), so the mixture
     weights the subsets equally.  ``pred`` is sorted, as a prediction set is.
     """
-    pred = _checked_indices(pred, spec.N, "pred")
+    pred = _checked_indices(pred, "pred", spec.N)
     v = spec.fixed_variances
     kernel = spec.full_kernel()
     masks = enumerate_masks(spec.N, spec.n)

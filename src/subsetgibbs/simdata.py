@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _checked_int, make_rng
-from .errors import InvalidParameterError
+from .distributions import make_rng
+from .errors import InvalidParameterError, _checked_int, _checked_positive
 from .model import DatasetView
 
 __all__ = [
@@ -36,10 +36,8 @@ class Ar1Config:
     seed: int = 0
 
     def __post_init__(self):
-        if _checked_int(self.N, "N") < 1:
-            raise InvalidParameterError(f"N must be >= 1, got {self.N}")
-        if not (self.noise_var > 0.0) or not np.isfinite(self.noise_var):
-            raise InvalidParameterError(f"noise_var must be > 0, got {self.noise_var}")
+        _checked_int(self.N, "N", low=1)
+        _checked_positive(self.noise_var, "noise_var")
         if not np.isfinite(self.phi):
             raise InvalidParameterError(f"phi must be finite, got {self.phi}")
         if abs(self.phi) >= 1.0:
@@ -66,9 +64,8 @@ def ar1_path(start: float, phi: float, innovations: np.ndarray) -> np.ndarray:
 
 def equally_spaced_indices(count: int, N: int) -> np.ndarray:
     """``count`` distinct evenly spaced 0-based indices over range(N)."""
-    count, N = _checked_int(count, "count"), _checked_int(N, "N")
-    if not (1 <= count <= N):
-        raise InvalidParameterError(f"count must be in [1, N], got {count} with N={N}")
+    N = _checked_int(N, "N")
+    count = _checked_int(count, "count", 1, N)
     return (np.arange(count, dtype=np.int64) * N) // count
 
 

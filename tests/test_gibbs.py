@@ -1174,6 +1174,24 @@ class TestRunChain:
         # intercept variance plus the two unit prior variances
         assert out.mu_var[0] == pytest.approx(beta_var + 2.0, rel=0.15)
 
+    @pytest.mark.parametrize("layout", ["banded", "greatcircle", "unsorted", "mixed"])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["sampled", "pinned"])
+    def test_carry_trace_does_not_depend_on_the_prediction_set(self, layout, pinned):
+        # carry holds each component at its last sampled value, so the
+        # prediction set only reads the chain; under prior the refresh
+        # writes prior draws into the xi that later subsets read
+        data = layout_dataset(layout)
+        metric = "greatcircle" if layout == "greatcircle" else "abs"
+        pins = FixedVariances(0.8, 0.5, 0.4, 2.0) if pinned else None
+        outs = [run_chain(data, small_config(data.n_obs, iterations=120, burn_in=0,
+                                             prediction_set=np.array(pred),
+                                             basis=BasisConfig(rho=0.3, metric=metric),
+                                             prediction_refresh="carry", fixed_variances=pins),
+                          6, collect_trace=True)
+                for pred in ([1, 7, 8, 20, 33], [0, 2, 15, 39])]
+        np.testing.assert_array_equal(outs[0].trace, outs[1].trace)
+        assert outs[0].jitter_events == outs[1].jitter_events
+
     def test_full_mask_matches_direct_full_data_sampler(self):
         # at n = N the chain must reproduce an independently written
         # full-data Gibbs sampler step for step (same seed, same square
