@@ -7,10 +7,9 @@ call sequence means a bit-identical variate stream, and concurrency
 cannot perturb results.  Streams are ``numpy.random.Generator``
 instances (PCG64); ``run_chain`` draws each variate kind from its own
 generator (see ``gibbs``).  A data subset is the ``int64`` array of its
-indices in coordinate order (``run_chain`` maps the sorted rows of
-``sample_active_indices``, one block of sweeps' subsets per call, through
-the coordinates' sorting permutation when they are not sorted); no other
-representation exists.
+indices in coordinate order, its only representation: ``run_chain`` maps
+the sorted rows of ``sample_active_indices`` (a block of sweeps' subsets
+per call) through the dataset's ``coord_order`` where that is set.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Each sweep draws a new without-replacement subset of size n, then updates
 every block from its conjugate full conditional given that subset:
 
     1. delta  ~ SRSWOR(n, N)                       (uses no data values),
-       held in coordinate order (see ``run_chain``)
+       held in coordinate order (see ``model.DatasetView.coord_order``)
     2. eta restricted to the subset: multivariate normal.  For the
        absolute-difference metric on scalar coordinates the kernel Psi has
        a tridiagonal inverse T (see ``model.BandedKernel``), and the draw
@@ -405,16 +405,12 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
 
-    # the banded kernel needs sorted coordinates: when scalar coordinates
-    # are not sorted, each drawn subset maps through their stable sorting
-    # permutation (a bijection, so the law stays SRSWOR(n, N)), the
-    # prediction set is held in coordinate order, and the outputs go back
-    # to the order of config.prediction_set at the end
+    # the banded kernel needs sorted coordinates: where they are not, each
+    # subset maps through data.coord_order (a bijection: the law stays
+    # SRSWOR(n, N)), and the prediction set is held in coordinate order
     coords = data.index_coords
-    rank = pred_order = None
-    if (config.basis.metric == METRIC_ABS and coords.ndim == 1
-            and np.any(coords[1:] < coords[:-1])):
-        rank = np.argsort(coords, kind="stable")
+    rank = data.coord_order if config.basis.metric == METRIC_ABS else None
+    if rank is not None:
         pred_order = np.argsort(coords[pred], kind="stable")
         pred = pred[pred_order]
 
@@ -524,10 +520,8 @@ def run_chain(data: DatasetView, config: SamplerConfig, n: int,
         raise NumericalError(str(exc), n=n, iteration=g) from exc
 
     mu_var = mu_m2 / (kept - 1) if kept > 1 else np.full(m, np.nan)
-    if pred_order is not None:
-        by_index = np.empty((2, m))
-        by_index[:, pred_order] = mu_mean, mu_var
-        mu_mean, mu_var = by_index
+    if rank is not None:  # back to the order of config.prediction_set
+        mu_mean[pred_order], mu_var[pred_order] = mu_mean.copy(), mu_var.copy()
     return ChainOutput(
         mu_hat=mu_mean,
         mu_var=mu_var,

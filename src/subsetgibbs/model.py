@@ -16,7 +16,7 @@ prediction rule live in ``gibbs``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -72,11 +72,15 @@ class DatasetView:
         Locations fed to the basis kernel.  A flat vector is a scalar
         coordinate (e.g. a time index); two columns are (lat, lon) in
         degrees for the great-circle metric.
+    coord_order : ndarray, shape (N,), or None
+        Derived, never passed: the stable sorting permutation of scalar
+        coordinates that are not sorted; None for sorted or two-column ones.
     """
 
     y: np.ndarray
     x: np.ndarray
     index_coords: np.ndarray
+    coord_order: Optional[np.ndarray] = field(init=False)
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -97,6 +101,9 @@ class DatasetView:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "index_coords", coords)
+        unsorted = coords.ndim == 1 and np.any(coords[1:] < coords[:-1])
+        object.__setattr__(self, "coord_order",
+                           np.argsort(coords, kind="stable") if unsorted else None)
 
     @property
     def n_obs(self) -> int:

@@ -110,10 +110,10 @@ class TestPairwiseDifference:
             pairwise_difference(np.zeros(2), np.zeros(3))
 
 
-def sweep_inputs(N=400, seed=0):
+def sweep_inputs(N=400, seed=0, coords=None):
     rng = np.random.default_rng(seed)
     data = DatasetView(y=rng.normal(size=N), x=np.ones((N, 1)),
-                       index_coords=np.arange(N, dtype=float))
+                       index_coords=np.arange(N, dtype=float) if coords is None else coords)
     config = SamplerConfig(iterations=80, burn_in=20,
                            prediction_set=np.arange(0, N, N // 25),
                            basis=BasisConfig(rho=0.3), seed=42)
@@ -158,8 +158,12 @@ class TestRunSweep:
         assert report.pairwise_diffs == []
         assert report.budget_met
 
-    def test_parallelism_does_not_change_numbers(self):
-        data, config = sweep_inputs()
+    # on permuted coordinates every chain maps its subsets through the
+    # dataset's coord_order, which the pool's workers get by pickling
+    @pytest.mark.parametrize("coords", [None, np.random.default_rng(5).permutation(400) * 0.5],
+                             ids=["sorted", "unsorted"])
+    def test_parallelism_does_not_change_numbers(self, coords):
+        data, config = sweep_inputs(coords=coords)
         plan_serial = SweepPlan(n_grid=(5, 10, 15), budget_seconds=60.0, max_parallel=1)
         plan_pool = SweepPlan(n_grid=(5, 10, 15), budget_seconds=60.0, max_parallel=3)
         serial = run_sweep(data, config, plan_serial)
@@ -167,6 +171,7 @@ class TestRunSweep:
         for (n_a, out_a), (n_b, out_b) in zip(serial.per_n, pooled.per_n):
             assert n_a == n_b
             np.testing.assert_array_equal(out_a.mu_hat, out_b.mu_hat)
+            np.testing.assert_array_equal(out_a.mu_var, out_b.mu_var)
         np.testing.assert_array_equal(
             [d for _, d in serial.pairwise_diffs],
             [d for _, d in pooled.pairwise_diffs])

@@ -1441,3 +1441,15 @@ class TestCoordinateOrder:
         np.testing.assert_array_equal(out.mu_var, reference.mu_var[back])
         np.testing.assert_array_equal(out.trace, reference.trace)
         assert out.jitter_events == reference.jitter_events
+
+    def test_chain_sorts_only_its_prediction_set(self, monkeypatch):
+        # the dataset holds its coordinates' sorting permutation, so a chain
+        # sorts no N-length array, only the m-length prediction set, once
+        data = layout_dataset("unsorted")
+        lengths = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a, *args, **kwargs: (
+            lengths.append(np.size(a)) or argsort(a, *args, **kwargs)))
+        run_chain(data, small_config(data.n_obs, prediction_set=np.array([1, 7, 8, 20, 33])), 6)
+        assert data.n_obs not in lengths
+        assert lengths == [5]

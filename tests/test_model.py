@@ -1,5 +1,7 @@
 """Type invariants and kernel construction."""
 
+import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -54,6 +56,53 @@ class TestDatasetView:
         coords = np.column_stack([np.linspace(-60, 60, 4), np.linspace(0, 90, 4)])
         view = DatasetView(y=np.ones(4), x=np.ones((4, 1)), index_coords=coords)
         assert view.index_coords.shape == (4, 2)
+
+
+def coords_view(coords):
+    coords = np.asarray(coords, dtype=float)
+    return DatasetView(y=np.ones(len(coords)), x=np.ones((len(coords), 1)),
+                       index_coords=coords)
+
+
+class TestCoordOrder:
+    @pytest.mark.parametrize("coords", [
+        np.arange(8.0), [0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 5.0], [3.0],
+        np.column_stack([[5.0, -3.0, 10.0], [100.0, 20.0, -40.0]])],
+        ids=["sorted", "sorted_ties", "one", "latlon"])
+    def test_none_for_sorted_and_two_column_coordinates(self, coords):
+        assert coords_view(coords).coord_order is None
+
+    @pytest.mark.parametrize("coords", [
+        np.random.default_rng(3).permutation(50), [2.0, 0.0, 2.0, 1.0, 0.0, 2.0, 1.0]],
+        ids=["permuted", "unsorted_ties"])
+    def test_stable_sorting_permutation_for_unsorted_coordinates(self, coords):
+        view = coords_view(coords)
+        np.testing.assert_array_equal(view.coord_order,
+                                      np.argsort(view.index_coords, kind="stable"))
+
+    def test_is_derived_and_cannot_be_set(self):
+        with pytest.raises(TypeError):
+            DatasetView(y=np.ones(2), x=np.ones((2, 1)), index_coords=[1.0, 0.0],
+                        coord_order=np.array([0, 1]))
+        view = coords_view([1.0, 0.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            view.coord_order = None
+        with pytest.raises(ValueError):
+            dataclasses.replace(view, coord_order=None)
+
+    def test_kept_by_pickle_without_sorting_again(self, monkeypatch):
+        view = coords_view(np.random.default_rng(4).permutation(30))
+        payload = pickle.dumps(view)
+        monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: pytest.fail("sorted again"))
+        restored = pickle.loads(payload)
+        np.testing.assert_array_equal(restored.coord_order, view.coord_order)
+
+    def test_recomputed_by_replace(self):
+        view = coords_view([2.0, 0.0, 1.0])
+        np.testing.assert_array_equal(view.coord_order, [1, 2, 0])
+        assert dataclasses.replace(view, index_coords=np.arange(3.0)).coord_order is None
+        reordered = dataclasses.replace(view, index_coords=[0.0, 2.0, 1.0])
+        np.testing.assert_array_equal(reordered.coord_order, [0, 2, 1])
 
 
 class TestBasisConfig:

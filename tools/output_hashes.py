@@ -35,8 +35,11 @@ in a temporary directory and hash the bytes of the files they write:
 ``report.csv`` (its last row's diff cell is empty).
 ``cli_fit_unsorted_coord`` hashes ``predictions.csv`` and ``trace.csv``
 together, from a ``fit`` on the simulated data with a shuffled ``coord``
-column added.  Timing columns and manifests differ from run to run and
-are left out.  The script takes about 10 s on a 2-core machine.
+column added; ``cli_calibrate_unsorted_coord`` hashes the predictions
+files and the two ``report.csv`` columns together, from a serial
+``calibrate`` on that file with the same grid (5, 10, 40).  Timing
+columns and manifests differ from run to run and are left out.  The
+script takes about 10 s on a 2-core machine.
 """
 
 import contextlib
@@ -113,6 +116,12 @@ def command(*argv):
         raise SystemExit(f"{argv[0]} exited {code}")
 
 
+def report_rows(directory) -> str:
+    """The ``n`` and ``diff_to_next`` columns of ``report.csv``, one row a line."""
+    with open(directory / "report.csv", newline="") as handle:
+        return "\n".join(f"{row['n']},{row['diff_to_next']}" for row in csv.DictReader(handle))
+
+
 def cli_cases():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -133,16 +142,18 @@ def cli_cases():
         yield "cli_fit_unsorted_coord", hashlib.sha256(b"".join(
             (tmp / "unsorted" / f"{name}.csv").read_bytes()
             for name in ("predictions", "trace"))).hexdigest()[:16]
-        grid = (5, 10, 40)
-        command("calibrate", "--data", data, "--n-grid", ",".join(map(str, grid)),
-                "--budget-seconds", 60, *sampler, "--output-dir", tmp / "cal")
-        for n in grid:
+        calibrate_args = ["--n-grid", "5,10,40", "--budget-seconds", 60, *sampler]
+        command("calibrate", "--data", data, *calibrate_args, "--output-dir", tmp / "cal")
+        for n in (5, 10, 40):
             yield f"cli_calibrate_predictions_n{n}", file_digest(
                 tmp / "cal" / f"predictions_n{n}.csv")
-        with open(tmp / "cal" / "report.csv", newline="") as handle:
-            rows = [f"{row['n']},{row['diff_to_next']}" for row in csv.DictReader(handle)]
         yield "cli_calibrate_report_n_diff", hashlib.sha256(
-            "\n".join(rows).encode()).hexdigest()[:16]
+            report_rows(tmp / "cal").encode()).hexdigest()[:16]
+        shuffled = tmp / "cal_unsorted"
+        command("calibrate", "--data", unsorted, *calibrate_args, "--output-dir", shuffled)
+        yield "cli_calibrate_unsorted_coord", hashlib.sha256(b"".join(
+            [(shuffled / f"predictions_n{n}.csv").read_bytes() for n in (5, 10, 40)]
+            + [report_rows(shuffled).encode()])).hexdigest()[:16]
 
 
 def cases():
